@@ -282,6 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         _note(f"missing file: {exc.filename}")
         return 2
+    except IsADirectoryError as exc:
+        _note(f"not a file: {exc.filename}")
+        return 2
     except DomainError as exc:
         _note(str(exc))
         return 2

@@ -5,6 +5,10 @@ nothing about towers or block compression and simply enumerates witnesses
 (a, d_1, ..., d_n) in lexicographic order. When all side lengths are equal
 the cube set is symmetric in its dimensions, so the enumeration restricts
 to nondecreasing difference vectors without losing any cube.
+
+cube_number is the W(k, c) avoidance search (wnumbers._avoid) run with cube
+hyperedges. Its rows are checked independently, by the naive cube expansion
+in the tests, not by a second copy of the search here.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CubeWitness, DomainError, FiniteColoring, LimitError, cube_positions
+from .core import CubeWitness, DomainError, FiniteColoring, LimitError
+from .wnumbers import _avoid
 
 
 @dataclass(frozen=True)
@@ -121,45 +126,6 @@ def find_cube(
     return None
 
 
-def _difference_vectors(span: int, ks: tuple[int, ...], uniform: bool):
-    """All difference vectors with total reach sum((k_i-1)*d_i) <= span,
-    nondecreasing when the side lengths are uniform."""
-    n = len(ks)
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, prev_d: int, left: int, acc: tuple[int, ...]) -> None:
-        if i == n:
-            out.append(acc)
-            return
-        k = ks[i]
-        d_lo = prev_d if uniform else 1
-        for d in range(max(d_lo, 1), left // (k - 1) + 1):
-            rec(i + 1, d, left - (k - 1) * d, acc + (d,))
-
-    rec(0, 1, span, ())
-    return out
-
-
-def _cube_masks(limit: int, ks: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """masks[p] = bitmasks of the other positions of every cube whose maximum is p.
-
-    Built through the generic cube expansion so this path shares no structure
-    with the progression-tail pruning used for W(k, c).
-    """
-    uniform = len(set(ks)) == 1
-    masks: list[tuple[int, ...]] = [()]
-    for p in range(1, limit + 1):
-        row = set()
-        for ds in _difference_vectors(p - 1, ks, uniform):
-            a = p - sum((k - 1) * d for d, k in zip(ds, ks))
-            m = 0
-            for q in cube_positions(CubeWitness(1, a, ds, ks)):
-                m |= 1 << q
-            row.add(m & ~(1 << p))
-        masks.append(tuple(sorted(row)))
-    return masks
-
-
 def cube_number(ks: Sequence[int], c: int, cap: int) -> int:
     """Least N <= cap such that every c-coloring of [1, N] has a monochromatic
     cube with side lengths ks.
@@ -175,43 +141,7 @@ def cube_number(ks: Sequence[int], c: int, cap: int) -> int:
         raise DomainError(f"number of colors must be >= 1, got {c}")
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
-    masks = _cube_masks(cap, ks)
-    color = [0] * (cap + 2)
-    colmask = [0] * (c + 2)
-    used = 0
-    best_len = 0
-    p = 1
-    while p >= 1:
-        cand = color[p] + 1
-        top = used + 1 if used < c else c
-        row = masks[p]
-        chosen = 0
-        while cand <= top:
-            m = colmask[cand]
-            for t in row:
-                if m & t == t:
-                    break
-            else:
-                chosen = cand
-                break
-            cand += 1
-        if chosen:
-            color[p] = chosen
-            colmask[chosen] |= 1 << p
-            if chosen > used:
-                used = chosen
-            if p > best_len:
-                best_len = p
-            if p == cap:
-                raise CapExceededError(ks, c, cap)
-            p += 1
-            color[p] = 0
-        else:
-            color[p] = 0
-            p -= 1
-            if p >= 1:
-                prev = color[p]
-                colmask[prev] &= ~(1 << p)
-                if prev == used and colmask[prev] == 0:
-                    used -= 1
+    reached, best_len, _ = _avoid(ks, c, cap)
+    if reached:
+        raise CapExceededError(ks, c, cap)
     return best_len + 1

@@ -122,12 +122,11 @@ def witness_from_dict(data: dict) -> CubeWitness:
             ds=tuple(int(x) for x in data["ds"]),
             ks=tuple(int(x) for x in data["ks"]),
         )
+        stated = tuple(int(x) for x in data["positions"]) if "positions" in data else None
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"bad witness object: {exc}") from exc
-    if "positions" in data:
-        stated = tuple(int(x) for x in data["positions"])
-        if stated != cube_positions(w):
-            raise DomainError("stated positions do not match the cube expansion")
+    if stated is not None and stated != cube_positions(w):
+        raise DomainError("stated positions do not match the cube expansion")
     return w
 
 

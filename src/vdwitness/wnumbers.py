@@ -8,6 +8,11 @@ canonical colorings (colors appear in order of first use). Canonical
 restriction is exhaustive up to renaming and the lexicographically least
 AP-free coloring is itself canonical, so the first coloring the search
 reaches at the extremal length is the lexicographically least one.
+
+The search (_avoid) prunes with one row of hyperedge masks per position,
+built the first time the search reaches that position. A k-AP is the
+1-dimensional cube of side k, so cubesearch.cube_number runs the same
+search with its own side lengths.
 """
 
 from __future__ import annotations
@@ -64,34 +69,69 @@ def search_limit_default(explicit: int | None = None) -> int:
     return DEFAULT_SEARCH_LIMIT
 
 
-def _ap_tail_masks(k: int, limit: int) -> list[tuple[int, ...]]:
-    """tails[p] = bitmasks of the k-1 earlier members of every k-AP ending at p."""
-    tails: list[tuple[int, ...]] = [()]
-    for p in range(1, limit + 1):
-        row = []
-        d = 1
-        while p - (k - 1) * d >= 1:
-            m = 0
-            q = p - d
-            for _ in range(k - 1):
-                m |= 1 << q
-                q -= d
-            row.append(m)
-            d += 1
-        tails.append(tuple(row))
-    return tails
+def _cube_tails(ks: tuple[int, ...], reach: int) -> tuple[int, ...]:
+    """Masks of every cube of side lengths ks anchored at 0 whose maximum is reach.
+
+    Bit q stands for offset q; the maximum's own bit is cleared. Uniform side
+    lengths take nondecreasing differences only, which loses no cube.
+    """
+    uniform = len(set(ks)) == 1
+    last = len(ks) - 1
+    out: set[int] = set()
+
+    def spread(m: int, d: int, k: int) -> int:
+        grown = m
+        for j in range(1, k):
+            grown |= m << (j * d)
+        return grown
+
+    def rec(i: int, d_lo: int, left: int, m: int) -> None:
+        k = ks[i]
+        if i == last:
+            d, rem = divmod(left, k - 1)
+            if not rem and d >= d_lo:
+                out.add(spread(m, d, k) & ~(1 << reach))
+            return
+        for d in range(d_lo, left // (k - 1) + 1):
+            rec(i + 1, d if uniform else 1, left - (k - 1) * d, spread(m, d, k))
+
+    rec(0, 1, reach, 1)
+    return tuple(out)
 
 
-def _max_ap_free(k: int, c: int, limit: int) -> tuple[bool, int, tuple[int, ...]]:
-    """Depth-first search for the longest AP-free canonical c-coloring.
+def _cube_rows(ks: tuple[int, ...]):
+    """Yield row p for p = 1, 2, ...: the masks of the other positions of
+    every cube of side lengths ks whose maximum is p (bit q is position q).
+
+    A cube of reach r ends at p when it is anchored at p - r, so row p is
+    the tails of every reach r < p shifted by p - r. The order of a row
+    never changes which colour the search picks, only how soon a blocked
+    colour is rejected: masks with fewest positions come first, since they
+    are completed most often.
+    """
+    tails: list[tuple[int, ...]] = []
+    p = 0
+    while True:
+        p += 1
+        tails.append(_cube_tails(ks, p - 1))
+        row = [t << (p - r) for r, level in enumerate(tails) for t in level]
+        yield tuple(sorted(row, key=lambda t: (t.bit_count(), t)))
+
+
+def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[int, ...]]:
+    """Depth-first search for the longest canonical c-coloring with no
+    monochromatic cube of side lengths ks; ks = (k,) forbids k-term APs.
 
     Returns (reached_limit, best_length, prefix), where prefix is the
-    lexicographically least AP-free coloring of best_length. If the search
+    lexicographically least such coloring of best_length. If the search
     reaches the limit, prefix is the first coloring of that full length
-    and nothing is proved about longer colorings.
+    and nothing is proved about longer colorings. Row p of the hyperedge
+    table and the colour slot of p are built when the search first reaches
+    p, so the limit bounds the search but sizes nothing up front.
     """
-    tails = _ap_tail_masks(k, limit)
-    color = [0] * (limit + 2)
+    row_gen = _cube_rows(ks)
+    rows: list[tuple[int, ...]] = [(), next(row_gen)]
+    color = [0, 0]
     # Canonical colorings never use more colors than positions, so huge
     # palettes need no huge mask table.
     masks = [0] * (min(c, limit + 1) + 2)
@@ -102,7 +142,7 @@ def _max_ap_free(k: int, c: int, limit: int) -> tuple[bool, int, tuple[int, ...]
     while p >= 1:
         cand = color[p] + 1
         top = used + 1 if used < c else c
-        row = tails[p]
+        row = rows[p]
         chosen = 0
         while cand <= top:
             m = masks[cand]
@@ -124,7 +164,9 @@ def _max_ap_free(k: int, c: int, limit: int) -> tuple[bool, int, tuple[int, ...]
             if p == limit:
                 return True, best_len, best
             p += 1
-            color[p] = 0
+            if p == len(rows):
+                rows.append(next(row_gen))
+                color.append(0)
         else:
             color[p] = 0
             p -= 1
@@ -145,6 +187,34 @@ def _closed_form(k: int, c: int) -> tuple[int, tuple[int, ...]] | None:
     return None
 
 
+def _search(k: int, c: int, limit: int, use_cache: bool) -> tuple[int, tuple[int, ...]]:
+    """W(k, c) and its certificate colors for k >= 3, c >= 2, from the memo or
+    by search; raises SearchLimitError when limit does not resolve it."""
+    if use_cache and (k, c) in _MEMO:
+        value, cert = _MEMO[(k, c)]
+        if cert:
+            # A fresh search resolves W only when limit >= W; keep memoized
+            # results indistinguishable from fresh ones.
+            if value > limit:
+                raise SearchLimitError(k, c, limit)
+            return value, cert
+        # A value loaded from a cache file is advisory: drop it and let the
+        # search decide, so a wrong file can never change an answer.
+        del _MEMO[(k, c)]
+    reached, best_len, cert = _avoid((k,), c, limit)
+    if reached:
+        raise SearchLimitError(k, c, limit)
+    _MEMO[(k, c)] = (best_len + 1, cert)
+    return best_len + 1, cert
+
+
+def _validate(k: int, c: int) -> None:
+    if k < 2:
+        raise DomainError(f"progression length must be >= 2, got {k}")
+    if c < 1:
+        raise DomainError(f"number of colors must be >= 1, got {c}")
+
+
 def vdw_number(
     k: int, c: int, search_limit: int | None = None, *, use_cache: bool = True
 ) -> WNumberResult:
@@ -153,41 +223,13 @@ def vdw_number(
     Raises SearchLimitError if the answer is not determined within
     search_limit positions.
     """
-    if k < 2:
-        raise DomainError(f"progression length must be >= 2, got {k}")
-    if c < 1:
-        raise DomainError(f"number of colors must be >= 1, got {c}")
+    _validate(k, c)
     closed = _closed_form(k, c)
     if closed is not None:
         value, cert = closed
-        certificate = FiniteColoring(c, Interval(1, value - 1), cert)
-        return WNumberResult(k, c, value, certificate)
-    limit = search_limit_default(search_limit)
-    if use_cache and (k, c) in _MEMO:
-        value, cert = _MEMO[(k, c)]
-        # A fresh search resolves W only when limit >= W; keep cached results
-        # indistinguishable from fresh ones.
-        if value > limit:
-            raise SearchLimitError(k, c, limit)
-        if not cert:
-            # Value came from a cache file; rebuild the certificate by a
-            # descent to the extremal length. Failure means the advisory
-            # value was wrong, so drop it and search from scratch.
-            reached, _, cert = _max_ap_free(k, c, value - 1)
-            if reached:
-                _MEMO[(k, c)] = (value, cert)
-            else:
-                del _MEMO[(k, c)]
-        if (k, c) in _MEMO:
-            certificate = FiniteColoring(c, Interval(1, value - 1), cert)
-            return WNumberResult(k, c, value, certificate)
-    reached, best_len, cert = _max_ap_free(k, c, limit)
-    if reached:
-        raise SearchLimitError(k, c, limit)
-    value = best_len + 1
-    _MEMO[(k, c)] = (value, cert)
-    certificate = FiniteColoring(c, Interval(1, value - 1), cert)
-    return WNumberResult(k, c, value, certificate)
+    else:
+        value, cert = _search(k, c, search_limit_default(search_limit), use_cache)
+    return WNumberResult(k, c, value, FiniteColoring(c, Interval(1, value - 1), cert))
 
 
 def vdw_value(k: int, c: int, search_limit: int | None = None, *, use_cache: bool = True) -> int:
@@ -195,25 +237,12 @@ def vdw_value(k: int, c: int, search_limit: int | None = None, *, use_cache: boo
 
     Materially cheaper than vdw_number for closed forms with huge palettes
     (W(2, c) = c + 1 would otherwise build a c-cell certificate)."""
-    if k < 2:
-        raise DomainError(f"progression length must be >= 2, got {k}")
-    if c < 1:
-        raise DomainError(f"number of colors must be >= 1, got {c}")
+    _validate(k, c)
     if c == 1:
         return k
     if k == 2:
         return c + 1
-    limit = search_limit_default(search_limit)
-    if use_cache and (k, c) in _MEMO:
-        value = _MEMO[(k, c)][0]
-        if value > limit:
-            raise SearchLimitError(k, c, limit)
-        return value
-    reached, best_len, cert = _max_ap_free(k, c, limit)
-    if reached:
-        raise SearchLimitError(k, c, limit)
-    _MEMO[(k, c)] = (best_len + 1, cert)
-    return best_len + 1
+    return _search(k, c, search_limit_default(search_limit), use_cache)[0]
 
 
 def vdw_number_by_search(k: int, c: int, search_limit: int | None = None) -> WNumberResult:
@@ -221,7 +250,7 @@ def vdw_number_by_search(k: int, c: int, search_limit: int | None = None) -> WNu
     if k < 2 or c < 1:
         raise DomainError("need progression length >= 2 and colors >= 1")
     limit = search_limit_default(search_limit)
-    reached, best_len, cert = _max_ap_free(k, c, limit)
+    reached, best_len, cert = _avoid((k,), c, limit)
     if reached:
         raise SearchLimitError(k, c, limit)
     return WNumberResult(k, c, best_len + 1, FiniteColoring(c, Interval(1, best_len), cert))
@@ -272,17 +301,12 @@ def find_ap(coloring: FiniteColoring, k: int) -> tuple[int, int] | None:
     return None
 
 
-def cached_values() -> dict[tuple[int, int], int]:
-    """Snapshot of the in-process value cache."""
-    return {kc: vc[0] for kc, vc in _MEMO.items()}
-
-
 def load_cache(path: str) -> int:
     """Merge `k c W` triples from a text file into the in-process cache.
 
-    Cached values are advisory: certificates are recomputed on use, and a
-    value is ignored whenever resolving it would exceed the search limit.
-    Returns the number of entries loaded.
+    Cached values are advisory: the first lookup of a loaded value drops it
+    and searches, so a wrong file can change no answer (and a right one
+    saves no search). Returns the number of entries loaded.
     """
     count = 0
     with open(path, "r", encoding="utf-8") as fh:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from vdwitness.cli import main
+from vdwitness.wnumbers import _MEMO
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +51,22 @@ class TestWnumber:
         )
         assert code == 0
         assert out_json(out)["value"] == 9
+
+    def test_too_small_cache_value_changes_nothing(self, capsys, tmp_path):
+        cache = tmp_path / "cache.txt"
+        cache.write_text("3 2 8\n")
+        saved = dict(_MEMO)
+        try:
+            _MEMO.clear()
+            code, out, _ = run_cli(
+                capsys, "wnumber", "--k", "3", "--c", "2", "--cache", str(cache)
+            )
+        finally:
+            _MEMO.clear()
+            _MEMO.update(saved)
+        assert code == 0
+        assert out == '{"k":3,"c":2,"value":9,"certificate":"11221122"}\n'
+        assert "3 2 9" in cache.read_text()
 
 
 class TestTower:
@@ -317,6 +334,35 @@ class TestInputErrors:
 
     def test_missing_file(self, capsys):
         assert run_cli(capsys, "search", "--ks", "2", "--coloring", "/nope")[0] == 2
+
+    def test_witness_with_bad_positions(self, capsys, tmp_path, coloring_122):
+        for positions in ('["x"]', "5"):
+            witness_path = tmp_path / "w.json"
+            witness_path.write_text(
+                '{"gamma":1,"a":1,"ds":[1],"ks":[2],"positions":%s}' % positions
+            )
+            code, out, err = run_cli(
+                capsys, "verify", "--witness", str(witness_path),
+                "--coloring", coloring_122,
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith("bad witness object") and err.count("\n") == 1
+
+    def test_directory_as_coloring(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "search", "--ks", "2", "--coloring", str(tmp_path))
+        assert (code, out, err) == (2, "", f"not a file: {tmp_path}\n")
+
+    def test_directory_as_witness(self, capsys, tmp_path, coloring_122):
+        code, out, err = run_cli(
+            capsys, "verify", "--witness", str(tmp_path), "--coloring", coloring_122
+        )
+        assert (code, out, err) == (2, "", f"not a file: {tmp_path}\n")
+
+    def test_directory_as_cache(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "wnumber", "--k", "3", "--c", "2", "--cache", str(tmp_path)
+        )
+        assert (code, out, err) == (2, "", f"not a file: {tmp_path}\n")
 
     def test_bad_threads(self, capsys):
         assert run_cli(capsys, "wnumber", "--k", "2", "--c", "2", "--threads", "0")[0] == 2

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -151,6 +152,23 @@ class TestCubeNumber:
         with pytest.raises(CapExceededError) as exc:
             cube_number([3], 2, 5)
         assert exc.value.cap == 5
+
+    @pytest.mark.parametrize(
+        "ks, c, value", [((2, 2), 3, 15), ((3,), 3, 27), ((2, 3), 2, 21), ((2, 2, 2), 2, 21)]
+    )
+    def test_cap_only_bounds_the_search(self, ks, c, value):
+        assert cube_number(ks, c, value) == cube_number(ks, c, 64) == value
+
+    def test_huge_palette_allocates_nothing(self):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError):
+            cube_number((2, 2), 10**12, 3)
+        assert time.perf_counter() - start < 1.0
+
+    def test_huge_cap_sizes_nothing_up_front(self):
+        start = time.perf_counter()
+        assert cube_number((2, 2, 2), 2, 10**6) == 21
+        assert time.perf_counter() - start < 1.0
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import islice, product
 
 import pytest
 
@@ -10,10 +12,11 @@ from vdwitness import (
     find_ap,
     vdw_number,
     vdw_number_by_search,
+    vdw_value,
     verify_ap_free,
 )
-from vdwitness.wnumbers import _MEMO, load_cache, save_cache
-from bruteforce import all_colorings, has_mono_ap, least_mono_ap
+from vdwitness.wnumbers import _MEMO, _cube_rows, load_cache, save_cache
+from bruteforce import all_colorings, expand_cube, has_mono_ap, least_mono_ap
 
 
 def coloring_of(text: str, c: int) -> FiniteColoring:
@@ -68,6 +71,17 @@ class TestSmallExactValues:
     def test_monotonicity(self):
         assert vdw_number(3, 1).value <= vdw_number(3, 2).value <= vdw_number(3, 3).value
         assert vdw_number(2, 2).value <= vdw_number(3, 2).value <= vdw_number(4, 2).value
+
+    def test_certificates_byte_for_byte(self):
+        r42 = vdw_number(4, 2, use_cache=False)
+        assert "".join(map(str, r42.certificate.colors)) == "1121112221211211122212112111222122"
+        r33 = vdw_number(3, 3, use_cache=False)
+        assert "".join(map(str, r33.certificate.colors)) == "11221123233131121223133232"
+
+    def test_huge_limit_sizes_nothing_up_front(self):
+        start = time.perf_counter()
+        assert vdw_number(3, 2, 10**6, use_cache=False).value == 9
+        assert time.perf_counter() - start < 1.0
 
     def test_search_limit(self):
         with pytest.raises(SearchLimitError):
@@ -154,8 +168,57 @@ class TestCertificates:
             _MEMO.clear()
             _MEMO.update(saved)
 
+    def _with_cache_file(self, tmp_path, text, query):
+        path = tmp_path / "cache.txt"
+        path.write_text(text)
+        saved = dict(_MEMO)
+        try:
+            _MEMO.clear()
+            load_cache(str(path))
+            return query()
+        finally:
+            _MEMO.clear()
+            _MEMO.update(saved)
+
+    def test_too_small_cache_value_is_discarded(self, tmp_path):
+        r = self._with_cache_file(tmp_path, "3 2 8\n", lambda: vdw_number(3, 2))
+        assert r.value == 9
+        assert r.certificate.colors == (1, 1, 2, 2, 1, 1, 2, 2)
+
+    def test_too_small_cache_value_is_discarded_by_vdw_value(self, tmp_path):
+        assert self._with_cache_file(tmp_path, "3 2 8\n", lambda: vdw_value(3, 2)) == 9
+
+    def test_cache_value_past_the_limit_is_discarded(self, tmp_path):
+        assert self._with_cache_file(tmp_path, "3 2 100\n", lambda: vdw_value(3, 2, 50)) == 9
+        with pytest.raises(SearchLimitError):
+            self._with_cache_file(tmp_path, "3 2 9\n", lambda: vdw_number(3, 2, 8))
+
     def test_bad_cache_lines(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 2\n")
         with pytest.raises(DomainError):
             load_cache(str(path))
+
+
+def _naive_rows(ks, n):
+    """rows[p] = masks of the other positions of every cube ending at p <= n,
+    by expansion of every difference vector and anchor."""
+    uniform = len(set(ks)) == 1
+    rows = [set() for _ in range(n + 1)]
+    for ds in product(range(1, n), repeat=len(ks)):
+        if uniform and list(ds) != sorted(ds):
+            continue
+        reach = max(expand_cube(0, ds, ks))
+        for a in range(1, n - reach + 1):
+            pts = expand_cube(a, ds, ks)
+            top = max(pts)
+            rows[top].add(sum(1 << q for q in pts - {top}))
+    return rows
+
+
+@pytest.mark.parametrize("ks", [(2,), (3,), (4,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 2, 3)])
+def test_search_rows_match_cube_expansion(ks):
+    naive = _naive_rows(ks, 24)
+    for p, row in enumerate(islice(_cube_rows(ks), 24), start=1):
+        assert len(row) == len(set(row))
+        assert set(row) == naive[p]
