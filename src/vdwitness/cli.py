@@ -285,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     except IsADirectoryError as exc:
         _note(f"not a file: {exc.filename}")
         return 2
+    except UnicodeDecodeError as exc:
+        _note(f"input file is not UTF-8 text: {exc}")
+        return 2
     except DomainError as exc:
         _note(str(exc))
         return 2

@@ -9,7 +9,9 @@ and every operation is a pure function.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, cycle, islice, repeat
 
 DEFAULT_MAX_CELLS = 1 << 26
 
@@ -122,6 +124,11 @@ class ColorOracle:
 
     Subclasses implement _color(p); repeated queries at the same position always
     return the same value, so oracles are safe to query in any order.
+
+    materialize evaluates a whole window through _colors(lo, hi), the colors
+    of positions lo..hi (1 <= lo <= hi) as one tuple. Overriding it is
+    optional: the default calls _color once per position. An override is a
+    faster batch rule and must equal _color position by position.
     """
 
     c: int
@@ -133,6 +140,15 @@ class ColorOracle:
 
     def _color(self, p: int) -> int:
         raise NotImplementedError
+
+    def _colors(self, lo: int, hi: int) -> tuple[int, ...]:
+        return tuple(self._color(p) for p in range(lo, hi + 1))
+
+
+def _cycled(pattern: tuple[int, ...], offset: int, n: int) -> Iterator[int]:
+    """The first n colors of pattern repeated forever, starting at index offset."""
+    r = offset % len(pattern)
+    return islice(cycle(pattern[r:] + pattern[:r]), n)
 
 
 @dataclass(frozen=True)
@@ -150,6 +166,9 @@ class ConstantOracle(ColorOracle):
 
     def _color(self, p: int) -> int:
         return self.gamma
+
+    def _colors(self, lo: int, hi: int) -> tuple[int, ...]:
+        return (self.gamma,) * (hi - lo + 1)
 
 
 @dataclass(frozen=True)
@@ -171,6 +190,9 @@ class PeriodicOracle(ColorOracle):
 
     def _color(self, p: int) -> int:
         return self.pattern[(p - 1) % len(self.pattern)]
+
+    def _colors(self, lo: int, hi: int) -> tuple[int, ...]:
+        return tuple(_cycled(self.pattern, lo - 1, hi - lo + 1))
 
 
 @dataclass(frozen=True)
@@ -199,6 +221,12 @@ class EventuallyPeriodicOracle(ColorOracle):
             return self.prefix[p - 1]
         return self.pattern[(p - 1 - len(self.prefix)) % len(self.pattern)]
 
+    def _colors(self, lo: int, hi: int) -> tuple[int, ...]:
+        m = len(self.prefix)
+        start = max(lo, m + 1)  # first position of the periodic part in [lo, hi]
+        tail = _cycled(self.pattern, start - 1 - m, max(hi - start + 1, 0))
+        return tuple(chain(self.prefix[lo - 1 : hi], tail))
+
 
 @dataclass(frozen=True)
 class ThueMorseOracle(ColorOracle):
@@ -212,6 +240,9 @@ class ThueMorseOracle(ColorOracle):
 
     def _color(self, p: int) -> int:
         return 1 + ((p - 1).bit_count() & 1)
+
+    def _colors(self, lo: int, hi: int) -> tuple[int, ...]:
+        return tuple(1 + (q.bit_count() & 1) for q in range(lo - 1, hi))
 
 
 _MASK64 = (1 << 64) - 1
@@ -234,9 +265,11 @@ class SeededRandomOracle(ColorOracle):
     def __post_init__(self) -> None:
         if self.c < 1:
             raise DomainError(f"number of colors must be >= 1, got {self.c}")
+        # The seed's key, hashed once; not a field, so eq, hash and repr ignore it.
+        object.__setattr__(self, "_key", _splitmix64(self.seed & _MASK64))
 
     def _color(self, p: int) -> int:
-        x = _splitmix64(self.seed & _MASK64)
+        x = self._key
         q = p - 1
         while True:
             x = _splitmix64(x ^ (q & _MASK64))
@@ -244,6 +277,12 @@ class SeededRandomOracle(ColorOracle):
             if not q:
                 break
         return 1 + x % self.c
+
+    def _colors(self, lo: int, hi: int) -> tuple[int, ...]:
+        if hi > 1 << 64:  # some q = p - 1 needs more than one 64-bit word
+            return super()._colors(lo, hi)
+        key, c = self._key, self.c
+        return tuple(1 + _splitmix64(key ^ q) % c for q in range(lo - 1, hi))
 
 
 @dataclass(frozen=True)
@@ -267,6 +306,15 @@ class PrefixOracle(ColorOracle):
         if p in self.coloring.domain:
             return self.coloring.color_at(p)
         return self.default
+
+    def _colors(self, lo: int, hi: int) -> tuple[int, ...]:
+        dom = self.coloring.domain
+        a, b = max(lo, dom.lo), min(hi, dom.hi)  # overlap with the domain, if a <= b
+        if a > b:
+            return (self.default,) * (hi - lo + 1)
+        inside = self.coloring.colors[a - dom.lo : b - dom.lo + 1]
+        before, after = repeat(self.default, a - lo), repeat(self.default, hi - b)
+        return tuple(chain(before, inside, after))
 
 
 @dataclass(frozen=True)
@@ -353,5 +401,4 @@ def materialize(
         raise MaterializationLimitError(
             f"{interval.size()} cells exceed the materialization limit {limit}"
         )
-    colors = tuple(oracle.color_at(p) for p in range(interval.lo, interval.hi + 1))
-    return FiniteColoring(oracle.c, interval, colors)
+    return FiniteColoring(oracle.c, interval, oracle._colors(interval.lo, interval.hi))

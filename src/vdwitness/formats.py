@@ -123,7 +123,7 @@ def witness_from_dict(data: dict) -> CubeWitness:
             ks=tuple(int(x) for x in data["ks"]),
         )
         stated = tuple(int(x) for x in data["positions"]) if "positions" in data else None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"bad witness object: {exc}") from exc
     if stated is not None and stated != cube_positions(w):
         raise DomainError("stated positions do not match the cube expansion")

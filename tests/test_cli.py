@@ -364,6 +364,29 @@ class TestInputErrors:
         )
         assert (code, out, err) == (2, "", f"not a file: {tmp_path}\n")
 
+    @pytest.mark.parametrize("reader", ["coloring", "witness", "cache"])
+    def test_non_utf8_file(self, capsys, tmp_path, coloring_122, reader):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"c=2 lo=1 hi=1\n\xff\n")
+        argv = {
+            "coloring": ["search", "--ks", "2", "--coloring", str(bad)],
+            "witness": ["verify", "--witness", str(bad), "--coloring", coloring_122],
+            "cache": ["wnumber", "--k", "3", "--c", "2", "--cache", str(bad)],
+        }[reader]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("input file is not UTF-8 text") and err.count("\n") == 1
+
+    def test_non_finite_number_in_witness(self, capsys, tmp_path):
+        witness_path = tmp_path / "w.json"
+        witness_path.write_text('{"gamma":1,"a":1,"ds":[1e400],"ks":[2]}')
+        code, out, err = run_cli(
+            capsys, "verify", "--witness", str(witness_path),
+            "--oracle", "constant:1", "--c", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("bad witness object") and err.count("\n") == 1
+
     def test_bad_threads(self, capsys):
         assert run_cli(capsys, "wnumber", "--k", "2", "--c", "2", "--threads", "0")[0] == 2
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdwitness import (
+    ColorOracle,
     ConstantOracle,
     CubeWitness,
     DomainError,
@@ -255,3 +256,124 @@ class TestColoringAndMaterialize:
         with pytest.raises(MaterializationLimitError):
             materialize(ConstantOracle(1), Interval(1, 11))
         materialize(ConstantOracle(1), Interval(1, 10))
+
+
+class _OnlyColor(ColorOracle):
+    """A user oracle that defines only _color and inherits the batch rule."""
+
+    c = 3
+
+    def _color(self, p):
+        return 1 + (p * p + p // 7) % 3
+
+
+class _Counting(ColorOracle):
+    """Counts calls of both evaluation hooks."""
+
+    c = 2
+
+    def __init__(self):
+        self.color_calls = 0
+        self.colors_calls = 0
+
+    def _color(self, p):
+        self.color_calls += 1
+        return 1 + p % 2
+
+    def _colors(self, lo, hi):
+        self.colors_calls += 1
+        return super()._colors(lo, hi)
+
+
+_COLOR = st.integers(1, 3)
+_PATTERN = st.lists(_COLOR, min_size=1, max_size=6).map(tuple)
+_ORACLES = st.one_of(
+    st.builds(ConstantOracle, _COLOR),
+    st.builds(PeriodicOracle, _PATTERN),
+    st.builds(EventuallyPeriodicOracle, st.lists(_COLOR, max_size=6).map(tuple), _PATTERN),
+    st.just(ThueMorseOracle()),
+    st.builds(SeededRandomOracle, st.integers(-(2**70), 2**70), st.integers(1, 5)),
+    st.builds(
+        lambda lo, colors, default: PrefixOracle(
+            FiniteColoring(3, Interval(lo, lo + len(colors) - 1), colors), default
+        ),
+        st.integers(1, 20),
+        st.lists(_COLOR, min_size=1, max_size=8).map(tuple),
+        _COLOR,
+    ),
+    st.just(_OnlyColor()),
+)
+
+
+def _boundaries(oracle):
+    """Positions where an oracle's batch rule changes case."""
+    if isinstance(oracle, EventuallyPeriodicOracle):
+        return [len(oracle.prefix), len(oracle.prefix) + 1]
+    if isinstance(oracle, PrefixOracle):
+        return [oracle.coloring.domain.lo, oracle.coloring.domain.hi]
+    if isinstance(oracle, SeededRandomOracle):
+        return [1 << 64, (1 << 64) + 1]
+    return [1, 1000]
+
+
+def _per_position(oracle, lo, hi):
+    return tuple(oracle.color_at(p) for p in range(lo, hi + 1))
+
+
+class TestBatchEvaluation:
+    @settings(max_examples=400, derandomize=True)
+    @given(oracle=_ORACLES, data=st.data())
+    def test_materialize_equals_color_at(self, oracle, data):
+        points = _boundaries(oracle)
+        first = data.draw(st.sampled_from(points))
+        last = data.draw(st.sampled_from([p for p in points if p >= first]))
+        lo = max(1, first - data.draw(st.integers(0, 10)))
+        hi = last + data.draw(st.integers(0, 10))
+        col = materialize(oracle, Interval(lo, hi))
+        assert col.colors == _per_position(oracle, lo, hi)
+        assert col.c == oracle.c
+
+    @pytest.mark.parametrize(
+        "oracle, lo, hi",
+        [
+            (EventuallyPeriodicOracle((3, 1, 1), (1, 2)), 2, 9),
+            (EventuallyPeriodicOracle((3, 1, 1), (1, 2)), 4, 4),
+            (EventuallyPeriodicOracle((3, 1, 1), (1, 2)), 1, 3),
+            (EventuallyPeriodicOracle((), (2, 1, 1)), 1, 7),
+            (PrefixOracle(FiniteColoring(3, Interval(5, 9), (1, 2, 3, 3, 2)), 2), 1, 14),
+            (PrefixOracle(FiniteColoring(3, Interval(5, 9), (1, 2, 3, 3, 2)), 2), 6, 8),
+            (PrefixOracle(FiniteColoring(3, Interval(5, 9), (1, 2, 3, 3, 2)), 2), 10, 12),
+            (SeededRandomOracle(-3, 4), (1 << 64) - 3, (1 << 64) + 4),
+            (_OnlyColor(), 1, 30),
+        ],
+    )
+    def test_straddling_ranges(self, oracle, lo, hi):
+        assert materialize(oracle, Interval(lo, hi)).colors == _per_position(oracle, lo, hi)
+
+    def test_seeded_random_colors_pinned(self):
+        assert materialize(SeededRandomOracle(42, 5), Interval(1, 24)).colors == (
+            4, 4, 5, 4, 2, 4, 2, 2, 4, 4, 5, 5, 5, 4, 5, 1, 2, 5, 3, 5, 2, 3, 5, 3,
+        )
+        window = Interval((1 << 64) - 3, (1 << 64) + 4)
+        assert materialize(SeededRandomOracle(-3, 4), window).colors == (
+            3, 3, 2, 1, 4, 2, 3, 1,
+        )
+
+    def test_seeded_random_identity_ignores_stored_key(self):
+        o = SeededRandomOracle(7, 3)
+        assert repr(o) == "SeededRandomOracle(seed=7, c=3)"
+        assert hash(o) == hash((7, 3))
+        assert o == SeededRandomOracle(7, 3)
+        # seeds 7 and 7 + 2^64 share a key and colors but stay distinct oracles
+        twin = SeededRandomOracle(7 + (1 << 64), 3)
+        assert materialize(twin, Interval(1, 50)) == materialize(o, Interval(1, 50))
+        assert twin != o and hash(twin) == hash((7 + (1 << 64), 3))
+
+    def test_cap_refused_before_any_color(self):
+        oracle = _Counting()
+        with pytest.raises(MaterializationLimitError):
+            materialize(oracle, Interval(1, 11), max_cells=10)
+        assert (oracle.colors_calls, oracle.color_calls) == (0, 0)
+        col = materialize(oracle, Interval(1, 10), max_cells=10)
+        assert (oracle.colors_calls, oracle.color_calls) == (1, 10)
+        assert col.colors == (2, 1) * 5
