@@ -23,6 +23,7 @@ from .core import (
 from .cubesearch import CapExceededError, cube_number, find_cube
 from .extractor import extract, extract_nonuniform
 from .formats import (
+    _read_text,
     certificate_string,
     parse_oracle_spec,
     read_coloring,
@@ -160,11 +161,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.witness, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"bad witness JSON: {exc}") from exc
+    try:
+        data = json.loads(_read_text(args.witness))
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"bad witness JSON: {exc}") from exc
     witness = witness_from_dict(data)
     if args.coloring:
         source = read_coloring(args.coloring)
@@ -284,9 +284,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except IsADirectoryError as exc:
         _note(f"not a file: {exc.filename}")
-        return 2
-    except UnicodeDecodeError as exc:
-        _note(f"input file is not UTF-8 text: {exc}")
         return 2
     except DomainError as exc:
         _note(str(exc))

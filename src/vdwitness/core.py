@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, cycle, islice
 
 DEFAULT_MAX_CELLS = 1 << 26
 
@@ -306,15 +306,6 @@ class PrefixOracle(ColorOracle):
         if p in self.coloring.domain:
             return self.coloring.color_at(p)
         return self.default
-
-    def _colors(self, lo: int, hi: int) -> tuple[int, ...]:
-        dom = self.coloring.domain
-        a, b = max(lo, dom.lo), min(hi, dom.hi)  # overlap with the domain, if a <= b
-        if a > b:
-            return (self.default,) * (hi - lo + 1)
-        inside = self.coloring.colors[a - dom.lo : b - dom.lo + 1]
-        before, after = repeat(self.default, a - lo), repeat(self.default, hi - b)
-        return tuple(chain(before, inside, after))
 
 
 @dataclass(frozen=True)

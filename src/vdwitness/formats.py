@@ -88,9 +88,17 @@ def parse_coloring_text(text: str) -> FiniteColoring:
     return FiniteColoring(c, Interval(lo, hi), colors)
 
 
-def read_coloring(path: str) -> FiniteColoring:
+def _read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; other bytes are a DomainError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_coloring_text(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8 text") from exc
+
+
+def read_coloring(path: str) -> FiniteColoring:
+    return parse_coloring_text(_read_text(path))
 
 
 def coloring_to_text(coloring: FiniteColoring) -> str:

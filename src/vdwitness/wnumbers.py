@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass
 
 from .core import DomainError, FiniteColoring, Interval, LimitError
+from .formats import _read_text
 
 DEFAULT_SEARCH_LIMIT = 128
 
@@ -309,23 +310,22 @@ def load_cache(path: str) -> int:
     saves no search). Returns the number of entries loaded.
     """
     count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise DomainError(f"bad cache line: {line!r}")
-            try:
-                k, c, value = (int(x) for x in parts)
-            except ValueError as exc:
-                raise DomainError(f"bad cache line: {line!r}") from exc
-            if k < 2 or c < 1 or value < 2:
-                raise DomainError(f"bad cache entry: {line!r}")
-            if (k, c) not in _MEMO:
-                _MEMO[(k, c)] = (value, ())
-            count += 1
+    for line in _read_text(path).split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise DomainError(f"bad cache line: {line!r}")
+        try:
+            k, c, value = (int(x) for x in parts)
+        except ValueError as exc:
+            raise DomainError(f"bad cache line: {line!r}") from exc
+        if k < 2 or c < 1 or value < 2:
+            raise DomainError(f"bad cache entry: {line!r}")
+        if (k, c) not in _MEMO:
+            _MEMO[(k, c)] = (value, ())
+        count += 1
     return count
 
 
