@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .core import (
@@ -21,7 +20,7 @@ from .core import (
     find_violation,
 )
 from .cubesearch import CapExceededError, cube_number, find_cube
-from .extractor import extract, extract_nonuniform
+from .extractor import extract
 from .formats import (
     _read_text,
     certificate_string,
@@ -31,8 +30,8 @@ from .formats import (
     witness_to_dict,
 )
 from .streamer import WindowFailureError, run_stream
-from .tower import TowerUncomputableError, build_tower_interval, tower_params, tower_params_seq, tower_report
-from .wnumbers import SearchLimitError, load_cache, save_cache, vdw_number
+from .tower import TowerUncomputableError, _check_digits, build_tower_interval, tower_params, tower_report
+from .wnumbers import SearchLimitError, vdw_number
 
 
 def _emit(obj: dict) -> None:
@@ -51,11 +50,7 @@ def _ints(text: str) -> list[int]:
 
 
 def _cmd_wnumber(args: argparse.Namespace) -> int:
-    if args.cache and os.path.exists(args.cache):
-        load_cache(args.cache)
     result = vdw_number(args.k, args.c, args.limit)
-    if args.cache:
-        save_cache(args.cache)
     _emit(
         {
             "k": result.k,
@@ -74,6 +69,7 @@ def _cmd_tower(args: argparse.Namespace) -> int:
     if args.start is not None:
         base = Interval(args.start, args.start + params.w(1) - 1)
         iv = build_tower_interval(base, args.n, params)
+        _check_digits(iv.hi, "the interval end")
         report["interval"] = [str(iv.lo), str(iv.hi)]
     _emit(report)
     _note(f"stage {args.n} tower has {params.size(args.n)} cells")
@@ -85,17 +81,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if args.c != coloring.c:
         raise DomainError(f"--c {args.c} does not match file palette {coloring.c}")
     trace: list | None = [] if args.trace else None
-    if args.ks is not None:
-        ks = _ints(args.ks)
-        if len(ks) != args.n:
-            raise DomainError(f"{len(ks)} side lengths for --n {args.n}")
-        params = tower_params_seq(ks, args.c, search_limit=args.limit)
-        base = Interval(coloring.domain.lo, coloring.domain.lo + params.w(1) - 1)
-        witness = extract_nonuniform(coloring, base, args.n, ks, params, trace=trace)
-    else:
-        params = tower_params(args.k, args.c, args.n, search_limit=args.limit)
-        base = Interval(coloring.domain.lo, coloring.domain.lo + params.w(1) - 1)
-        witness = extract(coloring, base, args.n, params, trace=trace)
+    ks = _ints(args.ks) if args.ks is not None else args.k
+    params = tower_params(ks, args.c, args.n, search_limit=args.limit)
+    base = Interval(coloring.domain.lo, coloring.domain.lo + params.w(1) - 1)
+    witness = extract(coloring, base, args.n, params, trace=trace)
     out = witness_to_dict(witness)
     if trace is not None:
         out["trace"] = trace
@@ -196,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--cache", default=None, help="value cache file (k c W lines)")
     _add_common(p)
     p.set_defaults(func=_cmd_wnumber)
 

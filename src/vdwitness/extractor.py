@@ -17,7 +17,6 @@ deep towers (single color, twenty stages) stay clear of call-stack limits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .core import (
     CubeWitness,
@@ -75,21 +74,27 @@ def compress(coloring: FiniteColoring, block_size: int, num_blocks: int) -> Comp
     return CompressedColoring(num_blocks, block_size, palette, tuple(ids))
 
 
-def _extract(
+def extract(
     coloring: FiniteColoring,
     I: Interval,
     n: int,
-    ks: tuple[int, ...],
     params: TowerParams,
-    checked: bool,
-    trace: list | None,
+    *,
+    checked: bool = False,
+    trace: list | None = None,
 ) -> CubeWitness:
+    """A monochromatic n-cube from a stage-n tower coloring.
+
+    Dimension m of the cube has side length params.ks[m-1], so uniform and
+    per-stage lengths take the same path. The witness is fully determined by
+    the least-progression tie-break at every stage. With checked=True the
+    block-shift identity is re-verified against the raw colors at each
+    stage. If trace is a list, one record {stage, b1, dstar, block_size,
+    palette_size} is appended per compression stage, top stage first.
+    """
     if n < 1 or n > params.stages:
         raise DomainError(f"stage {n} outside [1, {params.stages}]")
-    if ks != params.ks[:n]:
-        raise DomainError(
-            f"requested lengths {ks} do not match stage parameters {params.ks[:n]}"
-        )
+    ks = params.ks[:n]
     if coloring.c != params.c:
         raise DomainError(
             f"coloring has {coloring.c} colors, parameters expect {params.c}"
@@ -169,48 +174,3 @@ def _check_bounds(witness: CubeWitness, n: int, params: TowerParams) -> None:
             raise InvariantViolationError(
                 f"difference {d} at stage {m} exceeds bound {bound}"
             )
-
-
-def extract(
-    coloring: FiniteColoring,
-    I: Interval,
-    n: int,
-    params: TowerParams,
-    *,
-    checked: bool = False,
-    trace: list | None = None,
-) -> CubeWitness:
-    """A monochromatic n-cube with uniform side length from a stage-n tower coloring.
-
-    The witness is fully determined by the least-progression tie-break at
-    every stage. With checked=True the block-shift identity is re-verified
-    against the raw colors at each stage. If trace is a list, one record
-    {stage, b1, dstar, block_size, palette_size} is appended per compression
-    stage, top stage first.
-    """
-    ks = params.ks[:n]
-    if len(set(ks)) > 1:
-        raise DomainError("parameters are not uniform in k; use extract_nonuniform")
-    return _extract(coloring, I, n, ks, params, checked, trace)
-
-
-def extract_nonuniform(
-    coloring: FiniteColoring,
-    I: Interval,
-    n: int,
-    ks: Sequence[int],
-    params: TowerParams,
-    *,
-    checked: bool = False,
-    trace: list | None = None,
-) -> CubeWitness:
-    """As extract, but dimension m of the cube has side length ks[m-1].
-
-    ks must be nondecreasing and params must have been built from the same
-    per-stage lengths (tower_params_seq)."""
-    ks = tuple(ks)
-    if any(ks[i] > ks[i + 1] for i in range(len(ks) - 1)):
-        raise DomainError("side lengths must be nondecreasing")
-    if len(ks) != n:
-        raise DomainError(f"{len(ks)} side lengths for {n} stages")
-    return _extract(coloring, I, n, ks, params, checked, trace)

@@ -35,8 +35,8 @@ from .core import (
     verify_witness,
 )
 from .cubesearch import SearchBounds, find_cube
-from .extractor import extract_nonuniform
-from .tower import TowerParams, build_tower_interval, tower_params_seq
+from .extractor import extract
+from .tower import TowerParams, build_tower_interval, tower_params
 
 PROOF = "proof"
 SEARCH = "search"
@@ -173,9 +173,7 @@ def solve_window(
         dim = min(_proof_stage(m), depth)
         prefix = build_tower_interval(base, dim, params)
         coloring = materialize(oracle, prefix, max_cells)
-        w = extract_nonuniform(
-            coloring, base, dim, params.ks[:dim], params, checked=checked
-        )
+        w = extract(coloring, base, dim, params, checked=checked)
     elif mode == SEARCH:
         dim = min(m, depth)
         coloring = materialize(oracle, window, max_cells)
@@ -286,8 +284,8 @@ def run_stream(
         # keeps them nondecreasing.
         stages = max(1, windows - 1, depth)
         padded = ks_seq + (ks_seq[-1],) * (stages - depth)
-        params = tower_params_seq(
-            padded, c, search_limit=search_limit, max_bits=max_bits
+        params = tower_params(
+            padded, c, stages, search_limit=search_limit, max_bits=max_bits
         )
 
     witnesses: list[WindowWitness] = []

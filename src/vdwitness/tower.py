@@ -21,6 +21,11 @@ from .core import DomainError, Interval, LimitError, translate
 from .wnumbers import SearchLimitError, vdw_value
 
 DEFAULT_MAX_BITS = 1 << 22
+# Numbers are printed in decimal only below 10^4300. The bound is CPython's
+# default int-to-str limit, fixed here so that every supported Python
+# (3.10.0-3.10.6 have no such limit) refuses the same towers.
+_MAX_DIGITS = 4300
+_DECIMAL_BOUND = 10**_MAX_DIGITS
 
 
 class TowerUncomputableError(LimitError):
@@ -69,6 +74,11 @@ class TowerParams:
         return self.sizes[m - 1]
 
 
+def _check_digits(x: int, name: str) -> None:
+    if x >= _DECIMAL_BOUND:
+        raise LimitError(f"{name} has more than {_MAX_DIGITS} decimal digits")
+
+
 def _stage_w(k: int, c: int, stage: int, search_limit: int | None) -> int:
     try:
         return vdw_value(k, c, search_limit)
@@ -78,25 +88,28 @@ def _stage_w(k: int, c: int, stage: int, search_limit: int | None) -> int:
         ) from exc
 
 
-def tower_params_seq(
-    ks: Sequence[int],
+def tower_params(
+    ks: int | Sequence[int],
     c: int,
+    n: int,
     *,
     search_limit: int | None = None,
     max_bits: int | None = None,
 ) -> TowerParams:
-    """Stage parameters for per-stage progression lengths ks (nondecreasing, each >= 2)."""
-    ks = tuple(ks)
-    if not ks:
-        raise DomainError("need at least one stage")
+    """Stage parameters for n stages; ks is one progression length for every
+    stage or n per-stage lengths (nondecreasing, each >= 2)."""
+    if n < 1:
+        raise DomainError(f"need at least one stage, got {n}")
+    ks = (ks,) * n if isinstance(ks, int) else tuple(ks)
+    if len(ks) != n:
+        raise DomainError(f"{len(ks)} side lengths for {n} stages")
     if min(ks) < 2:
-        raise DomainError("progression lengths must be >= 2")
-    if any(ks[i] > ks[i + 1] for i in range(len(ks) - 1)):
+        raise DomainError(f"progression lengths must be >= 2, got {min(ks)}")
+    if any(ks[i] > ks[i + 1] for i in range(n - 1)):
         raise DomainError("progression lengths must be nondecreasing")
     if c < 1:
         raise DomainError(f"number of colors must be >= 1, got {c}")
     bit_budget = DEFAULT_MAX_BITS if max_bits is None else max_bits
-    n = len(ks)
     W: list[int] = [_stage_w(ks[0], c, 1, search_limit)]
     C: list[int] = []
     sizes: list[int] = [W[0]]
@@ -114,22 +127,6 @@ def tower_params_seq(
         W.append(_stage_w(ks[m - 1], cm, m, search_limit))
         sizes.append(W[-1] * sizes[-1])
     return TowerParams(c, ks, tuple(W), tuple(C), tuple(sizes))
-
-
-def tower_params(
-    k: int,
-    c: int,
-    n: int,
-    *,
-    search_limit: int | None = None,
-    max_bits: int | None = None,
-) -> TowerParams:
-    """Uniform-k stage parameters for n stages."""
-    if n < 1:
-        raise DomainError(f"need at least one stage, got {n}")
-    if k < 2:
-        raise DomainError(f"progression length must be >= 2, got {k}")
-    return tower_params_seq((k,) * n, c, search_limit=search_limit, max_bits=max_bits)
 
 
 def build_tower_interval(I: Interval, n: int, params: TowerParams) -> Interval:
@@ -160,7 +157,8 @@ def check_translation_identity(I: Interval, n: int, params: TowerParams, b: int)
 
 
 def tower_report(params: TowerParams) -> dict:
-    """JSON-ready report; stage numbers serialized as decimal strings (they overflow)."""
+    """JSON-ready report; stage numbers serialized as decimal strings (they
+    overflow). Raises LimitError for a number of more than 4300 digits."""
     report: dict = {}
     if len(set(params.ks)) == 1:
         report["k"] = params.ks[0]
@@ -168,6 +166,12 @@ def tower_report(params: TowerParams) -> dict:
         report["ks"] = list(params.ks)
     report["c"] = params.c
     report["n"] = params.stages
+    labels = ("W_{}", "c_{}", "the stage-{} size")
+    # Check every number before converting any: conversion time grows with
+    # the square of the digit count.
+    for label, column in zip(labels, (params.W, params.C, params.sizes)):
+        for m, x in enumerate(column, 1):
+            _check_digits(x, label.format(m))
     report["W"] = [str(w) for w in params.W]
     report["C"] = [str(x) for x in params.C]
     report["sizes"] = [str(s) for s in params.sizes]

@@ -21,7 +21,6 @@ import os
 from dataclasses import dataclass
 
 from .core import DomainError, FiniteColoring, Interval, LimitError
-from .formats import _read_text
 
 DEFAULT_SEARCH_LIMIT = 128
 
@@ -193,15 +192,11 @@ def _search(k: int, c: int, limit: int, use_cache: bool) -> tuple[int, tuple[int
     by search; raises SearchLimitError when limit does not resolve it."""
     if use_cache and (k, c) in _MEMO:
         value, cert = _MEMO[(k, c)]
-        if cert:
-            # A fresh search resolves W only when limit >= W; keep memoized
-            # results indistinguishable from fresh ones.
-            if value > limit:
-                raise SearchLimitError(k, c, limit)
-            return value, cert
-        # A value loaded from a cache file is advisory: drop it and let the
-        # search decide, so a wrong file can never change an answer.
-        del _MEMO[(k, c)]
+        # A fresh search resolves W only when limit >= W; keep memoized
+        # results indistinguishable from fresh ones.
+        if value > limit:
+            raise SearchLimitError(k, c, limit)
+        return value, cert
     reached, best_len, cert = _avoid((k,), c, limit)
     if reached:
         raise SearchLimitError(k, c, limit)
@@ -222,7 +217,8 @@ def vdw_number(
     """The exact van der Waerden number with its lexicographically least certificate.
 
     Raises SearchLimitError if the answer is not determined within
-    search_limit positions.
+    search_limit positions. use_cache=False searches even when this process
+    has already resolved W(k, c).
     """
     _validate(k, c)
     closed = _closed_form(k, c)
@@ -233,7 +229,7 @@ def vdw_number(
     return WNumberResult(k, c, value, FiniteColoring(c, Interval(1, value - 1), cert))
 
 
-def vdw_value(k: int, c: int, search_limit: int | None = None, *, use_cache: bool = True) -> int:
+def vdw_value(k: int, c: int, search_limit: int | None = None) -> int:
     """The number alone, skipping certificate construction.
 
     Materially cheaper than vdw_number for closed forms with huge palettes
@@ -243,18 +239,7 @@ def vdw_value(k: int, c: int, search_limit: int | None = None, *, use_cache: boo
         return k
     if k == 2:
         return c + 1
-    return _search(k, c, search_limit_default(search_limit), use_cache)[0]
-
-
-def vdw_number_by_search(k: int, c: int, search_limit: int | None = None) -> WNumberResult:
-    """vdw_number without closed forms or the cache; cross-check path."""
-    if k < 2 or c < 1:
-        raise DomainError("need progression length >= 2 and colors >= 1")
-    limit = search_limit_default(search_limit)
-    reached, best_len, cert = _avoid((k,), c, limit)
-    if reached:
-        raise SearchLimitError(k, c, limit)
-    return WNumberResult(k, c, best_len + 1, FiniteColoring(c, Interval(1, best_len), cert))
+    return _search(k, c, search_limit_default(search_limit), True)[0]
 
 
 def verify_ap_free(coloring: FiniteColoring, k: int) -> bool:
@@ -300,36 +285,3 @@ def find_ap(coloring: FiniteColoring, k: int) -> tuple[int, int] | None:
             else:
                 return (lo + a0, d)
     return None
-
-
-def load_cache(path: str) -> int:
-    """Merge `k c W` triples from a text file into the in-process cache.
-
-    Cached values are advisory: the first lookup of a loaded value drops it
-    and searches, so a wrong file can change no answer (and a right one
-    saves no search). Returns the number of entries loaded.
-    """
-    count = 0
-    for line in _read_text(path).split("\n"):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise DomainError(f"bad cache line: {line!r}")
-        try:
-            k, c, value = (int(x) for x in parts)
-        except ValueError as exc:
-            raise DomainError(f"bad cache line: {line!r}") from exc
-        if k < 2 or c < 1 or value < 2:
-            raise DomainError(f"bad cache entry: {line!r}")
-        if (k, c) not in _MEMO:
-            _MEMO[(k, c)] = (value, ())
-        count += 1
-    return count
-
-
-def save_cache(path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for (k, c), (value, _) in sorted(_MEMO.items()):
-            fh.write(f"{k} {c} {value}\n")

@@ -23,12 +23,12 @@ from vdwitness import (
     run_stream,
     tower_params,
     vdw_number,
-    vdw_number_by_search,
     verify_ap_free,
     verify_witness,
 )
 from vdwitness.cli import main as cli_main
 from vdwitness.formats import write_coloring
+from vdwitness.wnumbers import _avoid
 from bruteforce import all_colorings, has_mono_ap, mono_aps
 
 
@@ -48,7 +48,8 @@ def test_criterion_1_van_der_waerden_values():
             assert vdw_number(2, c).value == c + 1
         assert time.perf_counter() - t0 < 1.0
         for c in range(1, 7):
-            assert vdw_number_by_search(2, c, c + 4).value == c + 1
+            reached, best_len, _ = _avoid((2,), c, c + 4)
+            assert not reached and best_len + 1 == c + 1
 
         t0 = time.perf_counter()
         assert vdw_number(3, 2, use_cache=False).value == 9

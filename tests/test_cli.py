@@ -1,9 +1,12 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdwitness.cli import main
-from vdwitness.wnumbers import _MEMO
 
 
 def run_cli(capsys, *argv):
@@ -39,35 +42,6 @@ class TestWnumber:
         assert data["error"] == "search limit exceeded"
         assert data["limit"] == 5
 
-    def test_cache_file(self, capsys, tmp_path):
-        cache = tmp_path / "cache.txt"
-        code, _, _ = run_cli(
-            capsys, "wnumber", "--k", "3", "--c", "2", "--cache", str(cache)
-        )
-        assert code == 0
-        assert "3 2 9" in cache.read_text()
-        code, out, _ = run_cli(
-            capsys, "wnumber", "--k", "3", "--c", "2", "--cache", str(cache)
-        )
-        assert code == 0
-        assert out_json(out)["value"] == 9
-
-    def test_too_small_cache_value_changes_nothing(self, capsys, tmp_path):
-        cache = tmp_path / "cache.txt"
-        cache.write_text("3 2 8\n")
-        saved = dict(_MEMO)
-        try:
-            _MEMO.clear()
-            code, out, _ = run_cli(
-                capsys, "wnumber", "--k", "3", "--c", "2", "--cache", str(cache)
-            )
-        finally:
-            _MEMO.clear()
-            _MEMO.update(saved)
-        assert code == 0
-        assert out == '{"k":3,"c":2,"value":9,"certificate":"11221122"}\n'
-        assert "3 2 9" in cache.read_text()
-
 
 class TestTower:
     def test_report(self, capsys):
@@ -86,6 +60,17 @@ class TestTower:
         code, out, _ = run_cli(capsys, "tower", "--k", "3", "--c", "2", "--n", "2")
         assert code == 3
         assert out_json(out) == {"error": "tower uncomputable", "stage": 2}
+
+    @pytest.mark.parametrize(
+        "c, n, name",
+        [
+            pytest.param("5", "3", "W_3", id="c5-n3"),
+            pytest.param("1", "16000", "the stage-14285 size", id="c1-n16000"),
+        ],
+    )
+    def test_too_many_digits(self, capsys, c, n, name):
+        code, out, err = run_cli(capsys, "tower", "--k", "2", "--c", c, "--n", n)
+        assert (code, out, err) == (3, "", f"{name} has more than 4300 decimal digits\n")
 
 
 @pytest.fixture
@@ -358,20 +343,13 @@ class TestInputErrors:
         )
         assert (code, out, err) == (2, "", f"not a file: {tmp_path}\n")
 
-    def test_directory_as_cache(self, capsys, tmp_path):
-        code, out, err = run_cli(
-            capsys, "wnumber", "--k", "3", "--c", "2", "--cache", str(tmp_path)
-        )
-        assert (code, out, err) == (2, "", f"not a file: {tmp_path}\n")
-
-    @pytest.mark.parametrize("reader", ["coloring", "witness", "cache"])
+    @pytest.mark.parametrize("reader", ["coloring", "witness"])
     def test_non_utf8_file(self, capsys, tmp_path, coloring_122, reader):
         bad = tmp_path / "bad"
         bad.write_bytes(b"c=2 lo=1 hi=1\n\xff\n")
         argv = {
             "coloring": ["search", "--ks", "2", "--coloring", str(bad)],
             "witness": ["verify", "--witness", str(bad), "--coloring", coloring_122],
-            "cache": ["wnumber", "--k", "3", "--c", "2", "--cache", str(bad)],
         }[reader]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"{bad}: not UTF-8 text\n")
@@ -395,3 +373,112 @@ class TestInputErrors:
             "--coloring", "x",
         )
         assert code == 2
+
+
+# Malformed tokens stay small: a huge --c, --n, --depth or --window-size is
+# a valid request whose answer takes memory in proportion to the number.
+_JUNK = ["", "0", "-1", "x", "1.5", "1e3", "2,", ",", "2,,3", "--k", "periodic:", "bogus:1"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {
+        "tower.txt": "c=2 lo=1 hi=27\n" + " ".join("122" * 9) + "\n",
+        "ones.txt": "c=1 lo=1 hi=6\n1 1 1 1 1 1\n",
+        "base.txt": "c=2 lo=1 hi=3\n1 2 1\n",
+        "short.txt": "c=2 lo=1 hi=5\n1 2\n",
+        "witness.json": '{"gamma":2,"a":2,"ds":[1,3],"ks":[2,2]}',
+        "positions.json": '{"gamma":1,"a":1,"ds":[1],"ks":[2],"positions":["x"]}',
+        "broken.json": "{",
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    (root / "latin1.txt").write_bytes(b"c=2 lo=1 hi=1\n\xff\n")
+    names = [*texts, "latin1.txt", "missing.txt"]
+    return {name: str(root / name) for name in names} | {"directory": str(root)}
+
+
+def _argv(paths):
+    """Strategy for argvs of every subcommand with small values, some with a
+    flag dropped or a value replaced by a malformed token or a bad file."""
+
+    def num(hi, lo=1):
+        return st.integers(lo, hi).map(str)
+
+    def nums(hi, lo=1):
+        lists = st.lists(st.integers(lo, hi), min_size=1, max_size=3)
+        return lists.map(lambda xs: ",".join(map(str, sorted(xs))))
+
+    towers = [paths[name] for name in ("tower.txt", "ones.txt", "base.txt")]
+    coloring = ("--coloring", st.sampled_from(towers))
+    oracle = (
+        "--oracle",
+        st.sampled_from(
+            ["thue-morse", "constant:1", "periodic:122", "evperiodic:1/21", "random:3",
+             f"file:{towers[0]}", f"file:{towers[1]}:1"]
+        ),
+    )
+    # Two colors first: most oracles and tower.txt use two.
+    k, ks = ("--k", num(3, 2)), ("--ks", nums(3, 2))
+    c = ("--c", st.sampled_from(["2", "1", "3"]))
+    limit = ("--limit", num(16))
+    # Per subcommand: required entries, then optional ones. An entry is a
+    # (flag, value) pair or a list of mutually exclusive pairs; a value of
+    # None marks a switch.
+    commands = {
+        "wnumber": ([k, c], [limit]),
+        "tower": ([k, c, ("--n", num(3))], [("--start", num(8)), limit]),
+        "extract": ([[k, ks], c, ("--n", num(3)), coloring], [("--trace", None), limit]),
+        "search": ([ks, coloring], [("--bounds", nums(16)), ("--distinct", None)]),
+        "cube-number": ([ks, c, ("--cap", num(16))], []),
+        "stream": (
+            [oracle, [k, ks], c, ("--depth", num(3)), ("--windows", num(8)),
+             ("--mode", st.sampled_from(["proof", "search"]))],
+            [("--window-size", num(8)), ("--caps", nums(16)), ("--skip-failures", None),
+             limit, ("--max-cells", num(64))],
+        ),
+        "verify": (
+            [("--witness", st.just(paths["witness.json"])), [coloring, oracle]], [c]
+        ),
+    }
+    bad = st.sampled_from(_JUNK + sorted(paths.values()))
+
+    @st.composite
+    def argv(draw):
+        command = draw(st.sampled_from(sorted(commands)))
+        required, optional = commands[command]
+        pairs = [draw(st.sampled_from(e)) if isinstance(e, list) else e for e in required]
+        pairs += [e for e in optional + [("--threads", num(2))] if draw(st.booleans())]
+        # Two argvs in three carry one fault: a dropped flag or a bad value.
+        fault = draw(st.sampled_from([None, "drop", "bad"]))
+        target = draw(st.integers(0, len(pairs) - 1))
+        out = [command]
+        for i, (flag, value) in enumerate(pairs):
+            if fault == "drop" and i == target:
+                continue
+            out.append(flag)
+            if fault == "bad" and i == target:
+                out.append(draw(bad))
+            elif value is not None:
+                out.append(draw(value))
+        return out
+
+    return argv()
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_argv_exits_cleanly(self, fuzz_paths, data):
+        argv = data.draw(_argv(fuzz_paths))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        text = out.getvalue()
+        if text:
+            assert text.count("\n") == 1 and text.endswith("\n")
+            assert isinstance(json.loads(text), dict)
+        assert "Traceback" not in err.getvalue()
+

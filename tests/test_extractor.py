@@ -12,10 +12,8 @@ from vdwitness import (
     compress,
     cube_positions,
     extract,
-    extract_nonuniform,
     materialize,
     tower_params,
-    tower_params_seq,
     verify_witness,
 )
 from vdwitness.extractor import _check_block_shift
@@ -136,40 +134,33 @@ class TestExtractInductive:
 
 class TestExtractNonuniform:
     def test_single_stage_matches_uniform(self):
-        p = tower_params_seq((2,), 2)
-        w = extract_nonuniform(coloring_of("121", 2), Interval(1, 3), 1, (2,), p)
+        p = tower_params((2,), 2, 1)
+        w = extract(coloring_of("121", 2), Interval(1, 3), 1, p)
         assert (w.gamma, w.a, w.ds) == (1, 1, (2,))
 
     def test_constant_two_stage(self):
-        p = tower_params_seq((2, 2), 1)
+        p = tower_params((2, 2), 1, 2)
         col = FiniteColoring(1, Interval(1, 4), (1, 1, 1, 1))
-        w = extract_nonuniform(col, Interval(1, 2), 2, (2, 2), p)
+        w = extract(col, Interval(1, 2), 2, p)
         assert (w.gamma, w.a, w.ds) == (1, 1, (1, 2))
 
     def test_growing_sides(self):
         # ks = (2, 3) over one color: 2-AP of blocks inside a 3-wide id row
-        p = tower_params_seq((2, 3), 1)
+        p = tower_params((2, 3), 1, 2)
         assert p.W == (2, 3)
         col = FiniteColoring(1, Interval(1, 6), (1,) * 6)
-        w = extract_nonuniform(col, Interval(1, 2), 2, (2, 3), p, checked=True)
+        w = extract(col, Interval(1, 2), 2, p, checked=True)
         assert w.ks == (2, 3)
         assert verify_witness(col, w)
 
     def test_uncomputable_parameters(self):
         with pytest.raises(TowerUncomputableError):
-            tower_params_seq((2, 3), 2)
+            tower_params((2, 3), 2, 2)
 
     def test_decreasing_sides_rejected(self):
-        p = tower_params_seq((2, 2), 1)
-        col = FiniteColoring(1, Interval(1, 4), (1,) * 4)
+        # extract takes its side lengths from the parameters, which refuse them
         with pytest.raises(DomainError):
-            extract_nonuniform(col, Interval(1, 2), 2, (3, 2), p)
-
-    def test_uniform_entry_point_rejects_mixed(self):
-        p = tower_params_seq((2, 3), 1)
-        col = FiniteColoring(1, Interval(1, 6), (1,) * 6)
-        with pytest.raises(DomainError):
-            extract(col, Interval(1, 2), 2, p)
+            tower_params((3, 2), 1, 2)
 
 
 class TestCheckedMode:

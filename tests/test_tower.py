@@ -10,7 +10,6 @@ from vdwitness import (
     build_tower_interval,
     check_translation_identity,
     tower_params,
-    tower_params_seq,
     translate,
 )
 from vdwitness.tower import tower_report
@@ -46,13 +45,13 @@ class TestParams:
         assert p.sizes == tuple(2**m for m in range(1, 21))
 
     def test_nonuniform(self):
-        p = tower_params_seq((2, 2), 2)
+        p = tower_params((2, 2), 2, 2)
         assert p.W == tower_params(2, 2, 2).W
         with pytest.raises(TowerUncomputableError) as exc:
-            tower_params_seq((2, 3), 2)
+            tower_params((2, 3), 2, 2)
         assert exc.value.stage == 2
         with pytest.raises(DomainError):
-            tower_params_seq((3, 2), 2)
+            tower_params((3, 2), 2, 2)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -60,7 +59,9 @@ class TestParams:
         with pytest.raises(DomainError):
             tower_params(1, 2, 1)
         with pytest.raises(DomainError):
-            tower_params_seq((), 2)
+            tower_params((), 2, 0)
+        with pytest.raises(DomainError):
+            tower_params((2, 2, 2), 2, 2)
 
     def test_accessors(self):
         p = tower_params(2, 2, 2)
@@ -147,7 +148,7 @@ class TestReport:
         assert report["sizes"] == ["3", "27", str(27 * (2**27 + 1))]
 
     def test_nonuniform_lists_ks(self):
-        p = tower_params_seq((2, 2), 1)
+        p = tower_params((2, 2), 1, 2)
         assert "k" in tower_report(p)
-        p = tower_params_seq((2, 3), 1)
+        p = tower_params((2, 3), 1, 2)
         assert tower_report(p)["ks"] == [2, 3]

@@ -11,11 +11,9 @@ from vdwitness import (
     SearchLimitError,
     find_ap,
     vdw_number,
-    vdw_number_by_search,
-    vdw_value,
     verify_ap_free,
 )
-from vdwitness.wnumbers import _MEMO, _cube_rows, load_cache, save_cache
+from vdwitness.wnumbers import _avoid, _cube_rows
 from bruteforce import all_colorings, expand_cube, has_mono_ap, least_mono_ap
 
 
@@ -39,7 +37,8 @@ class TestClosedForms:
 
     def test_search_agrees_with_closed_form(self):
         for c in range(1, 7):
-            assert vdw_number_by_search(2, c, c + 4).value == c + 1
+            reached, best_len, _ = _avoid((2,), c, c + 4)
+            assert not reached and best_len + 1 == c + 1
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -137,67 +136,6 @@ class TestCertificates:
         # AP-free colorings of [1,8], canonical or not
         best = min(cl for cl in all_colorings(8, 2) if not has_mono_ap(cl, 3))
         assert vdw_number(3, 2).certificate.colors == best
-
-    def test_cache_roundtrip(self, tmp_path):
-        vdw_number(3, 2)
-        path = tmp_path / "wcache.txt"
-        save_cache(str(path))
-        content = path.read_text()
-        assert "3 2 9" in content
-        saved = dict(_MEMO)
-        try:
-            _MEMO.clear()
-            assert load_cache(str(path)) >= 1
-            r = vdw_number(3, 2)
-            assert r.value == 9
-            assert verify_ap_free(r.certificate, 3)
-        finally:
-            _MEMO.clear()
-            _MEMO.update(saved)
-
-    def test_wrong_cache_value_is_discarded(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("3 2 11\n")
-        saved = dict(_MEMO)
-        try:
-            _MEMO.clear()
-            load_cache(str(path))
-            r = vdw_number(3, 2)
-            assert r.value == 9
-        finally:
-            _MEMO.clear()
-            _MEMO.update(saved)
-
-    def _with_cache_file(self, tmp_path, text, query):
-        path = tmp_path / "cache.txt"
-        path.write_text(text)
-        saved = dict(_MEMO)
-        try:
-            _MEMO.clear()
-            load_cache(str(path))
-            return query()
-        finally:
-            _MEMO.clear()
-            _MEMO.update(saved)
-
-    def test_too_small_cache_value_is_discarded(self, tmp_path):
-        r = self._with_cache_file(tmp_path, "3 2 8\n", lambda: vdw_number(3, 2))
-        assert r.value == 9
-        assert r.certificate.colors == (1, 1, 2, 2, 1, 1, 2, 2)
-
-    def test_too_small_cache_value_is_discarded_by_vdw_value(self, tmp_path):
-        assert self._with_cache_file(tmp_path, "3 2 8\n", lambda: vdw_value(3, 2)) == 9
-
-    def test_cache_value_past_the_limit_is_discarded(self, tmp_path):
-        assert self._with_cache_file(tmp_path, "3 2 100\n", lambda: vdw_value(3, 2, 50)) == 9
-        with pytest.raises(SearchLimitError):
-            self._with_cache_file(tmp_path, "3 2 9\n", lambda: vdw_number(3, 2, 8))
-
-    def test_bad_cache_lines(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("3 2\n")
-        with pytest.raises(DomainError):
-            load_cache(str(path))
 
 
 def _naive_rows(ks, n):
