@@ -30,8 +30,8 @@ from .formats import (
     witness_to_dict,
 )
 from .streamer import WindowFailureError, run_stream
-from .tower import TowerUncomputableError, _check_digits, build_tower_interval, tower_params, tower_report
-from .wnumbers import SearchLimitError, vdw_number
+from .tower import TowerUncomputableError, build_tower_interval, tower_params, tower_report
+from .wnumbers import SearchLimitError, _check_digits, vdw_number
 
 
 def _emit(obj: dict) -> None:

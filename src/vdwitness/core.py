@@ -9,6 +9,7 @@ and every operation is a pure function.
 from __future__ import annotations
 
 import os
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, cycle, islice
@@ -255,6 +256,37 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+# SplitMix64 over a batch of cells at once: cell i of a batch lives in bits
+# [128i, 128i + 128) of one int, its 64-bit value in the low half. A 64x64-bit
+# product fits in the 128-bit lane, so no carry crosses into the next cell.
+_LANE_BATCH = 1024
+_LANE_ONES = ((1 << (128 * _LANE_BATCH)) - 1) // ((1 << 128) - 1)  # 1 in every lane
+_LANE_RAMP = int.from_bytes(  # i in lane i
+    b"".join(i.to_bytes(16, "little") for i in range(_LANE_BATCH)), "little"
+)
+_LANE_LOW64 = _LANE_ONES * _MASK64
+_LANE_GAMMA = _LANE_ONES * 0x9E3779B97F4A7C15
+# Written in native byte order and read as native 64-bit words, a batch
+# holds lane i's low half at word 2i on a little-endian machine and at word
+# -(2i + 1) on a big-endian one.
+_LANE_STEP = 2 if sys.byteorder == "little" else -2
+
+
+def _splitmix64_lanes(key: int, q0: int, n: int) -> memoryview:
+    """_splitmix64(key ^ q) for q = q0, ..., q0 + n - 1, with n <= _LANE_BATCH
+    and q0 + n <= 2^64."""
+    cut = (1 << (128 * n)) - 1
+    ones = _LANE_ONES & cut
+    x = (q0 * ones + (_LANE_RAMP & cut)) ^ (key * ones)
+    x = (x + (_LANE_GAMMA & cut)) & _LANE_LOW64
+    z = (x ^ (x >> 30)) & _LANE_LOW64
+    z = z * 0xBF58476D1CE4E5B9 & _LANE_LOW64
+    z = (z ^ (z >> 27)) & _LANE_LOW64
+    z = z * 0x94D049BB133111EB & _LANE_LOW64
+    z ^= z >> 31
+    return memoryview(z.to_bytes(16 * n, sys.byteorder)).cast("Q")[::_LANE_STEP]
+
+
 @dataclass(frozen=True)
 class SeededRandomOracle(ColorOracle):
     """Pseudo-random coloring keyed by (seed, position) so queries are order-independent."""
@@ -282,7 +314,11 @@ class SeededRandomOracle(ColorOracle):
         if hi > 1 << 64:  # some q = p - 1 needs more than one 64-bit word
             return super()._colors(lo, hi)
         key, c = self._key, self.c
-        return tuple(1 + _splitmix64(key ^ q) % c for q in range(lo - 1, hi))
+        out: list[int] = []
+        for q0 in range(lo - 1, hi, _LANE_BATCH):
+            words = _splitmix64_lanes(key, q0, min(_LANE_BATCH, hi - q0))
+            out += [1 + v % c for v in words]
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,20 @@ nothing about towers or block compression and simply enumerates witnesses
 the cube set is symmetric in its dimensions, so the enumeration restricts
 to nondecreasing difference vectors without losing any cube.
 
+find_cube tests all differences of a level at once with bitmasks. The row
+of a cell p for side length k has bit d set iff p, p+d, ..., p+(k-1)d all
+carry p's colour; it is the AND over strides j < k of a per-(colour, j,
+p mod j) mask of colors[p mod j::j], shifted down by p // j. Those masks and
+rows are built the first time a call needs them. The differences that
+extend a cube by one dimension are the AND of its points' rows, cut to the
+cap and the order's lower bound, and are walked in ascending order; a row
+has no bits past the end of the domain, so the domain bound needs no check.
+The work is bounded by the caps, not by the window: rows keep only the
+differences up to the widest cap and live for one anchor, and the masks
+cover a segment of the window that holds every cell the cubes of the next
+anchors can reach, rebuilt when the anchors pass it. Without caps one
+segment is the whole window.
+
 cube_number is the W(k, c) avoidance search (wnumbers._avoid) run with cube
 hyperedges. Its rows are checked independently, by the naive cube expansion
 in the tests, not by a second copy of the search here.
@@ -39,10 +53,6 @@ class SearchBounds:
             return caps
         return cls(tuple(caps))
 
-    def cap(self, i: int) -> int | None:
-        """Cap for dimension i (0-based); None past the end of the list."""
-        return self.caps[i] if i < len(self.caps) else None
-
 
 class CapExceededError(LimitError):
     """The cube number is not determined within the interval cap."""
@@ -65,6 +75,22 @@ def _validate_ks(ks: Sequence[int]) -> tuple[int, ...]:
     return ks
 
 
+# Anchors served by one segment of stride masks at least: shifting a mask of
+# a few hundred bits costs no more than a short one, and with small caps a
+# longer segment rebuilds its masks less often.
+_MIN_STEP = 256
+# Translate tables sending byte gamma to b"1" and every other byte to b"0".
+_ONE_HOT = [b"0" * gamma + b"1" + b"0" * (255 - gamma) for gamma in range(256)]
+
+
+def _stride_mask(cells: bytes | tuple[int, ...], gamma: int, j: int, r: int) -> int:
+    """Bit t set iff cells[r + t*j] == gamma; cells are bytes when the
+    palette fits in a byte."""
+    if isinstance(cells, bytes):
+        return int(cells[r::j][::-1].translate(_ONE_HOT[gamma]), 2)
+    return int("".join(["01"[x == gamma] for x in cells[r::j][::-1]]), 2)
+
+
 def find_cube(
     coloring: FiniteColoring,
     ks: Sequence[int],
@@ -82,47 +108,93 @@ def find_cube(
     ks = _validate_ks(ks)
     bounds = SearchBounds.of(bounds)
     colors = coloring.colors
-    lo, hi = coloring.domain.lo, coloring.domain.hi
-    n = len(ks)
+    n = len(colors)
+    last = len(ks) - 1
     uniform = len(set(ks)) == 1
+    # Bit d of limits[i] is set iff d is within dimension i's cap; widest is
+    # the largest difference any dimension allows. No difference reaches n,
+    # so a larger or absent cap is cut to n.
+    limits = [-1] * len(ks)
+    widest = n
+    if bounds is not None:
+        caps = [min(cap, n) for cap in bounds.caps[: len(ks)]]
+        for i, cap in enumerate(caps):
+            limits[i] = (2 << cap) - 1
+        if len(caps) == len(ks):
+            widest = max(caps)
+    # Rows keep the differences up to widest, so a search from anchor a
+    # reads only the cells in [a, a + reach].
+    cut = (2 << widest) - 1
+    reach = (sum(ks) - len(ks)) * widest
+    # The stride masks cover the segment [base, base + step + reach) of the
+    # window: every cell read from the anchors [base, base + step). Without
+    # caps reach >= n, so one segment is the whole window.
+    step = max(reach + 1, _MIN_STEP)
+    base, segment = -step, colors
+    strides: dict[tuple[int, int, int], int] = {}  # (gamma, j, r) -> stride mask
+    rows: dict[int, dict[int, int]] = {}  # k -> {cell: row}
 
-    def descend(i: int, pts: list[int], prev_d: int, reach: int) -> tuple[int, ...] | None:
-        if i == n:
-            return ()
-        k = ks[i]
+    def descend(level: int, pts: list[int], prev_d: int) -> tuple[int, ...] | None:
+        """Least (d_level, ..., d_last) extending the cube on the cell
+        indices pts (0-based, positions minus the domain start), or None."""
+        k = ks[level]
         if distinct:
             d_lo = prev_d + 1
         elif uniform:
             d_lo = max(prev_d, 1)
         else:
             d_lo = 1
-        d_hi = (hi - reach) // (k - 1)
-        cap = bounds.cap(i) if bounds is not None else None
-        if cap is not None:
-            d_hi = min(d_hi, cap)
-        gamma = colors[pts[0] - lo]
-        for d in range(d_lo, d_hi + 1):
-            grown = list(pts)
-            ok = True
-            for p in pts:
+        # Bit d of valid: d is allowed here and every point starts a
+        # monochromatic k-term progression with difference d.
+        valid = limits[level] & -(1 << d_lo)
+        memo = rows.get(k)
+        if memo is None:
+            memo = rows[k] = {}
+        for p in pts:
+            row = memo.get(p)
+            if row is None:
+                # Bit d of row, for d up to widest: cells p, p+d, ...,
+                # p+(k-1)d all have p's colour. They lie in the segment.
+                gamma = colors[p]
+                q = p - base
+                row = cut
                 for j in range(1, k):
-                    q = p + j * d
-                    if q > hi or colors[q - lo] != gamma:
-                        ok = False
-                        break
-                    grown.append(q)
-                if not ok:
-                    break
-            if ok:
-                rest = descend(i + 1, grown, d, reach + (k - 1) * d)
-                if rest is not None:
-                    return (d, *rest)
+                    key = (gamma, j, q % j)
+                    mask = strides.get(key)
+                    if mask is None:
+                        mask = strides[key] = _stride_mask(segment, *key)
+                    row &= mask >> (q // j)
+                memo[p] = row
+            valid &= row
+            if not valid:
+                return None
+        if level == last:  # every valid d completes a cube: take the least
+            return ((valid & -valid).bit_length() - 1,)
+        while valid:  # set bits in ascending order
+            low = valid & -valid
+            valid ^= low
+            d = low.bit_length() - 1
+            grown = pts.copy()
+            for offset in range(d, k * d, d):
+                grown += map(offset.__add__, pts)
+            rest = descend(level + 1, grown, d)
+            if rest is not None:
+                return (d, *rest)
         return None
 
-    for a in range(lo, hi + 1):
-        ds = descend(0, [a], 0, a)
+    for a in range(n):
+        if a == base + step:  # the anchors left the segment: move it to a
+            base = a
+            segment = colors[a : a + step + reach]
+            if coloring.c < 256:
+                segment = bytes(segment)
+            strides.clear()
+        # Rows are memoized within one anchor: every cube point lies at or
+        # after its anchor, so no later anchor reads an earlier row.
+        rows.clear()
+        ds = descend(0, [a], 0)
         if ds is not None:
-            return CubeWitness(colors[a - lo], a, ds, ks)
+            return CubeWitness(colors[a], coloring.domain.lo + a, ds, ks)
     return None
 
 

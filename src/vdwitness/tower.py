@@ -18,14 +18,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import DomainError, Interval, LimitError, translate
-from .wnumbers import SearchLimitError, vdw_value
+from .wnumbers import SearchLimitError, _check_digits, _show, vdw_value
 
 DEFAULT_MAX_BITS = 1 << 22
-# Numbers are printed in decimal only below 10^4300. The bound is CPython's
-# default int-to-str limit, fixed here so that every supported Python
-# (3.10.0-3.10.6 have no such limit) refuses the same towers.
-_MAX_DIGITS = 4300
-_DECIMAL_BOUND = 10**_MAX_DIGITS
 
 
 class TowerUncomputableError(LimitError):
@@ -74,17 +69,12 @@ class TowerParams:
         return self.sizes[m - 1]
 
 
-def _check_digits(x: int, name: str) -> None:
-    if x >= _DECIMAL_BOUND:
-        raise LimitError(f"{name} has more than {_MAX_DIGITS} decimal digits")
-
-
 def _stage_w(k: int, c: int, stage: int, search_limit: int | None) -> int:
     try:
         return vdw_value(k, c, search_limit)
     except SearchLimitError as exc:
         raise TowerUncomputableError(
-            stage, f"W({k},{c}) exceeds the search limit {exc.limit}"
+            stage, f"W({k},{_show(c)}) exceeds the search limit {exc.limit}"
         ) from exc
 
 

@@ -20,12 +20,43 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .core import DomainError, FiniteColoring, Interval, LimitError
+from .core import (
+    DomainError,
+    FiniteColoring,
+    Interval,
+    LimitError,
+    MaterializationLimitError,
+    max_cells_limit,
+)
 
 DEFAULT_SEARCH_LIMIT = 128
+# Numbers are printed in decimal only below 10^4300. The bound is CPython's
+# default int-to-str limit, fixed here so that every supported Python
+# (3.10.0-3.10.6 have no such limit) prints and refuses the same numbers.
+_MAX_DIGITS = 4300
+_DECIMAL_BOUND = 10**_MAX_DIGITS
 
 # (k, c) -> (value, certificate colors); filled by searches in this process.
 _MEMO: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+
+
+def _show(x: int) -> str:
+    """x in decimal, or its number of decimal digits past _MAX_DIGITS."""
+    if x < _DECIMAL_BOUND:
+        return str(x)
+    # 30102/100000 < log10(2), so the first guess never exceeds the count.
+    digits = (x.bit_length() - 1) * 30102 // 100000 + 1
+    power = 10**digits
+    while x >= power:
+        power *= 10
+        digits += 1
+    return f"<{digits}-digit number>"
+
+
+def _check_digits(x: int, name: str) -> None:
+    """Refuse, with a LimitError, a number x too long to print in decimal."""
+    if x >= _DECIMAL_BOUND:
+        raise LimitError(f"{name} has more than {_MAX_DIGITS} decimal digits")
 
 
 class SearchLimitError(LimitError):
@@ -33,7 +64,7 @@ class SearchLimitError(LimitError):
 
     def __init__(self, k: int, c: int, limit: int):
         super().__init__(
-            f"W({k},{c}) not resolved within {limit} positions: an AP-free "
+            f"W({k},{_show(c)}) not resolved within {limit} positions: an AP-free "
             f"coloring of that length exists"
         )
         self.k = k
@@ -178,12 +209,13 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
     return False, best_len, best
 
 
-def _closed_form(k: int, c: int) -> tuple[int, tuple[int, ...]] | None:
+def _closed_form(k: int, c: int) -> int | None:
+    """W(k, c) where it has a closed form: c = 1 or k = 2."""
     if c == 1:
-        return k, (1,) * (k - 1)
+        return k
     if k == 2:
         # Any two equal colors form a 2-AP, so extremal colorings are injective.
-        return c + 1, tuple(range(1, c + 1))
+        return c + 1
     return None
 
 
@@ -217,13 +249,20 @@ def vdw_number(
     """The exact van der Waerden number with its lexicographically least certificate.
 
     Raises SearchLimitError if the answer is not determined within
-    search_limit positions. use_cache=False searches even when this process
-    has already resolved W(k, c).
+    search_limit positions, and MaterializationLimitError if a closed-form
+    certificate would have more cells than max_cells_limit(). use_cache=False
+    searches even when this process has already resolved W(k, c).
     """
     _validate(k, c)
-    closed = _closed_form(k, c)
-    if closed is not None:
-        value, cert = closed
+    value = _closed_form(k, c)
+    if value is not None:
+        limit = max_cells_limit()
+        if value - 1 > limit:
+            raise MaterializationLimitError(
+                f"the W({k},{_show(c)}) certificate has {_show(value - 1)} cells, "
+                f"over the materialization limit {limit}"
+            )
+        cert = (1,) * (k - 1) if c == 1 else tuple(range(1, c + 1))
     else:
         value, cert = _search(k, c, search_limit_default(search_limit), use_cache)
     return WNumberResult(k, c, value, FiniteColoring(c, Interval(1, value - 1), cert))
@@ -235,10 +274,9 @@ def vdw_value(k: int, c: int, search_limit: int | None = None) -> int:
     Materially cheaper than vdw_number for closed forms with huge palettes
     (W(2, c) = c + 1 would otherwise build a c-cell certificate)."""
     _validate(k, c)
-    if c == 1:
-        return k
-    if k == 2:
-        return c + 1
+    value = _closed_form(k, c)
+    if value is not None:
+        return value
     return _search(k, c, search_limit_default(search_limit), True)[0]
 
 

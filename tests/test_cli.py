@@ -228,6 +228,30 @@ class TestLimits:
         assert code == 0
         assert out_json(out)["value"] == 9
 
+    def test_closed_form_certificate_over_the_cell_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv("VDW_MAX_CELLS", "1000")
+        code, out, err = run_cli(capsys, "wnumber", "--k", "2", "--c", "1001")
+        assert code == 3
+        assert out_json(out) == {"error": "materialization limit exceeded"}
+        assert err == (
+            "the W(2,1001) certificate has 1001 cells, over the materialization limit 1000\n"
+        )
+        code, out, _ = run_cli(capsys, "wnumber", "--k", "2", "--c", "1000")
+        assert code == 0 and out_json(out)["value"] == 1001
+
+    def test_huge_palette_past_the_search_limit(self, capsys):
+        # the stage-3 palette is 5^93756, a 65533-digit number
+        code, out, err = run_cli(
+            capsys, "stream", "--oracle", "constant:1", "--ks", "2,2,3", "--c", "5",
+            "--depth", "3", "--windows", "4", "--mode", "proof",
+        )
+        assert code == 3
+        assert out_json(out) == {"error": "tower uncomputable", "stage": 3}
+        assert err == (
+            "tower uncomputable at stage 3: W(3,<65533-digit number>) "
+            "exceeds the search limit 128\n"
+        )
+
     def test_stream_max_cells(self, capsys):
         code, out, _ = run_cli(
             capsys, "stream", "--oracle", "constant:1", "--k", "2", "--c", "1",

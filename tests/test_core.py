@@ -23,6 +23,7 @@ from vdwitness import (
     translate,
     verify_witness,
 )
+from vdwitness.core import _LANE_BATCH
 from bruteforce import expand_cube
 
 
@@ -293,7 +294,7 @@ _ORACLES = st.one_of(
     st.builds(PeriodicOracle, _PATTERN),
     st.builds(EventuallyPeriodicOracle, st.lists(_COLOR, max_size=6).map(tuple), _PATTERN),
     st.just(ThueMorseOracle()),
-    st.builds(SeededRandomOracle, st.integers(-(2**70), 2**70), st.integers(1, 5)),
+    st.builds(SeededRandomOracle, st.integers(-(2**70), 2**70), st.integers(1, 9)),
     st.builds(
         lambda lo, colors, default: PrefixOracle(
             FiniteColoring(3, Interval(lo, lo + len(colors) - 1), colors), default
@@ -317,6 +318,15 @@ def _boundaries(oracle):
     return [[1, 1000]]
 
 
+# How far a window reaches past its boundary points: a few cells, or far
+# enough that a window from a single point is one cell short of, exactly, one
+# cell over or one cell more than twice the seeded-random lane batch.
+_EXTEND = st.one_of(
+    st.integers(0, 10),
+    st.sampled_from([_LANE_BATCH - 2, _LANE_BATCH - 1, _LANE_BATCH, 2 * _LANE_BATCH]),
+)
+
+
 def _per_position(oracle, lo, hi):
     return tuple(oracle.color_at(p) for p in range(lo, hi + 1))
 
@@ -328,8 +338,8 @@ class TestBatchEvaluation:
         points = data.draw(st.sampled_from(_boundaries(oracle)))
         first = data.draw(st.sampled_from(points))
         last = data.draw(st.sampled_from([p for p in points if p >= first]))
-        lo = max(1, first - data.draw(st.integers(0, 10)))
-        hi = max(lo, last + data.draw(st.integers(0, 10)))
+        lo = max(1, first - data.draw(_EXTEND))
+        hi = max(lo, last + data.draw(_EXTEND))
         col = materialize(oracle, Interval(lo, hi))
         assert col.colors == _per_position(oracle, lo, hi)
         assert col.c == oracle.c
@@ -346,6 +356,13 @@ class TestBatchEvaluation:
             (PrefixOracle(FiniteColoring(3, Interval(5, 9), (1, 2, 3, 3, 2)), 2), 10, 12),
             (SeededRandomOracle(-3, 4), (1 << 64) - 3, (1 << 64) + 4),
             (_OnlyColor(), 1, 30),
+            (SeededRandomOracle(5, 9), 1, 2 * _LANE_BATCH + 1),
+            (SeededRandomOracle(5, 7), 3, _LANE_BATCH + 2),
+            (SeededRandomOracle(5, 3), 1000, 1000 + _LANE_BATCH - 2),
+            (SeededRandomOracle(5, 1), 1, _LANE_BATCH),
+            (SeededRandomOracle(-3, 4), (1 << 64) - _LANE_BATCH, 1 << 64),
+            (SeededRandomOracle(-3, 4), (1 << 64) - _LANE_BATCH - 1, 1 << 64),
+            (SeededRandomOracle(-3, 4), 1 << 64, 1 << 64),
         ],
     )
     def test_straddling_ranges(self, oracle, lo, hi):

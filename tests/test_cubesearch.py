@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -19,7 +20,45 @@ from vdwitness import (
     vdw_number,
     verify_witness,
 )
-from bruteforce import all_colorings, has_mono_cube, least_mono_cube
+from vdwitness.cubesearch import _MIN_STEP
+from bruteforce import all_colorings, expand_cube, has_mono_cube, least_mono_cube, mono_cubes
+
+
+def _least_naive(colors, lo, ks, caps, distinct, *, nondecreasing):
+    """The naive least (a, ds) on a domain starting at lo, under caps, and
+    with strictly increasing differences when distinct."""
+    hits = [
+        (a + lo - 1, ds)
+        for a, ds in mono_cubes(colors, ks, nondecreasing=nondecreasing)
+        if all(d <= cap for d, cap in zip(ds, caps))
+        and not (distinct and any(x >= y for x, y in zip(ds, ds[1:])))
+    ]
+    return min(hits) if hits else None
+
+
+def _least_capped(colors, lo, ks, caps, *, nondecreasing):
+    """The naive least (a, ds) with every d_i <= caps[i], trying each
+    difference vector within the caps at each anchor."""
+    n = len(colors)
+    for a in range(1, n + 1):
+        for ds in product(*(range(1, cap + 1) for cap in caps)):
+            if nondecreasing and any(x > y for x, y in zip(ds, ds[1:])):
+                continue
+            pts = expand_cube(a, ds, ks)
+            if max(pts) <= n and len({colors[p - 1] for p in pts}) == 1:
+                return a + lo - 1, ds
+    return None
+
+
+def _random_case(rng, c, n_max, dims):
+    """A random coloring on a domain that often starts past 1, with random caps
+    for some dimensions and distinct differences in some cases."""
+    n = rng.randint(1, n_max)
+    lo = rng.choice((1, rng.randint(2, 60)))
+    colors = tuple(rng.randint(1, c) for _ in range(n))
+    caps = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, dims)))
+    distinct = dims > 1 and rng.random() < 0.3
+    return FiniteColoring(c, Interval(lo, lo + n - 1), colors), caps, distinct
 
 
 class TestFindCube:
@@ -51,6 +90,26 @@ class TestFindCube:
                     assert w is None
                 else:
                     assert (w.a, w.ds) == naive
+                    assert verify_witness(col, w)
+        # three colours, domains not starting at 1, three dimensions, caps
+        # and distinct differences
+        for c, ks, n_max, runs in (
+            (3, (2,), 11, 60),
+            (3, (3,), 11, 60),
+            (3, (2, 2), 11, 80),
+            (2, (3, 3), 11, 60),
+            (2, (2, 2, 2), 8, 40),
+            (3, (2, 2, 2), 8, 40),
+        ):
+            for _ in range(runs):
+                col, caps, distinct = _random_case(rng, c, n_max, len(ks))
+                w = find_cube(col, ks, caps, distinct=distinct)
+                naive = _least_naive(col.colors, col.domain.lo, ks, caps, distinct, nondecreasing=True)
+                if naive is None:
+                    assert w is None
+                else:
+                    assert (w.a, w.ds) == naive
+                    assert w.gamma == col.color_at(w.a)
                     assert verify_witness(col, w)
 
     def test_bounds_respected(self):
@@ -103,6 +162,89 @@ class TestFindCube:
                 if w.ds[0] > w.ds[1]:
                     decreasing_seen = True
         assert decreasing_seen
+        for c, ks, n_max, runs in (
+            (3, (2, 3), 11, 80),
+            (2, (3, 2), 11, 60),
+            (2, (2, 3, 2), 7, 40),
+            (3, (3, 2, 2), 7, 30),
+        ):
+            for _ in range(runs):
+                col, caps, distinct = _random_case(rng, c, n_max, len(ks))
+                w = find_cube(col, ks, caps, distinct=distinct)
+                naive = _least_naive(col.colors, col.domain.lo, ks, caps, distinct, nondecreasing=False)
+                if naive is None:
+                    assert w is None
+                else:
+                    assert (w.a, w.ds) == naive
+                    assert verify_witness(col, w)
+
+    def test_palette_past_a_byte(self):
+        # colours that do not fit in a byte give the same witnesses as their
+        # relabelling to 1..3
+        rng = random.Random(30)
+        relabel = {1: 1, 256: 2, 10**9: 3}
+        for _ in range(60):
+            n = rng.randint(1, 16)
+            colors = tuple(rng.choice(list(relabel)) for _ in range(n))
+            big = FiniteColoring(10**9, Interval(5, n + 4), colors)
+            small = FiniteColoring(3, Interval(5, n + 4), tuple(relabel[x] for x in colors))
+            for ks in ((2,), (2, 2), (3, 2)):
+                w, v = find_cube(big, ks), find_cube(small, ks)
+                assert (w is None) == (v is None)
+                if w is not None:
+                    assert (relabel[w.gamma], w.a, w.ds) == (v.gamma, v.a, v.ds)
+
+    def test_huge_cap_sizes_nothing(self):
+        col = materialize(ThueMorseOracle(), Interval(1, 16))
+        start = time.perf_counter()
+        w = find_cube(col, [2, 2], (10**12, 10**12))
+        assert time.perf_counter() - start < 1.0
+        assert (w.a, w.ds) == (1, (3, 3))
+
+    def test_capped_windows_past_one_mask_segment(self):
+        # With every dimension capped the stride masks cover a segment of
+        # _MIN_STEP anchors and the cells their cubes reach. Colours 1..5
+        # repeated have no cube with differences at most 4; a cube planted at
+        # a random anchor or at the last anchors of the first segment, and a
+        # few changed cells, put the least witness anywhere in a long
+        # window, or leave none.
+        rng = random.Random(40)
+        late = edge = 0
+        for ks in ((2,), (3,), (2, 2), (3, 2), (4,)):
+            for _ in range(16):
+                n = rng.randint(300, 900)
+                lo = rng.choice((1, rng.randint(2, 60)))
+                caps = tuple(rng.randint(1, 4) for _ in ks)
+                colors = [1 + i % 5 for i in range(n)]
+                if rng.random() < 0.8:
+                    a = rng.choice((rng.randint(1, n - 20), _MIN_STEP - rng.randint(0, 2)))
+                    ds = caps if rng.random() < 0.5 else tuple(rng.randint(1, cap) for cap in caps)
+                    gamma = rng.randint(1, 5)
+                    for p in expand_cube(a, ds, ks):
+                        colors[p - 1] = gamma
+                if rng.random() < 0.5:
+                    for _ in range(rng.randint(1, 3)):
+                        colors[rng.randrange(n)] = rng.randint(1, 5)
+                col = FiniteColoring(5, Interval(lo, lo + n - 1), tuple(colors))
+                w = find_cube(col, ks, caps)
+                naive = _least_capped(colors, lo, ks, caps, nondecreasing=len(set(ks)) == 1)
+                if naive is None:
+                    assert w is None
+                else:
+                    assert (w.a, w.ds) == naive
+                    late += w.a - lo >= _MIN_STEP
+                    edge += _MIN_STEP - 3 <= w.a - lo < _MIN_STEP and w.ds == caps
+        assert late >= 10 and edge >= 5
+
+    def test_capped_search_is_bounded_by_the_caps(self):
+        # 1122 repeated has no 3-term progression with difference at most 3,
+        # so every anchor of the 200,000-cell window is tried. The work per
+        # anchor is bounded by the caps, not by the window.
+        col = FiniteColoring(2, Interval(1, 200_000), (1, 1, 2, 2) * 50_000)
+        start = time.perf_counter()
+        assert find_cube(col, (3,), (3,)) is None
+        assert find_cube(col, (3, 3), (3, 3)) is None
+        assert time.perf_counter() - start < 8.0
 
     def test_validation(self):
         col = FiniteColoring(1, Interval(1, 3), (1, 1, 1))

@@ -8,9 +8,13 @@ from vdwitness import (
     DomainError,
     FiniteColoring,
     Interval,
+    MaterializationLimitError,
     SearchLimitError,
+    TowerUncomputableError,
     find_ap,
+    tower_params,
     vdw_number,
+    vdw_value,
     verify_ap_free,
 )
 from vdwitness.wnumbers import _avoid, _cube_rows
@@ -39,6 +43,23 @@ class TestClosedForms:
         for c in range(1, 7):
             reached, best_len, _ = _avoid((2,), c, c + 4)
             assert not reached and best_len + 1 == c + 1
+
+    def test_certificate_over_the_cell_limit_is_refused(self, monkeypatch):
+        monkeypatch.setenv("VDW_MAX_CELLS", "100")
+        assert vdw_number(2, 100).certificate.colors == tuple(range(1, 101))
+        assert vdw_number(101, 1).certificate.colors == (1,) * 100
+        with pytest.raises(MaterializationLimitError, match="101 cells"):
+            vdw_number(2, 101)
+        with pytest.raises(MaterializationLimitError, match="101 cells"):
+            vdw_number(102, 1)
+        # the value alone builds no certificate and stays unlimited
+        assert vdw_value(2, 10**6) == 10**6 + 1
+
+    def test_huge_certificate_refused_without_building_it(self):
+        start = time.perf_counter()
+        with pytest.raises(MaterializationLimitError, match="<5001-digit number> cells"):
+            vdw_number(2, 10**5000)
+        assert time.perf_counter() - start < 1.0
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -81,6 +102,19 @@ class TestSmallExactValues:
         start = time.perf_counter()
         assert vdw_number(3, 2, 10**6, use_cache=False).value == 9
         assert time.perf_counter() - start < 1.0
+
+    def test_search_limit_names_a_huge_palette_by_its_digits(self):
+        c = 5**93756  # 65533 decimal digits, past CPython's int-to-str limit
+        assert str(SearchLimitError(3, c, 128)).startswith("W(3,<65533-digit number>) not resolved")
+        assert str(SearchLimitError(3, 10**4300 - 1, 128)).startswith(f"W(3,{'9' * 4300}) ")
+        # the same palette as a tower's stage-3 palette 5^(W_1 W_2), where
+        # W_1 = W(2, 5) = 6 and W_2 = W(2, 5^6) = 15626
+        with pytest.raises(TowerUncomputableError) as exc:
+            tower_params((2, 2, 3), 5, 3)
+        assert str(exc.value) == (
+            "tower uncomputable at stage 3: W(3,<65533-digit number>) "
+            "exceeds the search limit 128"
+        )
 
     def test_search_limit(self):
         with pytest.raises(SearchLimitError):
