@@ -383,11 +383,89 @@ class CubeWitness:
 
 
 def cube_positions(w: CubeWitness) -> tuple[int, ...]:
-    """Sorted, deduplicated expansion of the cube set."""
-    pts = {w.a}
-    for d, k in zip(w.ds, w.ks):
-        pts = {p + j * d for p in pts for j in range(k)}
-    return tuple(sorted(pts))
+    """Sorted, deduplicated expansion of the cube set.
+
+    Raises MaterializationLimitError, before building anything, when both
+    the number of index tuples and the span of the cube exceed
+    max_cells_limit(), since either one bounds the number of positions.
+    """
+    return _cube_positions(w, None)
+
+
+def _cube_positions(w: CubeWitness, max_cells: int | None) -> tuple[int, ...]:
+    """cube_positions under the cell limit max_cells_limit(max_cells)."""
+    limit = max_cells_limit(max_cells)
+    if w.max_position() - w.a >= limit:
+        count = 1
+        for k in w.ks:
+            count *= k
+            if count > limit:
+                raise MaterializationLimitError(
+                    f"a cube of {w.dim} dimensions may have more positions than "
+                    f"the materialization limit {limit}"
+                )
+    dims = sorted(zip(w.ds, w.ks))
+    reach = 0  # span of the dimensions before the current one
+    for d, k in dims:
+        if d <= reach:
+            break
+        reach += (k - 1) * d
+    else:
+        # Each difference clears the span below it, so no two sums collide
+        # and each shifted copy lies wholly above the previous one.
+        pts = [w.a]
+        for d, k in dims:
+            lower = pts[:]
+            for j in range(1, k):
+                pts += map((j * d).__add__, lower)
+        return tuple(pts)
+    grown = {w.a}
+    for d, k in dims:
+        lower = tuple(grown)
+        for j in range(1, k):
+            grown.update(map((j * d).__add__, lower))
+    return tuple(sorted(grown))
+
+
+# Cube positions are coloured by one batch over their span when the span is
+# at most this many times the number of positions.
+_DENSE_SPAN = 4
+
+
+def _first_violation(
+    source: FiniteColoring | ColorOracle,
+    pts: tuple[int, ...],
+    gamma: int,
+    max_cells: int | None = None,
+) -> tuple[int, int] | None:
+    """First of the sorted positions pts whose color under source is not gamma.
+
+    A finite coloring must contain every position. An oracle colours a
+    dense span of pts in one batch, if it stays within the cell limit, and
+    other positions one at a time.
+    """
+    lo, hi = pts[0], pts[-1]
+    if isinstance(source, FiniteColoring):
+        dom = source.domain
+        if lo < dom.lo or hi > dom.hi:
+            p = lo if lo < dom.lo else next(q for q in pts if q > dom.hi)
+            raise DomainError(
+                f"cube position {p} outside domain [{dom.lo}, {dom.hi}]"
+            )
+        colors, lo = source.colors, dom.lo
+    elif hi - lo < _DENSE_SPAN * len(pts) and hi - lo < max_cells_limit(max_cells):
+        colors = source._colors(lo, hi)
+    else:
+        for p in pts:
+            col = source.color_at(p)
+            if col != gamma:
+                return (p, col)
+        return None
+    for p in pts:
+        col = colors[p - lo]
+        if col != gamma:
+            return (p, col)
+    return None
 
 
 def find_violation(
@@ -399,19 +477,7 @@ def find_violation(
     an out-of-domain position raises DomainError rather than counting as a
     mismatch.
     """
-    pts = cube_positions(w)
-    if isinstance(source, FiniteColoring):
-        dom = source.domain
-        for p in pts:
-            if p not in dom:
-                raise DomainError(
-                    f"cube position {p} outside domain [{dom.lo}, {dom.hi}]"
-                )
-    for p in pts:
-        col = source.color_at(p)
-        if col != w.gamma:
-            return (p, col)
-    return None
+    return _first_violation(source, cube_positions(w), w.gamma)
 
 
 def verify_witness(source: FiniteColoring | ColorOracle, w: CubeWitness) -> bool:

@@ -1,4 +1,4 @@
-"""Monochromatic cube extraction from tower colorings by block compression.
+"""Monochromatic cube extraction from tower colorings by block interning.
 
 Given a c-coloring of a stage-n tower, the top stage splits the tower into
 W_n blocks of size sizes[n-1] and interns each block's full color pattern as
@@ -10,72 +10,137 @@ color-preserving shift of d* * sizes[n-1] positions; that shift becomes the
 top difference and the construction recurses into the first selected block.
 The stage-1 base case is a plain monochromatic progression search.
 
+A block is read and interned only when the progression scan (least block
+first, then least step) first looks at it, or when a scan walking the
+blocks in order reads ahead past it (never further ahead than it has
+already read), so a stage whose least progression of equal blocks starts
+near its first block is read only about that far. The recursion works on
+the colors of the selected block that the scan has already read: one
+extraction reads each cell at most once. The source is a finite coloring or
+an oracle; oracle reads, read-ahead included, count against the cell limit.
+A trace reports how many patterns the whole stage has, so with a trace
+every block of a stage is interned before its scan.
+
 The recursion runs iteratively from the top stage down so that degenerate
 deep towers (single color, twenty stages) stay clear of call-stack limits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import islice
+from typing import Callable
 
 from .core import (
+    ColorOracle,
     CubeWitness,
     DomainError,
     FiniteColoring,
     Interval,
     InvariantViolationError,
+    MaterializationLimitError,
+    max_cells_limit,
 )
 from .tower import TowerParams, build_tower_interval
-from .wnumbers import find_ap
+from .wnumbers import _least_ap
+
+# read(i, j): the colors at 0-based offsets i..j-1 of the current tower segment.
+_Reader = Callable[[int, int], tuple[int, ...]]
+
+# Blocks are read in batches of at most about this many cells.
+_BATCH_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
-class CompressedColoring:
-    """Block-pattern interning of a coloring cut into consecutive equal blocks.
+class _Stage(dict):
+    """Pattern id of each block of one stage, by 0-based block index.
 
-    Two blocks receive the same id exactly when their color sequences agree
-    at every offset. Ids are assigned by first occurrence starting at 1, so
-    the id sequence is deterministic and uses at most min(num_blocks,
-    c^block_size) distinct values.
+    A block is read and interned on its first lookup. Ids number the
+    distinct patterns in the order they were first read, so equal ids mean
+    equal colors at every offset, and blocks[id - 1] is the pattern of id.
+    A lookup just past the run of blocks read from block 0 reads ahead as
+    many blocks as that run holds (at most about _BATCH_CELLS cells), so a
+    scan that walks the blocks in order reads at most about twice what it
+    looks at, in few batches, and no block is read twice.
     """
 
-    num_blocks: int
-    block_size: int
-    palette: dict[tuple[int, ...], int]
-    ids: tuple[int, ...]
+    __slots__ = ("read", "size", "count", "patterns", "blocks", "front")
 
-    @property
-    def palette_size(self) -> int:
-        return len(self.palette)
+    def __init__(self, read: _Reader, size: int, count: int) -> None:
+        super().__init__()
+        self.read = read
+        self.size = size
+        self.count = count
+        self.patterns: dict[tuple[int, ...], int] = {}
+        self.blocks: list[tuple[int, ...]] = []
+        self.front = 0  # every block below front has been read
 
-    def ids_coloring(self) -> FiniteColoring:
-        """The id sequence as a coloring of [1, num_blocks] (block i at position i+1)."""
-        return FiniteColoring(self.palette_size, Interval(1, self.num_blocks), self.ids)
+    def intern(self, b0: int, b1: int) -> list[int]:
+        """The ids of blocks b0..b1-1, read in batches and interned."""
+        size, patterns, blocks = self.size, self.patterns, self.blocks
+        step = max(1, _BATCH_CELLS // size)
+        ids: list[int] = []
+        for lo in range(b0, b1, step):
+            cells = self.read(lo * size, min(b1, lo + step) * size)
+            ids += [
+                patterns.setdefault(cells[i : i + size], len(patterns) + 1)
+                for i in range(0, len(cells), size)
+            ]
+        # The patterns added last, in id order.
+        blocks += reversed(list(islice(reversed(patterns), len(patterns) - len(blocks))))
+        return ids
+
+    def __missing__(self, b: int) -> int:
+        stop = b + 1
+        if b == self.front:
+            stop = min(self.count, b + max(1, min(b, _BATCH_CELLS // self.size)))
+            if len(self) > b:
+                # A block past the front was read out of order: stop before it.
+                stop = next((x for x in range(b + 1, stop) if x in self), stop)
+        self.update(zip(range(b, stop), self.intern(b, stop)))
+        if b == self.front:
+            self.front = stop
+            while self.front in self:
+                self.front += 1
+        return self[b]
 
 
-def compress(coloring: FiniteColoring, block_size: int, num_blocks: int) -> CompressedColoring:
-    if block_size < 1 or num_blocks < 1:
-        raise DomainError("block size and count must be >= 1")
-    if coloring.domain.size() != block_size * num_blocks:
-        raise DomainError(
-            f"{coloring.domain.size()} cells cannot split into "
-            f"{num_blocks} blocks of {block_size}"
-        )
-    colors = coloring.colors
-    palette: dict[tuple[int, ...], int] = {}
-    ids = []
-    for i in range(num_blocks):
-        pattern = colors[i * block_size : (i + 1) * block_size]
-        pid = palette.get(pattern)
-        if pid is None:
-            pid = len(palette) + 1
-            palette[pattern] = pid
-        ids.append(pid)
-    return CompressedColoring(num_blocks, block_size, palette, tuple(ids))
+def _readers(
+    source: FiniteColoring | ColorOracle, lo: int, max_cells: int | None
+) -> tuple[_Reader, _Reader]:
+    """Reads of the tower starting at position lo: one that counts the cells
+    it reads from an oracle, refusing once the total would pass
+    max_cells_limit(max_cells), and one that counts nothing, for re-reading
+    cells already read. Oracle colors are checked against the palette."""
+    if isinstance(source, FiniteColoring):
+        read = _slicer(source.colors)
+        return read, read
+    c, limit = source.c, max_cells_limit(max_cells)
+    total = 0
+
+    def raw(i: int, j: int) -> tuple[int, ...]:
+        cells = source._colors(lo + i, lo + j - 1)
+        if min(cells) < 1 or max(cells) > c:
+            raise DomainError(f"colors must lie in [1, {c}]")
+        return cells
+
+    def counted(i: int, j: int) -> tuple[int, ...]:
+        nonlocal total
+        total += j - i
+        if total > limit:
+            raise MaterializationLimitError(
+                f"extraction would read {total} cells, over the materialization "
+                f"limit {limit}"
+            )
+        return raw(i, j)
+
+    return counted, raw
+
+
+def _slicer(cells: tuple[int, ...]) -> _Reader:
+    return lambda i, j: cells[i:j]
 
 
 def extract(
-    coloring: FiniteColoring,
+    source: FiniteColoring | ColorOracle,
     I: Interval,
     n: int,
     params: TowerParams,
@@ -85,83 +150,102 @@ def extract(
 ) -> CubeWitness:
     """A monochromatic n-cube from a stage-n tower coloring.
 
-    Dimension m of the cube has side length params.ks[m-1], so uniform and
-    per-stage lengths take the same path. The witness is fully determined by
-    the least-progression tie-break at every stage. With checked=True the
-    block-shift identity is re-verified against the raw colors at each
-    stage. If trace is a list, one record {stage, b1, dstar, block_size,
-    palette_size} is appended per compression stage, top stage first.
+    source is a coloring of exactly the stage-n tower over I, or an oracle,
+    which is read only where the scan looks (at most max_cells_limit()
+    cells, else MaterializationLimitError). Dimension m of the cube has side
+    length params.ks[m-1], so uniform and per-stage lengths take the same
+    path. The witness is fully determined by the least-progression
+    tie-break at every stage. With checked=True the selected blocks are
+    re-read at each stage and compared color by color with the pattern
+    their id stands for. If trace is a list, one record {stage, b1, dstar,
+    block_size, palette_size} is appended per stage above the base, top
+    stage first; palette_size counts the patterns of all the stage's blocks.
     """
+    return _extract(source, I, n, params, checked=checked, trace=trace, max_cells=None)
+
+
+def _extract(
+    source: FiniteColoring | ColorOracle,
+    I: Interval,
+    n: int,
+    params: TowerParams,
+    *,
+    checked: bool,
+    trace: list | None,
+    max_cells: int | None,
+) -> CubeWitness:
+    """extract with an explicit cell limit for oracle reads."""
     if n < 1 or n > params.stages:
         raise DomainError(f"stage {n} outside [1, {params.stages}]")
     ks = params.ks[:n]
-    if coloring.c != params.c:
+    if source.c != params.c:
         raise DomainError(
-            f"coloring has {coloring.c} colors, parameters expect {params.c}"
+            f"coloring has {source.c} colors, parameters expect {params.c}"
         )
     expected = build_tower_interval(I, n, params)
-    if coloring.domain != expected:
+    if isinstance(source, FiniteColoring) and source.domain != expected:
         raise DomainError(
-            f"coloring domain [{coloring.domain.lo}, {coloring.domain.hi}] is not "
+            f"coloring domain [{source.domain.lo}, {source.domain.hi}] is not "
             f"the stage-{n} tower [{expected.lo}, {expected.hi}]"
         )
+    # The check re-reads only blocks the scan has read, so raw counts nothing.
+    read, raw = _readers(source, I.lo, max_cells)
 
-    segment = coloring
+    lo = I.lo
     ds_rev: list[int] = []
     for m in range(n, 1, -1):
-        block_size = params.size(m - 1)
-        num_blocks = params.w(m)
-        comp = compress(segment, block_size, num_blocks)
-        hit = find_ap(comp.ids_coloring(), ks[m - 1])
+        size = params.size(m - 1)
+        count = params.w(m)
+        stage = _Stage(read, size, count)
+        ids = stage.intern(0, count) if trace is not None else stage
+        hit = _least_ap(ids, count, ks[m - 1])
         if hit is None:
             raise InvariantViolationError(
-                f"no length-{ks[m - 1]} progression among {num_blocks} blocks with "
-                f"{comp.palette_size} patterns at stage {m}"
+                f"no length-{ks[m - 1]} progression among {count} blocks with "
+                f"{len(stage.blocks)} patterns at stage {m}"
             )
-        pos, dstar = hit
-        b1 = pos - 1  # block indices are 0-based
+        b1, dstar = hit
         if trace is not None:
             trace.append(
                 {
                     "stage": m,
                     "b1": b1,
                     "dstar": dstar,
-                    "block_size": block_size,
-                    "palette_size": comp.palette_size,
+                    "block_size": size,
+                    "palette_size": len(stage.blocks),
                 }
             )
+        block = stage.blocks[ids[b1] - 1]
         if checked:
-            _check_block_shift(segment, b1, dstar, block_size, ks[m - 1])
-        ds_rev.append(dstar * block_size)
-        lo = segment.domain.lo + b1 * block_size
-        segment = segment.restrict(Interval(lo, lo + block_size - 1))
+            _check_block_shift(raw, b1, dstar, size, ks[m - 1], block)
+        ds_rev.append(dstar * size)
+        lo += b1 * size
+        read = raw = _slicer(block)
 
-    base_hit = find_ap(segment, ks[0])
+    cells = read(0, params.w(1))
+    base_hit = _least_ap(cells, len(cells), ks[0])
     if base_hit is None:
         raise InvariantViolationError(
-            f"no length-{ks[0]} progression in a {segment.domain.size()}-cell base "
-            f"with {segment.c} colors"
+            f"no length-{ks[0]} progression in a {len(cells)}-cell base "
+            f"with {params.c} colors"
         )
-    a, d1 = base_hit
-    gamma = segment.color_at(a)
-    ds = (d1, *reversed(ds_rev))
-    witness = CubeWitness(gamma, a, ds, ks)
+    a0, d1 = base_hit
+    witness = CubeWitness(cells[a0], lo + a0, (d1, *reversed(ds_rev)), ks)
     _check_bounds(witness, n, params)
     return witness
 
 
 def _check_block_shift(
-    segment: FiniteColoring, b1: int, dstar: int, block_size: int, k: int
+    read: _Reader, b1: int, dstar: int, block_size: int, k: int, pattern: tuple[int, ...]
 ) -> None:
-    """Selected blocks must be literal copies: color(q + j*dstar*block_size) = color(q)."""
-    colors = segment.colors
+    """Selected blocks, re-read, must be literal copies of the pattern their
+    id stands for: color(q + j*dstar*block_size) = pattern[q] for 0 <= j < k."""
     start = b1 * block_size
-    first = colors[start : start + block_size]
-    for j in range(1, k):
+    for j in range(k):
         shifted = start + j * dstar * block_size
-        if colors[shifted : shifted + block_size] != first:
+        if read(shifted, shifted + block_size) != pattern:
             raise InvariantViolationError(
-                f"block {b1 + j * dstar} is not a copy of block {b1} despite equal ids"
+                f"block {b1 + j * dstar} does not match the pattern of its id"
             )
 
 

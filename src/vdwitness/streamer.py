@@ -16,7 +16,10 @@ disjoint, and grow by a factor W_m each step. Search mode uses consecutive
 fixed-size windows and solves each by direct cube search under per-dimension
 caps. In both modes window m is solved at dimension min(available, depth):
 proof-mode window m is a stage-(m-1) tower (stage 1 for m = 1) and deeper
-stages than the requested depth are never materialized.
+stages than the requested depth are never read. Proof mode reads the oracle
+only at the blocks the extraction's scan looks at, so a window far larger
+than the cell limit is solved when its least progression of equal blocks
+lies near its start.
 """
 
 from __future__ import annotations
@@ -30,12 +33,12 @@ from .core import (
     DomainError,
     Interval,
     InvariantViolationError,
-    cube_positions,
+    _cube_positions,
+    _first_violation,
     materialize,
-    verify_witness,
 )
 from .cubesearch import SearchBounds, find_cube
-from .extractor import extract
+from .extractor import _extract
 from .tower import TowerParams, build_tower_interval, tower_params
 
 PROOF = "proof"
@@ -162,18 +165,20 @@ def solve_window(
 ) -> WindowWitness:
     """Solve one window at dimension min(available, depth).
 
-    Proof mode materializes the dimension-deep prefix of the window's tower
-    and runs the block-compression extraction over it (base and params
-    required). Search mode runs the direct cube search over the whole window
-    under the caps. Raises WindowFailureError when search mode finds nothing.
+    Proof mode runs the block-interning extraction over the dimension-deep
+    prefix of the window's tower (base and params required), reading from
+    the oracle only the blocks its scan looks at; max_cells caps the cells
+    read. Search mode materializes the whole window, at most max_cells
+    cells, and runs the direct cube search over it under the caps. Raises
+    WindowFailureError when search mode finds nothing.
     """
     if mode == PROOF:
         if params is None or base is None:
             raise DomainError("proof mode needs tower parameters and a base interval")
         dim = min(_proof_stage(m), depth)
-        prefix = build_tower_interval(base, dim, params)
-        coloring = materialize(oracle, prefix, max_cells)
-        w = extract(coloring, base, dim, params, checked=checked)
+        w = _extract(
+            oracle, base, dim, params, checked=checked, trace=None, max_cells=max_cells
+        )
     elif mode == SEARCH:
         dim = min(m, depth)
         coloring = materialize(oracle, window, max_cells)
@@ -332,13 +337,14 @@ def run_stream(
     records = []
     for t in range(1, state.achieved_depth + 1):
         w = CubeWitness(state.gamma, state.anchors[t - 1], state.ds[:t], ks_seq[:t])
+        positions = _cube_positions(w, max_cells)
         records.append(
             DepthRecord(
                 n=t,
                 a=state.anchors[t - 1],
                 s=state.sources[t - 1],
-                positions=cube_positions(w),
-                verified=verify_witness(oracle, w),
+                positions=positions,
+                verified=_first_violation(oracle, positions, w.gamma, max_cells) is None,
             )
         )
     return StreamOutcome(

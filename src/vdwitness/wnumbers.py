@@ -311,9 +311,18 @@ def find_ap(coloring: FiniteColoring, k: int) -> tuple[int, int] | None:
     """
     if k < 2:
         raise DomainError(f"progression length must be >= 2, got {k}")
-    colors = coloring.colors
-    n = len(colors)
-    lo = coloring.domain.lo
+    hit = _least_ap(coloring.colors, len(coloring.colors), k)
+    return None if hit is None else (coloring.domain.lo + hit[0], hit[1])
+
+
+def _least_ap(colors, n: int, k: int) -> tuple[int, int] | None:
+    """Least (a0, d) with colors[a0] == colors[a0 + j*d] for 0 < j < k, over
+    0-based indices below n, k >= 2.
+
+    colors is anything indexable by int; it is read in scan order (a0
+    ascending, then d ascending, then j) and only as far as the scan gets,
+    so a lazily filled mapping is read no further than the answer needs.
+    """
     for a0 in range(n - k + 1):
         gamma = colors[a0]
         for d in range(1, (n - 1 - a0) // (k - 1) + 1):
@@ -321,5 +330,5 @@ def find_ap(coloring: FiniteColoring, k: int) -> tuple[int, int] | None:
                 if colors[a0 + j * d] != gamma:
                     break
             else:
-                return (lo + a0, d)
+                return (a0, d)
     return None

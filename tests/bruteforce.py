@@ -72,3 +72,48 @@ def has_mono_cube(colors, ks) -> bool:
 def least_mono_cube(colors, ks, *, nondecreasing: bool):
     hits = mono_cubes(colors, ks, nondecreasing=nondecreasing)
     return min(hits) if hits else None
+
+
+def dense_extract(colors, lo: int, ks, counts):
+    """Reference tower extraction that interns every block before scanning.
+
+    colors is a coloring of the tower starting at position lo whose stage m
+    splits into counts[m-1] blocks (counts[0] cells at stage 1), and ks[m-1]
+    is the progression length at stage m. Returns (gamma, a, ds, trace) with
+    one trace record per stage above the base, top first, in the format of
+    `extract --trace`. Raises ValueError when the cells do not split into
+    that tower.
+    """
+    sizes = [counts[0]]
+    for w in counts[1:]:
+        sizes.append(sizes[-1] * w)
+    if len(colors) != sizes[-1]:
+        raise ValueError(f"{len(colors)} cells are not a tower of {sizes[-1]}")
+    segment = tuple(colors)
+    ds = []
+    trace = []
+    for m in range(len(ks), 1, -1):
+        size = sizes[m - 2]
+        blocks = [segment[i * size : (i + 1) * size] for i in range(counts[m - 1])]
+        first_seen: dict = {}
+        ids = [first_seen.setdefault(b, len(first_seen) + 1) for b in blocks]
+        b1, dstar = _first_mono_ap(ids, ks[m - 1])
+        trace.append({"stage": m, "b1": b1, "dstar": dstar, "block_size": size,
+                      "palette_size": len(first_seen)})
+        ds.append(dstar * size)
+        lo += b1 * size
+        segment = blocks[b1]
+    a0, d1 = _first_mono_ap(segment, ks[0])
+    return segment[a0], lo + a0, (d1, *reversed(ds)), trace
+
+
+def _first_mono_ap(colors, k: int):
+    """The least (a0, d), 0-based, ordered by a0 then d, of a monochromatic k-AP."""
+    n = len(colors)
+    for a0 in range(n):
+        for d in range(1, n):
+            if a0 + (k - 1) * d >= n:
+                break
+            if len({colors[a0 + j * d] for j in range(k)}) == 1:
+                return a0, d
+    raise ValueError(f"no monochromatic {k}-AP in {n} cells")

@@ -1,11 +1,13 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdwitness import Interval, ThueMorseOracle, run_stream
 from vdwitness.cli import main
 
 
@@ -260,6 +262,40 @@ class TestLimits:
         assert code == 3
         assert out_json(out)["error"] == "materialization limit exceeded"
 
+    def test_stream_max_cells_wins_over_the_environment(self, capsys, monkeypatch):
+        # depth records expand cubes of up to 32 positions under the flag's
+        # limit, not the environment's
+        monkeypatch.setenv("VDW_MAX_CELLS", "4")
+        code, out, _ = run_cli(
+            capsys, "stream", "--oracle", "constant:1", "--k", "2", "--c", "1",
+            "--depth", "5", "--windows", "8", "--mode", "proof", "--max-cells", "1000",
+        )
+        assert code == 0
+        assert [d["verified"] for d in out_json(out)["depths"]] == [True] * 5
+
+    def test_verify_refuses_a_huge_expansion(self, capsys, tmp_path):
+        witness_path = tmp_path / "w.json"
+        witness_path.write_text(
+            json.dumps({"gamma": 1, "a": 1, "ds": [1, 10**3, 10**6, 10**9], "ks": [1000] * 4})
+        )
+        t0 = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "verify", "--witness", str(witness_path), "--oracle", "constant:1"
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert out_json(out) == {"error": "materialization limit exceeded"}
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_verify_degenerate_cube(self, capsys, tmp_path):
+        # 1000^4 index tuples collapse onto 3,997 positions
+        witness_path = tmp_path / "w.json"
+        witness_path.write_text(json.dumps({"gamma": 1, "a": 1, "ds": [1] * 4, "ks": [1000] * 4}))
+        code, out, _ = run_cli(
+            capsys, "verify", "--witness", str(witness_path), "--oracle", "constant:1"
+        )
+        assert code == 0 and out_json(out) == {"verified": True}
+
 
 class TestStream:
     def test_determinism(self, capsys):
@@ -315,6 +351,23 @@ class TestStream:
         )
         assert code == 1
         assert out_json(out)["error"] == "window failure"
+
+    def test_thue_morse_proof_past_the_cell_limit(self, capsys):
+        # window 4 is a stage-3 tower of 3,623,878,683 cells; its extraction
+        # reads 33 blocks of 27 cells
+        code, out, _ = run_cli(
+            capsys, "stream", "--oracle", "thue-morse", "--k", "2", "--c", "2",
+            "--depth", "3", "--windows", "4", "--mode", "proof",
+        )
+        assert code == 0
+        report = out_json(out)
+        assert report["ds"] == [1, 6, 864]
+        assert [d["verified"] for d in report["depths"]] == [True, True, True]
+        witnesses = run_stream(ThueMorseOracle(), 2, 2, 3, 4, "proof").state.witnesses
+        assert [(w.e, w.ls, w.gamma) for w in witnesses] == [
+            (2, (1,), 2), (4, (2,), 1), (8, (1, 6), 2), (34, (1, 6, 864), 1),
+        ]
+        assert witnesses[3].window == Interval(34, 3623878716)
 
     def test_depth_needs_windows(self, capsys):
         code, _, err = run_cli(

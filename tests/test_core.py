@@ -126,6 +126,33 @@ class TestCubePositions:
             ]
             assert (len(pts) == full) == (len(set(sums)) == len(sums))
 
+    @settings(max_examples=200, derandomize=True)
+    @given(a=st.integers(1, 50), data=st.data())
+    def test_disjoint_dimensions(self, a, data):
+        # each difference clears the span of the smaller ones: no sums
+        # collide, whatever order the dimensions come in
+        ks = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+        ds, reach = [], 0
+        for k in ks:
+            ds.append(reach + data.draw(st.integers(1, 5)))
+            reach += (k - 1) * ds[-1]
+        order = data.draw(st.permutations(range(len(ks))))
+        w = CubeWitness(1, a, tuple(ds[i] for i in order), tuple(ks[i] for i in order))
+        pts = cube_positions(w)
+        assert list(pts) == sorted(expand_cube(a, w.ds, w.ks))
+        full = 1
+        for k in ks:
+            full *= k
+        assert len(pts) == full
+
+    def test_refused_past_the_cell_limit(self, monkeypatch):
+        monkeypatch.setenv("VDW_MAX_CELLS", "120")
+        with pytest.raises(MaterializationLimitError):
+            cube_positions(CubeWitness(1, 1, (1, 11), (11, 11)))  # 121 of each
+        # 121 index tuples over a span of 21 cells, or 4 over 1001: expanded
+        assert cube_positions(CubeWitness(1, 1, (1, 1), (11, 11))) == tuple(range(1, 22))
+        assert cube_positions(CubeWitness(1, 1, (1, 999), (2, 2))) == (1, 2, 1000, 1001)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             CubeWitness(1, 1, (), ())
@@ -160,6 +187,29 @@ class TestVerifyWitness:
     def test_oracle_source(self):
         assert verify_witness(ConstantOracle(2, 3), CubeWitness(2, 10**9, (5,), (4,)))
         assert not verify_witness(ThueMorseOracle(), CubeWitness(1, 1, (1,), (2,)))
+
+    def test_oracle_agrees_with_its_coloring(self, monkeypatch):
+        # dense spans are coloured in one batch, sparse ones position by
+        # position; both must report the same first violation
+        oracle = SeededRandomOracle(5, 2)
+        col = materialize(oracle, Interval(1, 4000))
+        rng = random.Random(3)
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            ds = tuple(rng.choice((rng.randint(1, 4), rng.randint(1, 600))) for _ in range(n))
+            w = CubeWitness(rng.randint(1, 2), rng.randint(1, 100), ds, (2,) * n)
+            assert find_violation(oracle, w) == find_violation(col, w)
+        # a span past the cell limit is read position by position
+        monkeypatch.setenv("VDW_MAX_CELLS", "16")
+        w = CubeWitness(2, 1, (2, 4, 10), (2, 2, 2))  # 8 odd positions in [1, 17]
+        assert find_violation(oracle, w) == find_violation(col, w)
+        counting = _Counting()
+        assert find_violation(counting, w) is None
+        assert (counting.colors_calls, counting.color_calls) == (0, 8)
+        monkeypatch.setenv("VDW_MAX_CELLS", "17")
+        counting = _Counting()
+        assert find_violation(counting, w) is None
+        assert counting.colors_calls == 1
 
     def test_permutation_invariance_uniform_k(self):
         rng = random.Random(11)

@@ -1,23 +1,28 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdwitness import (
+    ColorOracle,
+    ConstantOracle,
     DomainError,
     FiniteColoring,
     Interval,
     InvariantViolationError,
+    MaterializationLimitError,
     PeriodicOracle,
+    PrefixOracle,
     TowerUncomputableError,
-    compress,
     cube_positions,
     extract,
     materialize,
     tower_params,
     verify_witness,
 )
-from vdwitness.extractor import _check_block_shift
-from bruteforce import all_colorings, mono_aps
+from vdwitness.extractor import _Stage, _check_block_shift
+from bruteforce import all_colorings, dense_extract, mono_aps
 
 
 def coloring_of(text: str, c: int, lo: int = 1) -> FiniteColoring:
@@ -25,43 +30,166 @@ def coloring_of(text: str, c: int, lo: int = 1) -> FiniteColoring:
     return FiniteColoring(c, Interval(lo, lo + len(colors) - 1), colors)
 
 
+def _agrees_with_dense(c: int, ks, colors, lo: int = 1) -> list:
+    """Run extract on a finite coloring and on an oracle with the same colors,
+    lazily and with a trace, checked and not; every run must equal the dense
+    reference, trace records included. Returns the reference trace."""
+    params = tower_params(ks, c, len(ks))
+    base = Interval(lo, lo + params.w(1) - 1)
+    gamma, a, ds, trace = dense_extract(colors, lo, ks, params.W)
+    col = FiniteColoring(c, Interval(lo, lo + len(colors) - 1), colors)
+    for source in (col, PrefixOracle(col, 1, c)):
+        for checked in (False, True):
+            w = extract(source, base, len(ks), params, checked=checked)
+            assert (w.gamma, w.a, w.ds, w.ks) == (gamma, a, ds, tuple(ks))
+            got: list = []
+            w = extract(source, base, len(ks), params, checked=checked, trace=got)
+            assert (w.gamma, w.a, w.ds) == (gamma, a, ds)
+            assert got == trace
+    return trace
+
+
+# (c, ks) of every tower of at most 5125 cells whose parameters resolve fast.
+SMALL_TOWERS = [
+    (1, (2,)), (1, (3,)), (1, (2, 3)), (1, (2, 2, 2)), (1, (2, 3, 4)), (1, (3, 3, 3)),
+    (2, (2,)), (2, (3,)), (2, (4,)), (2, (2, 2)),
+    (3, (2,)), (3, (3,)), (3, (2, 2)),
+    (4, (2,)), (4, (2, 2)),
+]
+
+
+class TestLazyScan:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        shape=st.sampled_from(SMALL_TOWERS),
+        style=st.sampled_from(["uniform", "periodic", "sparse"]),
+        seed=st.integers(0, 2**32),
+        lo=st.integers(1, 40),
+    )
+    def test_matches_dense_reference(self, shape, style, seed, lo):
+        c, ks = shape
+        size = tower_params(ks, c, len(ks)).size(len(ks))
+        rng = random.Random(seed)
+        if style == "uniform":
+            colors = [rng.randint(1, c) for _ in range(size)]
+        elif style == "periodic":
+            pattern = [rng.randint(1, c) for _ in range(rng.randint(1, 12))]
+            colors = [pattern[i % len(pattern)] for i in range(size)]
+        else:
+            colors = [1] * size
+            for _ in range(rng.randint(0, 4)):
+                colors[rng.randrange(size)] = rng.randint(1, c)
+        _agrees_with_dense(c, ks, tuple(colors), lo)
+
+    def test_reads_stop_at_the_least_progression(self):
+        # stage 2 of a c=4 tower has 1025 blocks of 5 cells; the least pair of
+        # equal blocks is blocks 0 and 1
+        class Counting(PeriodicOracle):
+            cells = 0
+
+            def _colors(self, lo, hi):
+                Counting.cells += hi - lo + 1
+                return super()._colors(lo, hi)
+
+        p = tower_params(2, 4, 2)
+        w = extract(Counting((1, 2, 3, 4, 1), 4), Interval(1, 5), 2, p)
+        assert (w.gamma, w.a, w.ds) == (1, 1, (4, 5))
+        assert Counting.cells == 10
+
+    def test_an_in_order_scan_reads_in_doubling_batches(self):
+        # block b < 1024 of the c=4 stage-2 tower spells b in base 4, so block
+        # 0 first recurs at block 1024 and the scan reads all 1025 blocks in
+        # order: once each, in 12 batches rather than 1025 reads
+        colors = tuple(1 + (b >> 2 * i) % 4 for b in range(1025) for i in range(5))
+        col = FiniteColoring(4, Interval(1, len(colors)), colors)
+
+        class Counting(PrefixOracle):
+            calls = cells = 0
+
+            def _colors(self, lo, hi):
+                Counting.calls += 1
+                Counting.cells += hi - lo + 1
+                return super()._colors(lo, hi)
+
+        p = tower_params(2, 4, 2)
+        w = extract(Counting(col, 1, 4), Interval(1, 5), 2, p)
+        assert (w.a, w.ds) == (1, (1, 1024 * 5))
+        assert (Counting.calls, Counting.cells) == (12, len(colors))
+
+    def test_read_ahead_stops_at_a_block_already_read(self):
+        reads = []
+        cells = tuple(range(1, 11))
+
+        def read(i, j):
+            reads.append((i, j))
+            return cells[i:j]
+
+        stage = _Stage(read, 1, 10)
+        assert [stage[b] for b in (5, 0, 1, 2, 4, 5, 6)] == [1, 2, 3, 4, 6, 1, 7]
+        assert reads == [(5, 6), (0, 1), (1, 2), (2, 4), (4, 5), (6, 10)]
+
+    def test_oracle_colors_outside_the_palette(self):
+        # block 1 holds a 3; the scan reads it but selects blocks 0 and 2
+        colors = (1, 2, 2, 3, 1, 1, 1, 2, 2) + (1,) * 18
+
+        class Bad(ColorOracle):
+            c = 2
+
+            def _color(self, p):
+                return colors[p - 1]
+
+        with pytest.raises(DomainError, match=r"colors must lie in \[1, 2\]"):
+            extract(Bad(), Interval(1, 3), 2, tower_params(2, 2, 2))
+
+    def test_oracle_reads_are_capped(self, monkeypatch):
+        p = tower_params(2, 1, 4)
+        monkeypatch.setenv("VDW_MAX_CELLS", "16")
+        extract(ConstantOracle(1), Interval(1, 2), 4, p)  # reads all 16 cells
+        monkeypatch.setenv("VDW_MAX_CELLS", "15")
+        with pytest.raises(MaterializationLimitError):
+            extract(ConstantOracle(1), Interval(1, 2), 4, p)
+
+
 class TestCompress:
+    """Block compression, the interning step of extract, through the dense
+    reference comparison."""
+
     def test_identical_blocks(self):
-        comp = compress(coloring_of("122122122", 2), 3, 3)
-        assert comp.ids == (1, 1, 1)
-        assert comp.palette_size == 1
+        trace = _agrees_with_dense(2, (2, 2), tuple(int(x) for x in "122" * 9))
+        assert trace == [{"stage": 2, "b1": 0, "dstar": 1, "block_size": 3, "palette_size": 1}]
 
     def test_all_pairs_equal(self):
-        assert compress(coloring_of("121212", 2), 2, 3).ids == (1, 1, 1)
+        # period 4 in 4-cell blocks: all 82 blocks of the c=3 tower agree
+        trace = _agrees_with_dense(3, (2, 2), (1, 2, 3, 3) * 82)
+        assert trace[0]["palette_size"] == 1
 
     def test_first_occurrence_interning(self):
-        comp = compress(coloring_of("112211", 2), 2, 3)
-        assert comp.ids == (1, 2, 1)
-        assert comp.palette == {(1, 1): 1, (2, 2): 2}
+        # blocks 112, 221, 112, ...: ids 1, 2, 1 give the least step 2
+        colors = tuple(int(x) for x in "112221" * 4 + "112")
+        trace = _agrees_with_dense(2, (2, 2), colors)
+        assert trace == [{"stage": 2, "b1": 0, "dstar": 2, "block_size": 3, "palette_size": 2}]
 
     def test_size_mismatch(self):
+        p = tower_params(2, 2, 2)
         with pytest.raises(DomainError):
-            compress(coloring_of("1212", 2), 3, 2)
+            extract(coloring_of("12" * 13, 2), Interval(1, 3), 2, p)
+        with pytest.raises(ValueError):
+            dense_extract((1, 2) * 13, 1, (2, 2), p.W)
 
     def test_ids_coloring_positions(self):
-        comp = compress(coloring_of("112211", 2), 2, 3)
-        ids = comp.ids_coloring()
-        assert ids.domain == Interval(1, 3)
-        assert ids.color_at(2) == 2
+        # blocks 0..7 are the eight 3-cell patterns and block 8 repeats block
+        # 1, so the progression starts at block index 1 (position 4)
+        blocks = ["111", "112", "121", "122", "211", "212", "221", "222", "112"]
+        trace = _agrees_with_dense(2, (2, 2), tuple(int(x) for x in "".join(blocks)), lo=5)
+        assert trace == [{"stage": 2, "b1": 1, "dstar": 7, "block_size": 3, "palette_size": 8}]
 
     def test_palette_bound(self):
         rng = random.Random(1)
         for _ in range(100):
-            nb, bs = rng.randint(1, 6), rng.randint(1, 4)
-            colors = tuple(rng.randint(1, 2) for _ in range(nb * bs))
-            col = FiniteColoring(2, Interval(1, nb * bs), colors)
-            comp = compress(col, bs, nb)
-            assert comp.palette_size <= min(nb, 2**bs)
-            # equal ids demand positionwise equality
-            for i in range(nb):
-                for j in range(nb):
-                    same = colors[i * bs : (i + 1) * bs] == colors[j * bs : (j + 1) * bs]
-                    assert (comp.ids[i] == comp.ids[j]) == same
+            colors = tuple(rng.randint(1, 2) for _ in range(27))
+            trace = _agrees_with_dense(2, (2, 2), colors)
+            distinct = len({colors[i : i + 3] for i in range(0, 27, 3)})
+            assert trace[0]["palette_size"] == distinct <= min(9, 2**3)
 
 
 class TestExtractBase:
@@ -174,6 +302,6 @@ class TestCheckedMode:
 
     def test_block_shift_detects_mismatch(self):
         # feed the checker blocks that are not actual copies
-        col = coloring_of("111222", 2)
+        colors = coloring_of("111222", 2).colors
         with pytest.raises(InvariantViolationError):
-            _check_block_shift(col, 0, 1, 3, 2)
+            _check_block_shift(lambda i, j: colors[i:j], 0, 1, 3, 2, colors[:3])

@@ -157,6 +157,24 @@ class TestRunStreamProof:
         assert out.state.achieved_depth >= 1
         assert all(r.verified for r in out.depths)
 
+    def test_reads_only_the_scanned_blocks(self):
+        # window 3 is a stage-2 tower of 6^7 + 1 blocks of 7 cells
+        class Counting(PeriodicOracle):
+            cells = 0
+
+            def _color(self, p):
+                Counting.cells += 1
+                return super()._color(p)
+
+            def _colors(self, lo, hi):
+                Counting.cells += hi - lo + 1
+                return super()._colors(lo, hi)
+
+        out = run_stream(Counting((3, 1, 4, 1, 5, 2, 6, 5, 3), 6), 2, 6, 2, 3, "proof")
+        assert out.state.witnesses[-1].window.size() == 7 * (6**7 + 1)
+        assert all(r.verified for r in out.depths)
+        assert Counting.cells < 1000
+
     def test_nested_survivors(self):
         out = run_stream(ConstantOracle(1), 2, 1, 4, 8, "proof")
         sets = out.state.survivor_sets
