@@ -33,22 +33,28 @@ class InvariantViolationError(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
-def max_cells_limit(explicit: int | None = None) -> int:
-    """Cell cap for dense colorings: explicit argument, else VDW_MAX_CELLS, else 2^26."""
+def _limit(explicit: int | None, what: str, env: str, default: int) -> int:
+    """A positive limit: explicit argument, else environment variable env,
+    else default. Bad values raise DomainError naming what or env."""
     if explicit is not None:
         if explicit < 1:
-            raise DomainError(f"cell limit must be >= 1, got {explicit}")
+            raise DomainError(f"{what} must be >= 1, got {explicit}")
         return explicit
-    env = os.environ.get("VDW_MAX_CELLS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise DomainError(f"VDW_MAX_CELLS is not an integer: {env!r}") from exc
-        if value < 1:
-            raise DomainError(f"VDW_MAX_CELLS must be >= 1, got {value}")
-        return value
-    return DEFAULT_MAX_CELLS
+    raw = os.environ.get(env)
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise DomainError(f"{env} is not an integer: {raw!r}") from exc
+    if value < 1:
+        raise DomainError(f"{env} must be >= 1, got {value}")
+    return value
+
+
+def max_cells_limit(explicit: int | None = None) -> int:
+    """Cell cap for dense colorings: explicit argument, else VDW_MAX_CELLS, else 2^26."""
+    return _limit(explicit, "cell limit", "VDW_MAX_CELLS", DEFAULT_MAX_CELLS)
 
 
 @dataclass(frozen=True)
@@ -66,12 +72,6 @@ class Interval:
 
     def size(self) -> int:
         return self.hi - self.lo + 1
-
-    def element(self, i: int) -> int:
-        """The i-th element, 1 <= i <= size()."""
-        if not 1 <= i <= self.size():
-            raise DomainError(f"index {i} outside [1, {self.size()}]")
-        return self.lo + i - 1
 
     def __contains__(self, p: int) -> bool:
         return self.lo <= p <= self.hi
@@ -109,15 +109,6 @@ class FiniteColoring:
                 f"position {p} outside domain [{self.domain.lo}, {self.domain.hi}]"
             )
         return self.colors[p - self.domain.lo]
-
-    def restrict(self, iv: Interval) -> "FiniteColoring":
-        """The same coloring on a sub-interval of the domain."""
-        if iv.lo not in self.domain or iv.hi not in self.domain:
-            raise DomainError(
-                f"[{iv.lo}, {iv.hi}] is not inside [{self.domain.lo}, {self.domain.hi}]"
-            )
-        off = iv.lo - self.domain.lo
-        return FiniteColoring(self.c, iv, self.colors[off : off + iv.size()])
 
 
 class ColorOracle:
@@ -375,9 +366,6 @@ class CubeWitness:
     def dim(self) -> int:
         return len(self.ds)
 
-    def positions(self) -> tuple[int, ...]:
-        return cube_positions(self)
-
     def max_position(self) -> int:
         return self.a + sum((k - 1) * d for d, k in zip(self.ds, self.ks))
 
@@ -419,11 +407,16 @@ def _cube_positions(w: CubeWitness, max_cells: int | None) -> tuple[int, ...]:
             for j in range(1, k):
                 pts += map((j * d).__add__, lower)
         return tuple(pts)
+    # Sums collide: grow a set by doubling the run of copies j*d it holds, so
+    # each dimension costs about log2(k) unions, each no larger than its result.
     grown = {w.a}
     for d, k in dims:
-        lower = tuple(grown)
-        for j in range(1, k):
-            grown.update(map((j * d).__add__, lower))
+        m = 1  # grown holds the copies j*d for 0 <= j < m
+        while 2 * m <= k:
+            grown |= set(map((m * d).__add__, grown))
+            m *= 2
+        if m < k:  # k/2 < m < k: the copies from k-m on cover the rest
+            grown |= set(map(((k - m) * d).__add__, grown))
     return tuple(sorted(grown))
 
 

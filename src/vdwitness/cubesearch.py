@@ -27,31 +27,10 @@ in the tests, not by a second copy of the search here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import CubeWitness, DomainError, FiniteColoring, LimitError
 from .wnumbers import _avoid
-
-
-@dataclass(frozen=True)
-class SearchBounds:
-    """Per-dimension caps on the differences d_i; absent caps mean domain-bounded."""
-
-    caps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "caps", tuple(self.caps))
-        if self.caps and min(self.caps) < 1:
-            raise DomainError("difference caps must be >= 1")
-
-    @classmethod
-    def of(cls, caps: Sequence[int] | "SearchBounds" | None) -> "SearchBounds | None":
-        if caps is None:
-            return None
-        if isinstance(caps, SearchBounds):
-            return caps
-        return cls(tuple(caps))
 
 
 class CapExceededError(LimitError):
@@ -64,6 +43,17 @@ class CapExceededError(LimitError):
         self.ks = ks
         self.c = c
         self.cap = cap
+
+
+def _check_caps(caps: Sequence[int] | None) -> tuple[int, ...] | None:
+    """Per-dimension caps on the differences d_i as a tuple; None means
+    domain-bounded."""
+    if caps is None:
+        return None
+    caps = tuple(caps)
+    if caps and min(caps) < 1:
+        raise DomainError("difference caps must be >= 1")
+    return caps
 
 
 def _validate_ks(ks: Sequence[int]) -> tuple[int, ...]:
@@ -94,7 +84,7 @@ def _stride_mask(cells: bytes | tuple[int, ...], gamma: int, j: int, r: int) -> 
 def find_cube(
     coloring: FiniteColoring,
     ks: Sequence[int],
-    bounds: Sequence[int] | SearchBounds | None = None,
+    bounds: Sequence[int] | None = None,
     *,
     distinct: bool = False,
 ) -> CubeWitness | None:
@@ -106,7 +96,7 @@ def find_cube(
     within the domain and caps.
     """
     ks = _validate_ks(ks)
-    bounds = SearchBounds.of(bounds)
+    bounds = _check_caps(bounds)
     colors = coloring.colors
     n = len(colors)
     last = len(ks) - 1
@@ -117,7 +107,7 @@ def find_cube(
     limits = [-1] * len(ks)
     widest = n
     if bounds is not None:
-        caps = [min(cap, n) for cap in bounds.caps[: len(ks)]]
+        caps = [min(cap, n) for cap in bounds[: len(ks)]]
         for i, cap in enumerate(caps):
             limits[i] = (2 << cap) - 1
         if len(caps) == len(ks):

@@ -55,14 +55,15 @@ class _Stage(dict):
 
     A block is read and interned on its first lookup. Ids number the
     distinct patterns in the order they were first read, so equal ids mean
-    equal colors at every offset, and blocks[id - 1] is the pattern of id.
+    equal colors at every offset, and the id-th key of patterns is the
+    pattern of id.
     A lookup just past the run of blocks read from block 0 reads ahead as
     many blocks as that run holds (at most about _BATCH_CELLS cells), so a
     scan that walks the blocks in order reads at most about twice what it
     looks at, in few batches, and no block is read twice.
     """
 
-    __slots__ = ("read", "size", "count", "patterns", "blocks", "front")
+    __slots__ = ("read", "size", "count", "patterns", "front")
 
     def __init__(self, read: _Reader, size: int, count: int) -> None:
         super().__init__()
@@ -70,12 +71,11 @@ class _Stage(dict):
         self.size = size
         self.count = count
         self.patterns: dict[tuple[int, ...], int] = {}
-        self.blocks: list[tuple[int, ...]] = []
         self.front = 0  # every block below front has been read
 
     def intern(self, b0: int, b1: int) -> list[int]:
         """The ids of blocks b0..b1-1, read in batches and interned."""
-        size, patterns, blocks = self.size, self.patterns, self.blocks
+        size, patterns = self.size, self.patterns
         step = max(1, _BATCH_CELLS // size)
         ids: list[int] = []
         for lo in range(b0, b1, step):
@@ -84,8 +84,6 @@ class _Stage(dict):
                 patterns.setdefault(cells[i : i + size], len(patterns) + 1)
                 for i in range(0, len(cells), size)
             ]
-        # The patterns added last, in id order.
-        blocks += reversed(list(islice(reversed(patterns), len(patterns) - len(blocks))))
         return ids
 
     def __missing__(self, b: int) -> int:
@@ -202,7 +200,7 @@ def _extract(
         if hit is None:
             raise InvariantViolationError(
                 f"no length-{ks[m - 1]} progression among {count} blocks with "
-                f"{len(stage.blocks)} patterns at stage {m}"
+                f"{len(stage.patterns)} patterns at stage {m}"
             )
         b1, dstar = hit
         if trace is not None:
@@ -212,10 +210,10 @@ def _extract(
                     "b1": b1,
                     "dstar": dstar,
                     "block_size": size,
-                    "palette_size": len(stage.blocks),
+                    "palette_size": len(stage.patterns),
                 }
             )
-        block = stage.blocks[ids[b1] - 1]
+        block = next(islice(stage.patterns, ids[b1] - 1, None))
         if checked:
             _check_block_shift(raw, b1, dstar, size, ks[m - 1], block)
         ds_rev.append(dstar * size)

@@ -37,7 +37,7 @@ from .core import (
     _first_violation,
     materialize,
 )
-from .cubesearch import SearchBounds, find_cube
+from .cubesearch import _check_caps, find_cube
 from .extractor import _extract
 from .tower import TowerParams, build_tower_interval, tower_params
 
@@ -108,7 +108,6 @@ class DepthRecord:
 @dataclass(frozen=True)
 class StreamOutcome:
     mode: str
-    ks: tuple[int, ...]
     windows: int
     state: StreamState
     depths: tuple[DepthRecord, ...]
@@ -159,9 +158,8 @@ def solve_window(
     ks: tuple[int, ...],
     params: TowerParams | None = None,
     base: Interval | None = None,
-    caps: SearchBounds | None = None,
+    caps: Sequence[int] | None = None,
     max_cells: int | None = None,
-    checked: bool = False,
 ) -> WindowWitness:
     """Solve one window at dimension min(available, depth).
 
@@ -177,13 +175,12 @@ def solve_window(
             raise DomainError("proof mode needs tower parameters and a base interval")
         dim = min(_proof_stage(m), depth)
         w = _extract(
-            oracle, base, dim, params, checked=checked, trace=None, max_cells=max_cells
+            oracle, base, dim, params, checked=False, trace=None, max_cells=max_cells
         )
     elif mode == SEARCH:
         dim = min(m, depth)
         coloring = materialize(oracle, window, max_cells)
-        sub_caps = SearchBounds(caps.caps[:dim]) if caps is not None else None
-        w = find_cube(coloring, ks[:dim], sub_caps)
+        w = find_cube(coloring, ks[:dim], caps)
         if w is None:
             raise WindowFailureError(m, window)
     else:
@@ -251,12 +248,10 @@ def run_stream(
     mode: str,
     *,
     window_size: int | None = None,
-    caps: Sequence[int] | SearchBounds | None = None,
+    caps: Sequence[int] | None = None,
     skip_failures: bool = False,
     search_limit: int | None = None,
-    max_bits: int | None = None,
     max_cells: int | None = None,
-    checked: bool = False,
 ) -> StreamOutcome:
     """Drive a full stream: build windows, solve each, stabilize, re-verify.
 
@@ -276,7 +271,7 @@ def run_stream(
         raise DomainError(f"{len(ks_seq)} side lengths for depth {depth}")
     if oracle.c != c:
         raise DomainError(f"oracle has {oracle.c} colors, expected {c}")
-    bounds = SearchBounds.of(caps)
+    caps = _check_caps(caps)
     if mode not in (PROOF, SEARCH):
         raise DomainError(f"unknown mode {mode!r}")
     if mode == SEARCH and (window_size is None or window_size < 1):
@@ -289,9 +284,7 @@ def run_stream(
         # keeps them nondecreasing.
         stages = max(1, windows - 1, depth)
         padded = ks_seq + (ks_seq[-1],) * (stages - depth)
-        params = tower_params(
-            padded, c, stages, search_limit=search_limit, max_bits=max_bits
-        )
+        params = tower_params(padded, c, stages, search_limit=search_limit)
 
     witnesses: list[WindowWitness] = []
     skipped: list[int] = []
@@ -321,9 +314,8 @@ def run_stream(
                     ks=ks_seq,
                     params=params,
                     base=base,
-                    caps=bounds,
+                    caps=caps,
                     max_cells=max_cells,
-                    checked=checked,
                 )
             )
         except WindowFailureError:
@@ -349,7 +341,6 @@ def run_stream(
         )
     return StreamOutcome(
         mode=mode,
-        ks=ks_seq,
         windows=windows,
         state=state,
         depths=tuple(records),

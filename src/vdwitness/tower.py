@@ -20,7 +20,7 @@ from typing import Sequence
 from .core import DomainError, Interval, LimitError, translate
 from .wnumbers import SearchLimitError, _check_digits, _show, vdw_value
 
-DEFAULT_MAX_BITS = 1 << 22
+MAX_PALETTE_BITS = 1 << 22
 
 
 class TowerUncomputableError(LimitError):
@@ -51,13 +51,6 @@ class TowerParams:
     def stages(self) -> int:
         return len(self.W)
 
-    @property
-    def k(self) -> int:
-        """The common progression length; defined only for uniform parameter sets."""
-        if len(set(self.ks)) != 1:
-            raise DomainError("parameters are not uniform in k")
-        return self.ks[0]
-
     def w(self, m: int) -> int:
         if not 1 <= m <= self.stages:
             raise DomainError(f"stage {m} outside [1, {self.stages}]")
@@ -84,7 +77,6 @@ def tower_params(
     n: int,
     *,
     search_limit: int | None = None,
-    max_bits: int | None = None,
 ) -> TowerParams:
     """Stage parameters for n stages; ks is one progression length for every
     stage or n per-stage lengths (nondecreasing, each >= 2)."""
@@ -99,7 +91,6 @@ def tower_params(
         raise DomainError("progression lengths must be nondecreasing")
     if c < 1:
         raise DomainError(f"number of colors must be >= 1, got {c}")
-    bit_budget = DEFAULT_MAX_BITS if max_bits is None else max_bits
     W: list[int] = [_stage_w(ks[0], c, 1, search_limit)]
     C: list[int] = []
     sizes: list[int] = [W[0]]
@@ -108,9 +99,9 @@ def tower_params(
             cm = 1
         else:
             # c_m = c^(W_{m-1}...W_1); refuse to materialize beyond the bit budget.
-            if sizes[-1] * (c.bit_length() - 1) > bit_budget:
+            if sizes[-1] * (c.bit_length() - 1) > MAX_PALETTE_BITS:
                 raise TowerUncomputableError(
-                    m, f"palette bound c^{sizes[-1]} exceeds {bit_budget} bits"
+                    m, f"palette bound c^{sizes[-1]} exceeds {MAX_PALETTE_BITS} bits"
                 )
             cm = c ** sizes[-1]
         C.append(cm)

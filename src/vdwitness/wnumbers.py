@@ -17,7 +17,6 @@ search with its own side lengths.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .core import (
@@ -26,6 +25,7 @@ from .core import (
     Interval,
     LimitError,
     MaterializationLimitError,
+    _limit,
     max_cells_limit,
 )
 
@@ -79,25 +79,9 @@ class WNumberResult:
     value: int
     certificate: FiniteColoring
 
-    def certificate_colors(self) -> tuple[int, ...]:
-        return self.certificate.colors
-
 
 def search_limit_default(explicit: int | None = None) -> int:
-    if explicit is not None:
-        if explicit < 1:
-            raise DomainError(f"search limit must be >= 1, got {explicit}")
-        return explicit
-    env = os.environ.get("VDW_WNUMBER_LIMIT")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise DomainError(f"VDW_WNUMBER_LIMIT is not an integer: {env!r}") from exc
-        if value < 1:
-            raise DomainError(f"VDW_WNUMBER_LIMIT must be >= 1, got {value}")
-        return value
-    return DEFAULT_SEARCH_LIMIT
+    return _limit(explicit, "search limit", "VDW_WNUMBER_LIMIT", DEFAULT_SEARCH_LIMIT)
 
 
 def _cube_tails(ks: tuple[int, ...], reach: int) -> tuple[int, ...]:

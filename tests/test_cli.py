@@ -296,6 +296,20 @@ class TestLimits:
         )
         assert code == 0 and out_json(out) == {"verified": True}
 
+    def test_verify_collapsing_cube_quickly(self, capsys, tmp_path):
+        # 10^10 index tuples collapse onto 199,999 positions, a span far
+        # under the cell limit; the expansion must not cost k per position
+        witness_path = tmp_path / "w.json"
+        witness_path.write_text(
+            json.dumps({"gamma": 1, "a": 1, "ds": [1, 1], "ks": [100000] * 2})
+        )
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "verify", "--witness", str(witness_path), "--oracle", "constant:1"
+        )
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 0 and out_json(out) == {"verified": True}
+
 
 class TestStream:
     def test_determinism(self, capsys):
@@ -440,6 +454,21 @@ class TestInputErrors:
         )
         assert (code, out) == (2, "")
         assert err.startswith("bad witness object") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--ks", "2", "--coloring", "COLORING", "--bounds", "0"],
+            ["stream", "--oracle", "constant:1", "--k", "2", "--c", "1", "--depth", "2",
+             "--windows", "4", "--mode", "search", "--window-size", "16", "--caps", "0,4"],
+            ["stream", "--oracle", "constant:1", "--k", "2", "--c", "1", "--depth", "2",
+             "--windows", "4", "--mode", "proof", "--caps", "0,4"],
+        ],
+    )
+    def test_non_positive_caps(self, capsys, coloring_122, argv):
+        argv = [coloring_122 if a == "COLORING" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "difference caps must be >= 1\n")
 
     def test_bad_threads(self, capsys):
         assert run_cli(capsys, "wnumber", "--k", "2", "--c", "2", "--threads", "0")[0] == 2

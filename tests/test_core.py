@@ -31,8 +31,6 @@ class TestInterval:
     def test_basics(self):
         iv = Interval(3, 7)
         assert iv.size() == 5
-        assert iv.element(1) == 3
-        assert iv.element(5) == 7
         assert 3 in iv and 7 in iv and 8 not in iv
 
     def test_invalid(self):
@@ -40,10 +38,6 @@ class TestInterval:
             Interval(0, 5)
         with pytest.raises(DomainError):
             Interval(5, 4)
-        with pytest.raises(DomainError):
-            Interval(1, 3).element(4)
-        with pytest.raises(DomainError):
-            Interval(1, 3).element(0)
 
 
 class TestTranslate:
@@ -89,7 +83,7 @@ class TestCubePositions:
         data=st.data(),
     )
     def test_matches_product_expansion(self, a, ds, data):
-        ks = data.draw(st.lists(st.integers(2, 4), min_size=len(ds), max_size=len(ds)))
+        ks = data.draw(st.lists(st.integers(2, 9), min_size=len(ds), max_size=len(ds)))
         w = CubeWitness(1, a, tuple(ds), tuple(ks))
         pts = cube_positions(w)
         assert set(pts) == expand_cube(a, ds, ks)
@@ -291,11 +285,6 @@ class TestColoringAndMaterialize:
         assert col.color_at(7) == 3
         with pytest.raises(DomainError):
             col.color_at(4)
-        sub = col.restrict(Interval(7, 9))
-        assert sub.colors == (3, 1, 2)
-        assert sub.color_at(8) == 1
-        with pytest.raises(DomainError):
-            col.restrict(Interval(9, 12))
 
     def test_materialize_and_limit(self):
         col = materialize(PeriodicOracle((1, 2)), Interval(3, 8))

@@ -9,7 +9,6 @@ from vdwitness import (
     DomainError,
     FiniteColoring,
     Interval,
-    SearchBounds,
     ThueMorseOracle,
     cube_number,
     cube_positions,
@@ -125,7 +124,7 @@ class TestFindCube:
             # absent means absent: the unbounded least witness violates a cap
             unbounded = find_cube(col, (2, 2))
             if w is None and unbounded is not None:
-                refit = find_cube(col, (2, 2), SearchBounds(caps))
+                refit = find_cube(col, (2, 2), tuple(caps))
                 assert refit is None
 
     def test_bounds_can_exclude_everything(self):
@@ -253,7 +252,7 @@ class TestFindCube:
         with pytest.raises(DomainError):
             find_cube(col, [1])
         with pytest.raises(DomainError):
-            SearchBounds((0,))
+            find_cube(col, [2], (0,))
 
 
 class TestOracleDominance:

@@ -9,7 +9,6 @@ from vdwitness import (
     EventuallyPeriodicOracle,
     Interval,
     PeriodicOracle,
-    SearchBounds,
     SeededRandomOracle,
     ThueMorseOracle,
     WindowFailureError,
@@ -64,7 +63,7 @@ class TestSolveWindow:
     def test_search_mode_thue_morse(self):
         ww = solve_window(
             ThueMorseOracle(), Interval(1, 16), 2, "search",
-            depth=2, ks=(2, 2), caps=SearchBounds((8, 8)),
+            depth=2, ks=(2, 2), caps=(8, 8),
         )
         assert (ww.e, ww.ls, ww.gamma) == (1, (3, 3), 1)
 

@@ -65,7 +65,6 @@ class TestParams:
 
     def test_accessors(self):
         p = tower_params(2, 2, 2)
-        assert p.k == 2
         assert p.w(2) == 9
         assert p.size(2) == 27
         with pytest.raises(DomainError):
