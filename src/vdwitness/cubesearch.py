@@ -17,8 +17,11 @@ has no bits past the end of the domain, so the domain bound needs no check.
 The work is bounded by the caps, not by the window: rows keep only the
 differences up to the widest cap and live for one anchor, and the masks
 cover a segment of the window that holds every cell the cubes of the next
-anchors can reach, rebuilt when the anchors pass it. Without caps one
-segment is the whole window.
+anchors can reach, rebuilt when the anchors pass it. When the cubes of one
+anchor can reach the end of the window (no caps), the masks cover a prefix
+instead, with every bit past it set, and the prefix doubles whenever the
+least cube it cannot rule out leaves it, so the work is bounded by how far
+the search reads.
 
 cube_number is the W(k, c) avoidance search (wnumbers._avoid) run with cube
 hyperedges. Its rows are checked independently, by the naive cube expansion
@@ -27,6 +30,7 @@ in the tests, not by a second copy of the search here.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from .core import CubeWitness, DomainError, FiniteColoring, LimitError
@@ -69,6 +73,8 @@ def _validate_ks(ks: Sequence[int]) -> tuple[int, ...]:
 # a few hundred bits costs no more than a short one, and with small caps a
 # longer segment rebuilds its masks less often.
 _MIN_STEP = 256
+# Cells in the first prefix of a window whose cubes may reach its end.
+_MIN_PREFIX = 1 << 12
 # Translate tables sending byte gamma to b"1" and every other byte to b"0".
 _ONE_HOT = [b"0" * gamma + b"1" + b"0" * (255 - gamma) for gamma in range(256)]
 
@@ -77,8 +83,8 @@ def _stride_mask(cells: bytes | tuple[int, ...], gamma: int, j: int, r: int) -> 
     """Bit t set iff cells[r + t*j] == gamma; cells are bytes when the
     palette fits in a byte."""
     if isinstance(cells, bytes):
-        return int(cells[r::j][::-1].translate(_ONE_HOT[gamma]), 2)
-    return int("".join(["01"[x == gamma] for x in cells[r::j][::-1]]), 2)
+        return int(cells[r::j][::-1].translate(_ONE_HOT[gamma]) or b"0", 2)
+    return int("".join(["01"[x == gamma] for x in cells[r::j][::-1]]) or "0", 2)
 
 
 def find_cube(
@@ -114,15 +120,31 @@ def find_cube(
             widest = max(caps)
     # Rows keep the differences up to widest, so a search from anchor a
     # reads only the cells in [a, a + reach].
-    cut = (2 << widest) - 1
     reach = (sum(ks) - len(ks)) * widest
-    # The stride masks cover the segment [base, base + step + reach) of the
-    # window: every cell read from the anchors [base, base + step). Without
-    # caps reach >= n, so one segment is the whole window.
-    step = max(reach + 1, _MIN_STEP)
-    base, segment = -step, colors
+    # The stride masks cover the segment [base, base + len(segment)) of the
+    # window. With reach < n it is [base, base + step + reach): every cell
+    # read from the anchors [base, base + step). Otherwise it is a prefix
+    # [0, known), or the whole window when known == n. Past a prefix the
+    # masks have every bit set, as if each later cell matched, so a search
+    # finds the least cube that the prefix does not rule out; one that ends
+    # inside the prefix is a real witness and the least, and any other
+    # doubles the prefix and searches the anchor again.
+    step = max(reach + 1, _MIN_STEP) if reach < n else n
+    cut = (2 << widest) - 1 if reach < n else -1
+    base = known = 0
+    segment: bytes | tuple[int, ...] = ()
     strides: dict[tuple[int, int, int], int] = {}  # (gamma, j, r) -> stride mask
     rows: dict[int, dict[int, int]] = {}  # k -> {cell: row}
+
+    def load(lo: int, hi: int) -> None:
+        """Mask the cells [lo, hi) of the window from now on."""
+        nonlocal base, known, segment
+        base, segment = lo, colors[lo:hi]
+        if coloring.c < 256:
+            segment = bytes(segment)
+        known = n if reach < n or hi >= n else hi
+        strides.clear()
+        rows.clear()
 
     def descend(level: int, pts: list[int], prev_d: int) -> tuple[int, ...] | None:
         """Least (d_level, ..., d_last) extending the cube on the cell
@@ -144,15 +166,21 @@ def find_cube(
             row = memo.get(p)
             if row is None:
                 # Bit d of row, for d up to widest: cells p, p+d, ...,
-                # p+(k-1)d all have p's colour. They lie in the segment.
-                gamma = colors[p]
+                # p+(k-1)d all have p's colour or lie past a prefix.
+                try:
+                    gamma = colors[p]
+                except IndexError:  # p is past the window, so past a prefix
+                    gamma = 0  # no cell has colour 0
                 q = p - base
                 row = cut
                 for j in range(1, k):
                     key = (gamma, j, q % j)
                     mask = strides.get(key)
                     if mask is None:
-                        mask = strides[key] = _stride_mask(segment, *key)
+                        mask = _stride_mask(segment, *key)
+                        if known < n:
+                            mask |= -1 << len(range(key[2], len(segment), j))
+                        strides[key] = mask
                     row &= mask >> (q // j)
                 memo[p] = row
             valid &= row
@@ -172,17 +200,17 @@ def find_cube(
                 return (d, *rest)
         return None
 
+    load(0, step + reach if reach < n else _MIN_PREFIX)
     for a in range(n):
         if a == base + step:  # the anchors left the segment: move it to a
-            base = a
-            segment = colors[a : a + step + reach]
-            if coloring.c < 256:
-                segment = bytes(segment)
-            strides.clear()
+            load(a, a + step + reach)
         # Rows are memoized within one anchor: every cube point lies at or
         # after its anchor, so no later anchor reads an earlier row.
         rows.clear()
         ds = descend(0, [a], 0)
+        while ds is not None and a + sum(map(mul, ds, ks)) - sum(ds) >= known:
+            load(0, 2 * known)  # the cube leaves the prefix: double it
+            ds = descend(0, [a], 0)
         if ds is not None:
             return CubeWitness(colors[a], coloring.domain.lo + a, ds, ks)
     return None

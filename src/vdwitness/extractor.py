@@ -14,10 +14,13 @@ A block is read and interned only when the progression scan (least block
 first, then least step) first looks at it, or when a scan walking the
 blocks in order reads ahead past it (never further ahead than it has
 already read), so a stage whose least progression of equal blocks starts
-near its first block is read only about that far. The recursion works on
-the colors of the selected block that the scan has already read: one
-extraction reads each cell at most once. The source is a finite coloring or
-an oracle; oracle reads, read-ahead included, count against the cell limit.
+near its first block is read only about that far. The scan jumps from a
+block to the next block with the same id (_Stage.index), which looks the
+blocks between them up in order, so it reads what a block-by-block scan
+would read. The recursion works on the colors of the selected block that
+the scan has already read: one extraction reads each cell at most once. The
+source is a finite coloring or an oracle; oracle reads, read-ahead included,
+count against the cell limit.
 A trace reports how many patterns the whole stage has, so with a trace
 every block of a stage is interned before its scan.
 
@@ -60,10 +63,11 @@ class _Stage(dict):
     A lookup just past the run of blocks read from block 0 reads ahead as
     many blocks as that run holds (at most about _BATCH_CELLS cells), so a
     scan that walks the blocks in order reads at most about twice what it
-    looks at, in few batches, and no block is read twice.
+    looks at, in few batches, and no block is read twice. run holds the
+    ids of that run as a list, which index searches at C speed.
     """
 
-    __slots__ = ("read", "size", "count", "patterns", "front")
+    __slots__ = ("read", "size", "count", "patterns", "run")
 
     def __init__(self, read: _Reader, size: int, count: int) -> None:
         super().__init__()
@@ -71,7 +75,27 @@ class _Stage(dict):
         self.size = size
         self.count = count
         self.patterns: dict[tuple[int, ...], int] = {}
-        self.front = 0  # every block below front has been read
+        self.run: list[int] = []  # the ids of blocks 0..len(run)-1, all read
+
+    def index(self, value: int, start: int, stop: int) -> int:
+        """Least block b in [start, stop) whose id is value, else ValueError.
+
+        Blocks are looked up in ascending order up to the answer, so the
+        reads are those of looking up start, start + 1, ... one by one.
+        """
+        run = self.run
+        b = start
+        while b < stop:
+            if b < len(run):
+                try:
+                    return run.index(value, b, stop)
+                except ValueError:
+                    b = len(run)
+            elif self[b] == value:  # reads ahead when b is the front
+                return b
+            else:
+                b += 1
+        raise ValueError(f"no block with id {value} in [{start}, {stop})")
 
     def intern(self, b0: int, b1: int) -> list[int]:
         """The ids of blocks b0..b1-1, read in batches and interned."""
@@ -87,17 +111,19 @@ class _Stage(dict):
         return ids
 
     def __missing__(self, b: int) -> int:
+        run = self.run
         stop = b + 1
-        if b == self.front:
+        if b == len(run):
             stop = min(self.count, b + max(1, min(b, _BATCH_CELLS // self.size)))
             if len(self) > b:
                 # A block past the front was read out of order: stop before it.
                 stop = next((x for x in range(b + 1, stop) if x in self), stop)
-        self.update(zip(range(b, stop), self.intern(b, stop)))
-        if b == self.front:
-            self.front = stop
-            while self.front in self:
-                self.front += 1
+        ids = self.intern(b, stop)
+        self.update(zip(range(b, stop), ids))
+        if b == len(run):
+            run += ids
+            while len(run) in self:
+                run.append(self[len(run)])
         return self[b]
 
 

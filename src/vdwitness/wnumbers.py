@@ -303,15 +303,29 @@ def _least_ap(colors, n: int, k: int) -> tuple[int, int] | None:
     """Least (a0, d) with colors[a0] == colors[a0 + j*d] for 0 < j < k, over
     0-based indices below n, k >= 2.
 
-    colors is anything indexable by int; it is read in scan order (a0
-    ascending, then d ascending, then j) and only as far as the scan gets,
-    so a lazily filled mapping is read no further than the answer needs.
+    The scan runs a0 ascending, then d ascending. It jumps from one
+    candidate d to the next with colors.index(gamma, start, stop), the
+    least index in [start, stop) holding gamma (ValueError itself, not a
+    subclass, if none), and reads the points j >= 2 only for that d. colors
+    is a tuple, a list or anything else with int indexing and that index; a
+    lazily filled stage whose index looks its elements up in ascending
+    order is read exactly as an element-by-element scan would read it, and
+    no further than the answer needs.
     """
     for a0 in range(n - k + 1):
         gamma = colors[a0]
-        for d in range(1, (n - 1 - a0) // (k - 1) + 1):
-            for j in range(1, k):
-                if colors[a0 + j * d] != gamma:
+        stop = a0 + (n - 1 - a0) // (k - 1) + 1  # a0 + the largest d, plus one
+        q = a0
+        while True:
+            try:
+                q = colors.index(gamma, q + 1, stop)
+            except ValueError as exc:
+                if type(exc) is not ValueError:  # a lazy read failed
+                    raise
+                break
+            d = q - a0
+            for p in range(q + d, a0 + k * d, d):
+                if colors[p] != gamma:
                     break
             else:
                 return (a0, d)

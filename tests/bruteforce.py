@@ -117,3 +117,22 @@ def _first_mono_ap(colors, k: int):
             if len({colors[a0 + j * d] for j in range(k)}) == 1:
                 return a0, d
     raise ValueError(f"no monochromatic {k}-AP in {n} cells")
+
+
+def scan_least_ap(colors, n: int, k: int):
+    """The least (a0, d), 0-based, of a monochromatic k-AP among the first n
+    elements, looking elements up one at a time in scan order: a0
+    ascending, then d ascending, then j. A lazily filled sequence scanned
+    here is read in the order of that element-by-element scan."""
+    for a0 in range(n - k + 1):
+        gamma = colors[a0]
+        for d in range(1, (n - 1 - a0) // (k - 1) + 1):
+            if all(colors[a0 + j * d] == gamma for j in range(1, k)):
+                return a0, d
+    return None
+
+
+def scan_index(colors, value, start: int, stop: int):
+    """The least i in [start, stop) with colors[i] == value, looking elements
+    up one at a time in ascending order, or None."""
+    return next((i for i in range(start, stop) if colors[i] == value), None)

@@ -19,6 +19,7 @@ from vdwitness import (
     vdw_number,
     verify_witness,
 )
+from vdwitness import cubesearch
 from vdwitness.cubesearch import _MIN_STEP
 from bruteforce import all_colorings, expand_cube, has_mono_cube, least_mono_cube, mono_cubes
 
@@ -244,6 +245,45 @@ class TestFindCube:
         assert find_cube(col, (3,), (3,)) is None
         assert find_cube(col, (3, 3), (3, 3)) is None
         assert time.perf_counter() - start < 8.0
+
+    def test_uncapped_search_reads_a_prefix(self, monkeypatch):
+        # The least witness of a 2^20-cell window is at its start, so the
+        # stride masks cover a short prefix of it, not the whole window.
+        lengths = []
+        stride_mask = cubesearch._stride_mask
+
+        def recording(cells, *key):
+            lengths.append(len(cells))
+            return stride_mask(cells, *key)
+
+        monkeypatch.setattr(cubesearch, "_stride_mask", recording)
+        n = 1 << 20
+        col = FiniteColoring(2, Interval(1, n), (1, 1, 1) + (1, 2) * ((n - 3) // 2) + (2,))
+        w = find_cube(col, (2, 2))
+        assert (w.a, w.ds) == (1, (1, 1))
+        assert 0 < max(lengths) < 1 << 16
+
+    @pytest.mark.parametrize("prefix", [1, 2, 3, 7])
+    def test_prefix_doubling_matches_naive(self, monkeypatch, prefix):
+        # A first prefix of a few cells makes the search double it, redoing
+        # the anchor, on every window past it: with and without caps on some
+        # dimensions, distinct differences and domains not starting at 1.
+        monkeypatch.setattr(cubesearch, "_MIN_PREFIX", prefix)
+        rng = random.Random(50 + prefix)
+        for c, ks, n_max, runs in (
+            (2, (2,), 14, 40),
+            (3, (3,), 14, 40),
+            (2, (2, 2), 11, 60),
+            (3, (2, 3), 10, 40),
+            (2, (3, 2), 10, 40),
+            (2, (2, 2, 2), 8, 30),
+        ):
+            for _ in range(runs):
+                col, caps, distinct = _random_case(rng, c, n_max, len(ks))
+                w = find_cube(col, ks, caps, distinct=distinct)
+                naive = _least_naive(col.colors, col.domain.lo, ks, caps, distinct,
+                                     nondecreasing=len(set(ks)) == 1)
+                assert (None if w is None else (w.a, w.ds)) == naive
 
     def test_validation(self):
         col = FiniteColoring(1, Interval(1, 3), (1, 1, 1))

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,10 @@ from vdwitness import (
     tower_params,
     verify_witness,
 )
+from vdwitness import extractor
 from vdwitness.extractor import _Stage, _check_block_shift
-from bruteforce import all_colorings, dense_extract, mono_aps
+from vdwitness.wnumbers import _least_ap
+from bruteforce import all_colorings, dense_extract, mono_aps, scan_index, scan_least_ap
 
 
 def coloring_of(text: str, c: int, lo: int = 1) -> FiniteColoring:
@@ -127,6 +130,60 @@ class TestLazyScan:
         stage = _Stage(read, 1, 10)
         assert [stage[b] for b in (5, 0, 1, 2, 4, 5, 6)] == [1, 2, 3, 4, 6, 1, 7]
         assert reads == [(5, 6), (0, 1), (1, 2), (2, 4), (4, 5), (6, 10)]
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        count=st.integers(1, 300),
+        size=st.integers(1, 3),
+        k=st.integers(2, 5),
+        palette=st.floats(0, 1),
+        distinct_but_one=st.booleans(),
+        batch=st.sampled_from([4, extractor._BATCH_CELLS]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_index_reads_like_an_element_by_element_scan(
+        self, count, size, k, palette, distinct_but_one, batch, seed
+    ):
+        # The jumping scan and the element-by-element reference, each on its
+        # own lazy stage, find the same progression with the same reads: the
+        # same blocks, in the same order and batches. So do index and a
+        # one-by-one lookup from a start past the blocks read so far.
+        rng = random.Random(seed)
+        if distinct_but_one:
+            ids = list(range(1, count + 1))
+            if count > 1:
+                i, j = sorted(rng.sample(range(count), 2))
+                ids[j] = ids[i]
+        else:
+            ids = [rng.randint(1, 1 + int(palette * (count - 1))) for _ in range(count)]
+        cells = tuple(x for b in ids for x in (b,) * size)
+        early = rng.sample(range(count), min(count, rng.randint(0, 3)))
+        value, start = rng.choice(ids), rng.randrange(count)
+        stop = rng.randint(start, count)
+
+        def run(scan, find):
+            reads = []
+
+            def read(i, j):
+                reads.append((i, j))
+                return cells[i:j]
+
+            stage = _Stage(read, size, count)
+            with mock.patch.object(extractor, "_BATCH_CELLS", batch):
+                hit = scan(stage, count, k)
+                fresh = _Stage(read, size, count)
+                for b in early:
+                    fresh[b]
+                try:
+                    found = find(fresh, value, start, stop)
+                except ValueError:
+                    found = None
+            return hit, found, reads, dict(stage), dict(fresh)
+
+        got = run(_least_ap, lambda s, *args: s.index(*args))
+        assert got == run(scan_least_ap, scan_index)
+        naive = mono_aps(ids, k)
+        assert got[0] == (None if not naive else (min(naive)[0] - 1, min(naive)[1]))
 
     def test_oracle_colors_outside_the_palette(self):
         # block 1 holds a 3; the scan reads it but selects blocks 0 and 2

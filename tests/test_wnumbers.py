@@ -3,6 +3,8 @@ import time
 from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdwitness import (
     DomainError,
@@ -17,7 +19,7 @@ from vdwitness import (
     vdw_value,
     verify_ap_free,
 )
-from vdwitness.wnumbers import _avoid, _cube_rows
+from vdwitness.wnumbers import _avoid, _cube_rows, _least_ap
 from bruteforce import all_colorings, expand_cube, has_mono_ap, least_mono_ap
 
 
@@ -162,6 +164,30 @@ class TestFindAp:
             hit = find_ap(col, k)
             assert hit == least_mono_ap(colors, k)
             assert (hit is None) == verify_ap_free(col, k)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        k=st.integers(2, 5),
+        palette=st.floats(0, 1),
+        distinct_but_one=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    def test_least_ap_agrees_with_naive(self, n, k, palette, distinct_but_one, seed):
+        # palettes from 1 to n colours; all-distinct-but-one sequences look
+        # like interned random stages, where the only repeat may lie anywhere
+        rng = random.Random(seed)
+        if distinct_but_one:
+            colors = rng.sample(range(1, 10 * n + 1), n)
+            if n > 1:
+                i, j = sorted(rng.sample(range(n), 2))
+                colors[j] = colors[i]
+        else:
+            colors = [rng.randint(1, 1 + int(palette * (n - 1))) for _ in range(n)]
+        naive = least_mono_ap(colors, k)
+        want = None if naive is None else (naive[0] - 1, naive[1])
+        assert _least_ap(tuple(colors), n, k) == want
+        assert _least_ap(colors, n, k) == want
 
 
 class TestCertificates:
