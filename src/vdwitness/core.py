@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import os
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, cycle, islice
+from typing import ClassVar
 
 DEFAULT_MAX_CELLS = 1 << 26
 
@@ -137,58 +136,10 @@ class ColorOracle:
         return tuple(self._color(p) for p in range(lo, hi + 1))
 
 
-def _cycled(pattern: tuple[int, ...], offset: int, n: int) -> Iterator[int]:
-    """The first n colors of pattern repeated forever, starting at index offset."""
-    r = offset % len(pattern)
-    return islice(cycle(pattern[r:] + pattern[:r]), n)
-
-
-@dataclass(frozen=True)
-class ConstantOracle(ColorOracle):
-    gamma: int
-    c: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.gamma < 1:
-            raise DomainError(f"color must be >= 1, got {self.gamma}")
-        if self.c is None:
-            object.__setattr__(self, "c", self.gamma)
-        elif self.c < self.gamma:
-            raise DomainError(f"constant color {self.gamma} exceeds palette size {self.c}")
-
-    def _color(self, p: int) -> int:
-        return self.gamma
-
-    def _colors(self, lo: int, hi: int) -> tuple[int, ...]:
-        return (self.gamma,) * (hi - lo + 1)
-
-
-@dataclass(frozen=True)
-class PeriodicOracle(ColorOracle):
-    pattern: tuple[int, ...]
-    c: int | None = None
-
-    def __post_init__(self) -> None:
-        pattern = tuple(self.pattern)
-        object.__setattr__(self, "pattern", pattern)
-        if not pattern:
-            raise DomainError("empty period pattern")
-        if min(pattern) < 1:
-            raise DomainError("pattern colors must be >= 1")
-        if self.c is None:
-            object.__setattr__(self, "c", max(pattern))
-        elif self.c < max(pattern):
-            raise DomainError(f"pattern uses colors beyond palette size {self.c}")
-
-    def _color(self, p: int) -> int:
-        return self.pattern[(p - 1) % len(self.pattern)]
-
-    def _colors(self, lo: int, hi: int) -> tuple[int, ...]:
-        return tuple(_cycled(self.pattern, lo - 1, hi - lo + 1))
-
-
 @dataclass(frozen=True)
 class EventuallyPeriodicOracle(ColorOracle):
+    """The colors of prefix, then of pattern repeated forever."""
+
     prefix: tuple[int, ...]
     pattern: tuple[int, ...]
     c: int | None = None
@@ -200,8 +151,8 @@ class EventuallyPeriodicOracle(ColorOracle):
         object.__setattr__(self, "pattern", pattern)
         if not pattern:
             raise DomainError("empty period pattern")
-        used = max(pattern) if not prefix else max(max(prefix), max(pattern))
-        if (prefix and min(prefix) < 1) or min(pattern) < 1:
+        used = max(prefix + pattern)
+        if min(prefix + pattern) < 1:
             raise DomainError("colors must be >= 1")
         if self.c is None:
             object.__setattr__(self, "c", used)
@@ -214,21 +165,29 @@ class EventuallyPeriodicOracle(ColorOracle):
         return self.pattern[(p - 1 - len(self.prefix)) % len(self.pattern)]
 
     def _colors(self, lo: int, hi: int) -> tuple[int, ...]:
-        m = len(self.prefix)
+        m, pattern = len(self.prefix), self.pattern
         start = max(lo, m + 1)  # first position of the periodic part in [lo, hi]
-        tail = _cycled(self.pattern, start - 1 - m, max(hi - start + 1, 0))
-        return tuple(chain(self.prefix[lo - 1 : hi], tail))
+        r = (start - 1 - m) % len(pattern)
+        rotated = pattern[r:] + pattern[:r]
+        q, rem = divmod(max(hi - start + 1, 0), len(pattern))
+        return self.prefix[lo - 1 : hi] + rotated * q + rotated[:rem]
+
+
+class PeriodicOracle(EventuallyPeriodicOracle):
+    def __init__(self, pattern: tuple[int, ...], c: int | None = None) -> None:
+        super().__init__((), pattern, c)
+
+
+class ConstantOracle(EventuallyPeriodicOracle):
+    def __init__(self, gamma: int, c: int | None = None) -> None:
+        super().__init__((), (gamma,), c)
 
 
 @dataclass(frozen=True)
 class ThueMorseOracle(ColorOracle):
     """Color 1 + (popcount(p-1) mod 2): the Thue-Morse word over two colors."""
 
-    c: int = 2
-
-    def __post_init__(self) -> None:
-        if self.c != 2:
-            raise DomainError("the Thue-Morse oracle uses exactly 2 colors")
+    c: ClassVar[int] = 2
 
     def _color(self, p: int) -> int:
         return 1 + ((p - 1).bit_count() & 1)
@@ -370,18 +329,14 @@ class CubeWitness:
         return self.a + sum((k - 1) * d for d, k in zip(self.ds, self.ks))
 
 
-def cube_positions(w: CubeWitness) -> tuple[int, ...]:
+def cube_positions(w: CubeWitness, *, max_cells: int | None = None) -> tuple[int, ...]:
     """Sorted, deduplicated expansion of the cube set.
 
     Raises MaterializationLimitError, before building anything, when both
     the number of index tuples and the span of the cube exceed
-    max_cells_limit(), since either one bounds the number of positions.
+    max_cells_limit(max_cells), since either one bounds the number of
+    positions.
     """
-    return _cube_positions(w, None)
-
-
-def _cube_positions(w: CubeWitness, max_cells: int | None) -> tuple[int, ...]:
-    """cube_positions under the cell limit max_cells_limit(max_cells)."""
     limit = max_cells_limit(max_cells)
     if w.max_position() - w.a >= limit:
         count = 1

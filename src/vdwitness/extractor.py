@@ -53,6 +53,10 @@ _Reader = Callable[[int, int], tuple[int, ...]]
 _BATCH_CELLS = 1 << 16
 
 
+class _ReadFailure(Exception):
+    """A block read's ValueError, as __cause__: index raises ValueError for "none"."""
+
+
 class _Stage(dict):
     """Pattern id of each block of one stage, by 0-based block index.
 
@@ -64,7 +68,8 @@ class _Stage(dict):
     many blocks as that run holds (at most about _BATCH_CELLS cells), so a
     scan that walks the blocks in order reads at most about twice what it
     looks at, in few batches, and no block is read twice. run holds the
-    ids of that run as a list, which index searches at C speed.
+    ids of that run as a list, which index searches at C speed. A read
+    that raises ValueError raises _ReadFailure from it.
     """
 
     __slots__ = ("read", "size", "count", "patterns", "run")
@@ -118,7 +123,10 @@ class _Stage(dict):
             if len(self) > b:
                 # A block past the front was read out of order: stop before it.
                 stop = next((x for x in range(b + 1, stop) if x in self), stop)
-        ids = self.intern(b, stop)
+        try:
+            ids = self.intern(b, stop)
+        except ValueError as exc:
+            raise _ReadFailure from exc
         self.update(zip(range(b, stop), ids))
         if b == len(run):
             run += ids
@@ -171,34 +179,22 @@ def extract(
     *,
     checked: bool = False,
     trace: list | None = None,
+    max_cells: int | None = None,
 ) -> CubeWitness:
     """A monochromatic n-cube from a stage-n tower coloring.
 
     source is a coloring of exactly the stage-n tower over I, or an oracle,
-    which is read only where the scan looks (at most max_cells_limit()
-    cells, else MaterializationLimitError). Dimension m of the cube has side
-    length params.ks[m-1], so uniform and per-stage lengths take the same
-    path. The witness is fully determined by the least-progression
-    tie-break at every stage. With checked=True the selected blocks are
-    re-read at each stage and compared color by color with the pattern
-    their id stands for. If trace is a list, one record {stage, b1, dstar,
-    block_size, palette_size} is appended per stage above the base, top
-    stage first; palette_size counts the patterns of all the stage's blocks.
+    which is read only where the scan looks (at most
+    max_cells_limit(max_cells) cells, else MaterializationLimitError).
+    Dimension m of the cube has side length params.ks[m-1], so uniform and
+    per-stage lengths take the same path. The witness is fully determined
+    by the least-progression tie-break at every stage. With checked=True
+    the selected blocks are re-read at each stage and compared color by
+    color with the pattern their id stands for. If trace is a list, one
+    record {stage, b1, dstar, block_size, palette_size} is appended per
+    stage above the base, top stage first; palette_size counts the
+    patterns of all the stage's blocks.
     """
-    return _extract(source, I, n, params, checked=checked, trace=trace, max_cells=None)
-
-
-def _extract(
-    source: FiniteColoring | ColorOracle,
-    I: Interval,
-    n: int,
-    params: TowerParams,
-    *,
-    checked: bool,
-    trace: list | None,
-    max_cells: int | None,
-) -> CubeWitness:
-    """extract with an explicit cell limit for oracle reads."""
     if n < 1 or n > params.stages:
         raise DomainError(f"stage {n} outside [1, {params.stages}]")
     ks = params.ks[:n]
@@ -222,7 +218,10 @@ def _extract(
         count = params.w(m)
         stage = _Stage(read, size, count)
         ids = stage.intern(0, count) if trace is not None else stage
-        hit = _least_ap(ids, count, ks[m - 1])
+        try:
+            hit = _least_ap(ids, count, ks[m - 1])
+        except _ReadFailure as exc:
+            raise exc.__cause__ from None
         if hit is None:
             raise InvariantViolationError(
                 f"no length-{ks[m - 1]} progression among {count} blocks with "

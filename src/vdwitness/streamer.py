@@ -33,12 +33,12 @@ from .core import (
     DomainError,
     Interval,
     InvariantViolationError,
-    _cube_positions,
     _first_violation,
+    cube_positions,
     materialize,
 )
 from .cubesearch import _check_caps, find_cube
-from .extractor import _extract
+from .extractor import extract
 from .tower import TowerParams, build_tower_interval, tower_params
 
 PROOF = "proof"
@@ -174,9 +174,7 @@ def solve_window(
         if params is None or base is None:
             raise DomainError("proof mode needs tower parameters and a base interval")
         dim = min(_proof_stage(m), depth)
-        w = _extract(
-            oracle, base, dim, params, checked=False, trace=None, max_cells=max_cells
-        )
+        w = extract(oracle, base, dim, params, max_cells=max_cells)
     elif mode == SEARCH:
         dim = min(m, depth)
         coloring = materialize(oracle, window, max_cells)
@@ -329,7 +327,7 @@ def run_stream(
     records = []
     for t in range(1, state.achieved_depth + 1):
         w = CubeWitness(state.gamma, state.anchors[t - 1], state.ds[:t], ks_seq[:t])
-        positions = _cube_positions(w, max_cells)
+        positions = cube_positions(w, max_cells=max_cells)
         records.append(
             DepthRecord(
                 n=t,

@@ -305,12 +305,13 @@ def _least_ap(colors, n: int, k: int) -> tuple[int, int] | None:
 
     The scan runs a0 ascending, then d ascending. It jumps from one
     candidate d to the next with colors.index(gamma, start, stop), the
-    least index in [start, stop) holding gamma (ValueError itself, not a
-    subclass, if none), and reads the points j >= 2 only for that d. colors
-    is a tuple, a list or anything else with int indexing and that index; a
-    lazily filled stage whose index looks its elements up in ascending
-    order is read exactly as an element-by-element scan would read it, and
-    no further than the answer needs.
+    least index in [start, stop) holding gamma (ValueError if none), and
+    reads the points j >= 2 only for that d. colors is a tuple, a list or
+    anything else with int indexing and that index; a lazily filled stage
+    whose index looks its elements up in ascending order is read exactly as
+    an element-by-element scan would read it, and no further than the
+    answer needs. Such a stage must not let a failed read out of index as
+    a ValueError.
     """
     for a0 in range(n - k + 1):
         gamma = colors[a0]
@@ -319,9 +320,7 @@ def _least_ap(colors, n: int, k: int) -> tuple[int, int] | None:
         while True:
             try:
                 q = colors.index(gamma, q + 1, stop)
-            except ValueError as exc:
-                if type(exc) is not ValueError:  # a lazy read failed
-                    raise
+            except ValueError:
                 break
             d = q - a0
             for p in range(q + d, a0 + k * d, d):

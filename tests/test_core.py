@@ -349,7 +349,7 @@ _ORACLES = st.one_of(
 def _boundaries(oracle):
     """Groups of nearby positions, each around a place where an oracle's batch rule changes case."""
     if isinstance(oracle, EventuallyPeriodicOracle):
-        return [[len(oracle.prefix), len(oracle.prefix) + 1]]
+        return [[len(oracle.prefix), len(oracle.prefix) + 1], [len(oracle.prefix) + 1000]]
     if isinstance(oracle, PrefixOracle):
         return [[oracle.coloring.domain.lo, oracle.coloring.domain.hi]]
     if isinstance(oracle, SeededRandomOracle):
@@ -402,6 +402,10 @@ class TestBatchEvaluation:
             (SeededRandomOracle(-3, 4), (1 << 64) - _LANE_BATCH, 1 << 64),
             (SeededRandomOracle(-3, 4), (1 << 64) - _LANE_BATCH - 1, 1 << 64),
             (SeededRandomOracle(-3, 4), 1 << 64, 1 << 64),
+            (EventuallyPeriodicOracle((3, 1, 2, 1), (1, 2)), 2, 3),
+            (EventuallyPeriodicOracle((3, 1), (1, 2, 3)), 3, 8),
+            (EventuallyPeriodicOracle((3,), (1, 2, 3, 1)), 4, 10),
+            (PeriodicOracle((1, 2, 3)), 5, 12),
         ],
     )
     def test_straddling_ranges(self, oracle, lo, hi):

@@ -198,6 +198,24 @@ class TestLazyScan:
         with pytest.raises(DomainError, match=r"colors must lie in \[1, 2\]"):
             extract(Bad(), Interval(1, 3), 2, tower_params(2, 2, 2))
 
+    def test_oracle_value_error_propagates(self):
+        # blocks 0-7 of the c=2 stage-2 tower are the eight distinct 3-cell
+        # patterns, so the scan from block 0 reads block 8, whose cells raise
+        # a bare ValueError; it must not pass for "no such block"
+        failure = ValueError("no colors past cell 24")
+
+        class Failing(ColorOracle):
+            c = 2
+
+            def _color(self, p):
+                if p > 24:
+                    raise failure
+                return 1 + ((p - 1) // 3 >> (2 - (p - 1) % 3) & 1)
+
+        with pytest.raises(ValueError) as info:
+            extract(Failing(), Interval(1, 3), 2, tower_params(2, 2, 2))
+        assert info.value is failure
+
     def test_oracle_reads_are_capped(self, monkeypatch):
         p = tower_params(2, 1, 4)
         monkeypatch.setenv("VDW_MAX_CELLS", "16")

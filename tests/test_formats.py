@@ -152,3 +152,11 @@ class TestOracleSpecs:
             parse_oracle_spec("periodic:12", 1)
         with pytest.raises(DomainError):
             parse_oracle_spec("evperiodic:12")
+        with pytest.raises(DomainError):
+            parse_oracle_spec("constant:0")
+        with pytest.raises(DomainError):
+            parse_oracle_spec("constant:3", 2)
+        with pytest.raises(DomainError):
+            parse_oracle_spec("periodic:0")
+        with pytest.raises(DomainError):
+            parse_oracle_spec("periodic:")

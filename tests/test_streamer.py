@@ -20,6 +20,7 @@ from vdwitness import (
     tower_params,
     verify_witness,
 )
+from vdwitness import streamer
 
 
 class TestNextWindow:
@@ -155,6 +156,26 @@ class TestRunStreamProof:
         out = run_stream(ThueMorseOracle(), 2, 2, 2, 4, "proof")
         assert out.state.achieved_depth >= 1
         assert all(r.verified for r in out.depths)
+
+    def test_goes_through_the_public_entry_points(self, monkeypatch):
+        # one extract per proof window and one cube_positions per achieved
+        # depth, each under the stream's own cell limit
+        limits = {"extract": [], "cube_positions": []}
+
+        def counting(name):
+            real = getattr(streamer, name)
+
+            def wrapper(*args, **kwargs):
+                limits[name].append(kwargs.get("max_cells"))
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in limits:
+            monkeypatch.setattr(streamer, name, counting(name))
+        out = run_stream(ThueMorseOracle(), 2, 2, 2, 4, "proof", max_cells=10**5)
+        assert out.state.achieved_depth == 2
+        assert limits == {"extract": [10**5] * 4, "cube_positions": [10**5] * 2}
 
     def test_reads_only_the_scanned_blocks(self):
         # window 3 is a stage-2 tower of 6^7 + 1 blocks of 7 cells
