@@ -18,9 +18,9 @@ near its first block is read only about that far. The scan jumps from a
 block to the next block with the same id (_Stage.index), which looks the
 blocks between them up in order, so it reads what a block-by-block scan
 would read. The recursion works on the colors of the selected block that
-the scan has already read: one extraction reads each cell at most once. The
-source is a finite coloring or an oracle; oracle reads, read-ahead included,
-count against the cell limit.
+the scan has already read: one unchecked extraction reads each cell at most
+once. The source is a finite coloring or an oracle; oracle reads, read-ahead
+and checked re-reads included, count against the cell limit.
 A trace reports how many patterns the whole stage has, so with a trace
 every block of a stage is interned before its scan.
 
@@ -135,26 +135,16 @@ class _Stage(dict):
         return self[b]
 
 
-def _readers(
-    source: FiniteColoring | ColorOracle, lo: int, max_cells: int | None
-) -> tuple[_Reader, _Reader]:
-    """Reads of the tower starting at position lo: one that counts the cells
-    it reads from an oracle, refusing once the total would pass
-    max_cells_limit(max_cells), and one that counts nothing, for re-reading
-    cells already read. Oracle colors are checked against the palette."""
+def _reader(source: FiniteColoring | ColorOracle, lo: int, max_cells: int | None) -> _Reader:
+    """Reads of the tower starting at position lo. Oracle reads count their
+    cells, refusing once the total would pass max_cells_limit(max_cells),
+    and their colors are checked against the palette."""
     if isinstance(source, FiniteColoring):
-        read = _slicer(source.colors)
-        return read, read
+        return _slicer(source.colors)
     c, limit = source.c, max_cells_limit(max_cells)
     total = 0
 
-    def raw(i: int, j: int) -> tuple[int, ...]:
-        cells = source._colors(lo + i, lo + j - 1)
-        if min(cells) < 1 or max(cells) > c:
-            raise DomainError(f"colors must lie in [1, {c}]")
-        return cells
-
-    def counted(i: int, j: int) -> tuple[int, ...]:
+    def read(i: int, j: int) -> tuple[int, ...]:
         nonlocal total
         total += j - i
         if total > limit:
@@ -162,9 +152,12 @@ def _readers(
                 f"extraction would read {total} cells, over the materialization "
                 f"limit {limit}"
             )
-        return raw(i, j)
+        cells = source._colors(lo + i, lo + j - 1)
+        if min(cells) < 1 or max(cells) > c:
+            raise DomainError(f"colors must lie in [1, {c}]")
+        return cells
 
-    return counted, raw
+    return read
 
 
 def _slicer(cells: tuple[int, ...]) -> _Reader:
@@ -189,11 +182,11 @@ def extract(
     Dimension m of the cube has side length params.ks[m-1], so uniform and
     per-stage lengths take the same path. The witness is fully determined
     by the least-progression tie-break at every stage. With checked=True
-    the selected blocks are re-read at each stage and compared color by
-    color with the pattern their id stands for. If trace is a list, one
-    record {stage, b1, dstar, block_size, palette_size} is appended per
-    stage above the base, top stage first; palette_size counts the
-    patterns of all the stage's blocks.
+    the selected blocks are re-read at each stage (oracle re-reads count
+    against the cell limit) and compared color by color with the pattern
+    their id stands for. If trace is a list, one record {stage, b1, dstar,
+    block_size, palette_size} is appended per stage above the base, top
+    stage first; palette_size counts the patterns of all the stage's blocks.
     """
     if n < 1 or n > params.stages:
         raise DomainError(f"stage {n} outside [1, {params.stages}]")
@@ -208,8 +201,7 @@ def extract(
             f"coloring domain [{source.domain.lo}, {source.domain.hi}] is not "
             f"the stage-{n} tower [{expected.lo}, {expected.hi}]"
         )
-    # The check re-reads only blocks the scan has read, so raw counts nothing.
-    read, raw = _readers(source, I.lo, max_cells)
+    read = _reader(source, I.lo, max_cells)
 
     lo = I.lo
     ds_rev: list[int] = []
@@ -240,10 +232,10 @@ def extract(
             )
         block = next(islice(stage.patterns, ids[b1] - 1, None))
         if checked:
-            _check_block_shift(raw, b1, dstar, size, ks[m - 1], block)
+            _check_block_shift(read, b1, dstar, size, ks[m - 1], block)
         ds_rev.append(dstar * size)
         lo += b1 * size
-        read = raw = _slicer(block)
+        read = _slicer(block)
 
     cells = read(0, params.w(1))
     base_hit = _least_ap(cells, len(cells), ks[0])

@@ -15,11 +15,11 @@ the W_1-sized interval right after window m, so windows are consecutive,
 disjoint, and grow by a factor W_m each step. Search mode uses consecutive
 fixed-size windows and solves each by direct cube search under per-dimension
 caps. In both modes window m is solved at dimension min(available, depth):
-proof-mode window m is a stage-(m-1) tower (stage 1 for m = 1) and deeper
-stages than the requested depth are never read. Proof mode reads the oracle
-only at the blocks the extraction's scan looks at, so a window far larger
-than the cell limit is solved when its least progression of equal blocks
-lies near its start.
+proof-mode window m is a stage-(m-1) tower (stage 1 for m = 1) over its
+first W_1 cells, and deeper stages than the requested depth are never read.
+Proof mode reads the oracle only at the blocks the extraction's scan looks
+at, so a window far larger than the cell limit is solved when its least
+progression of equal blocks lies near its start.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .core import (
 )
 from .cubesearch import _check_caps, find_cube
 from .extractor import extract
-from .tower import TowerParams, build_tower_interval, tower_params
+from .tower import TowerParams, tower_params
 
 PROOF = "proof"
 SEARCH = "search"
@@ -108,11 +108,17 @@ class DepthRecord:
 @dataclass(frozen=True)
 class StreamOutcome:
     mode: str
-    windows: int
     state: StreamState
     depths: tuple[DepthRecord, ...]
-    conforming: bool
     skipped: tuple[int, ...]
+
+    @property
+    def windows(self) -> int:
+        return len(self.state.witnesses) + len(self.skipped)
+
+    @property
+    def conforming(self) -> bool:
+        return not self.skipped
 
     def report(self) -> dict:
         return {
@@ -135,17 +141,9 @@ class StreamOutcome:
         }
 
 
-def next_window(m: int, prev: Interval, params: TowerParams) -> tuple[Interval, Interval]:
-    """Successor geometry: the W_1-sized interval right after window m, and the
-    stage-m tower over it, which is window m+1."""
-    w1 = params.w(1)
-    j_star = Interval(prev.hi + 1, prev.hi + w1)
-    return j_star, build_tower_interval(j_star, m, params)
-
-
-def _proof_stage(m: int) -> int:
-    """Tower stage of proof-mode window m (window 1 is the bare base interval)."""
-    return 1 if m == 1 else m - 1
+def next_window(m: int, prev: Interval, params: TowerParams) -> Interval:
+    """Window m+1: the stage-m tower over the W_1 cells right after window m."""
+    return Interval(prev.hi + 1, prev.hi + params.size(m))
 
 
 def solve_window(
@@ -154,31 +152,28 @@ def solve_window(
     m: int,
     mode: str,
     *,
-    depth: int,
     ks: tuple[int, ...],
     params: TowerParams | None = None,
-    base: Interval | None = None,
     caps: Sequence[int] | None = None,
     max_cells: int | None = None,
 ) -> WindowWitness:
-    """Solve one window at dimension min(available, depth).
+    """Solve one window at dimension min(available, len(ks)).
 
-    Proof mode runs the block-interning extraction over the dimension-deep
-    prefix of the window's tower (base and params required), reading from
-    the oracle only the blocks its scan looks at; max_cells caps the cells
-    read. Search mode materializes the whole window, at most max_cells
-    cells, and runs the direct cube search over it under the caps. Raises
-    WindowFailureError when search mode finds nothing.
+    Proof mode (params required) runs the block-interning extraction over
+    the dimension-deep prefix of the tower over the window's base, its first
+    W_1 cells, reading from the oracle only the blocks its scan looks at;
+    max_cells caps the cells read. Search mode materializes the whole
+    window, at most max_cells cells, and runs the direct cube search over it
+    under the caps. Raises WindowFailureError when search mode finds nothing.
     """
     if mode == PROOF:
-        if params is None or base is None:
-            raise DomainError("proof mode needs tower parameters and a base interval")
-        dim = min(_proof_stage(m), depth)
-        w = extract(oracle, base, dim, params, max_cells=max_cells)
+        if params is None:
+            raise DomainError("proof mode needs tower parameters")
+        base = Interval(window.lo, window.lo + params.w(1) - 1)
+        w = extract(oracle, base, min(max(1, m - 1), len(ks)), params, max_cells=max_cells)
     elif mode == SEARCH:
-        dim = min(m, depth)
         coloring = materialize(oracle, window, max_cells)
-        w = find_cube(coloring, ks[:dim], caps)
+        w = find_cube(coloring, ks[:m], caps)
         if w is None:
             raise WindowFailureError(m, window)
     else:
@@ -286,21 +281,13 @@ def run_stream(
 
     witnesses: list[WindowWitness] = []
     skipped: list[int] = []
-    window: Interval | None = None
-    base: Interval | None = None
     for m in range(1, windows + 1):
-        if mode == PROOF:
-            assert params is not None
-            if m == 1:
-                base = Interval(1, params.w(1))
-                window = base
-            else:
-                assert window is not None
-                base, window = next_window(m - 1, window, params)
+        if mode == SEARCH:
+            window = Interval((m - 1) * window_size + 1, m * window_size)
+        elif m == 1:
+            window = Interval(1, params.w(1))
         else:
-            size = window_size
-            assert size is not None
-            window = Interval((m - 1) * size + 1, m * size)
+            window = next_window(m - 1, window, params)
         try:
             witnesses.append(
                 solve_window(
@@ -308,10 +295,8 @@ def run_stream(
                     window,
                     m,
                     mode,
-                    depth=depth,
                     ks=ks_seq,
                     params=params,
-                    base=base,
                     caps=caps,
                     max_cells=max_cells,
                 )
@@ -321,7 +306,7 @@ def run_stream(
                 raise
             skipped.append(m)
     if not witnesses:
-        raise WindowFailureError(windows, window if window is not None else Interval(1, 1))
+        raise WindowFailureError(windows, window)
 
     state = stabilize(witnesses, depth)
     records = []
@@ -339,9 +324,7 @@ def run_stream(
         )
     return StreamOutcome(
         mode=mode,
-        windows=windows,
         state=state,
         depths=tuple(records),
-        conforming=not skipped,
         skipped=tuple(skipped),
     )

@@ -268,8 +268,8 @@ def verify_ap_free(coloring: FiniteColoring, k: int) -> bool:
     """True iff the coloring has no monochromatic k-term arithmetic progression.
 
     Enumerates progressions difference-major, independently of the search
-    above and of find_ap, so certificates are checked through a separate
-    code path.
+    above and of the least-progression scan, so certificates are checked
+    through a separate code path.
     """
     if k < 2:
         raise DomainError(f"progression length must be >= 2, got {k}")
@@ -284,19 +284,6 @@ def verify_ap_free(coloring: FiniteColoring, k: int) -> bool:
             else:
                 return False
     return True
-
-
-def find_ap(coloring: FiniteColoring, k: int) -> tuple[int, int] | None:
-    """Least (a, d), ordered by a then d, with a monochromatic k-AP at a, a+d, ...
-
-    a is an absolute position in the coloring's domain. Returns None when no
-    such progression exists (guaranteed present once the domain reaches
-    W(k, coloring.c) cells).
-    """
-    if k < 2:
-        raise DomainError(f"progression length must be >= 2, got {k}")
-    hit = _least_ap(coloring.colors, len(coloring.colors), k)
-    return None if hit is None else (coloring.domain.lo + hit[0], hit[1])
 
 
 def _least_ap(colors, n: int, k: int) -> tuple[int, int] | None:

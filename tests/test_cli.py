@@ -383,6 +383,33 @@ class TestStream:
         ]
         assert witnesses[3].window == Interval(34, 3623878716)
 
+    # whole stdout lines of proof and search streams, byte for byte
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                "thue-morse --k 2 --c 2 --depth 3 --windows 4 --mode proof",
+                '{"mode":"proof","gamma":1,"ds":[1,6,864],"depths":[{"n":1,"a":34,"s":4,"positions":[34,35],"verified":true},{"n":2,"a":34,"s":4,"positions":[34,35,40,41],"verified":true},{"n":3,"a":34,"s":4,"positions":[34,35,40,41,898,899,904,905],"verified":true}],"survivor_sizes":[2,1,1,1],"windows":4,"conforming":true}',
+            ),
+            (
+                "constant:1 --k 2 --c 1 --depth 5 --windows 8 --mode proof",
+                '{"mode":"proof","gamma":1,"ds":[1,2,4,8,16],"depths":[{"n":1,"a":1,"s":1,"positions":[1,2],"verified":true},{"n":2,"a":5,"s":3,"positions":[5,6,7,8],"verified":true},{"n":3,"a":9,"s":4,"positions":[9,10,11,12,13,14,15,16],"verified":true},{"n":4,"a":17,"s":5,"positions":[17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32],"verified":true},{"n":5,"a":33,"s":6,"positions":[33,34,35,36,37,38,39,40,41,42,43,44,45,46,47,48,49,50,51,52,53,54,55,56,57,58,59,60,61,62,63,64],"verified":true}],"survivor_sizes":[8,8,6,5,4,3],"windows":8,"conforming":true}',
+            ),
+            (
+                "evperiodic:31/1122 --k 2 --c 3 --depth 2 --windows 3 --mode proof",
+                '{"mode":"proof","gamma":2,"ds":[1,4],"depths":[{"n":1,"a":5,"s":2,"positions":[5,6],"verified":true},{"n":2,"a":9,"s":3,"positions":[9,10,13,14],"verified":true}],"survivor_sizes":[2,2,1],"windows":3,"conforming":true}',
+            ),
+            (
+                "random:7 --k 3 --c 2 --depth 2 --windows 12 --mode search --window-size 8 --skip-failures",
+                '{"mode":"search","gamma":2,"ds":[1,1],"depths":[{"n":1,"a":1,"s":1,"positions":[1,2,3],"verified":true},{"n":2,"a":89,"s":12,"positions":[89,90,91,92,93],"verified":true}],"survivor_sizes":[2,2,1],"windows":12,"conforming":false}',
+            ),
+        ],
+    )
+    def test_report_bytes(self, capsys, argv, line):
+        code, out, _ = run_cli(capsys, "stream", "--oracle", *argv.split())
+        assert code == 0
+        assert out == line + "\n"
+
     def test_depth_needs_windows(self, capsys):
         code, _, err = run_cli(
             capsys, "stream", "--oracle", "thue-morse", "--k", "2", "--c", "2",

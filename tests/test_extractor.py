@@ -15,6 +15,7 @@ from vdwitness import (
     MaterializationLimitError,
     PeriodicOracle,
     PrefixOracle,
+    ThueMorseOracle,
     TowerUncomputableError,
     cube_positions,
     extract,
@@ -223,6 +224,18 @@ class TestLazyScan:
         monkeypatch.setenv("VDW_MAX_CELLS", "15")
         with pytest.raises(MaterializationLimitError):
             extract(ConstantOracle(1), Interval(1, 2), 4, p)
+
+    def test_checked_re_reads_are_capped(self):
+        # unchecked reads 12 cells; the check re-reads the two selected 3-cell blocks
+        p = tower_params(2, 2, 2)
+        w = extract(ThueMorseOracle(), Interval(1, 3), 2, p, max_cells=12)
+        assert (w.a, w.ds) == (2, (1, 6))
+        with pytest.raises(MaterializationLimitError):
+            extract(ThueMorseOracle(), Interval(1, 3), 2, p, max_cells=11)
+        with pytest.raises(MaterializationLimitError):
+            extract(ThueMorseOracle(), Interval(1, 3), 2, p, checked=True, max_cells=17)
+        w = extract(ThueMorseOracle(), Interval(1, 3), 2, p, checked=True, max_cells=18)
+        assert (w.a, w.ds) == (2, (1, 6))
 
 
 class TestCompress:

@@ -26,20 +26,19 @@ from vdwitness import streamer
 class TestNextWindow:
     def test_single_color_chain(self):
         p = tower_params(2, 1, 6)
-        j_star, j2 = next_window(1, Interval(1, 2), p)
-        assert (j_star, j2) == (Interval(3, 4), Interval(3, 4))
-        j_star, j3 = next_window(2, j2, p)
-        assert (j_star, j3) == (Interval(5, 6), Interval(5, 8))
-        j_star, j4 = next_window(3, j3, p)
-        assert (j_star, j4) == (Interval(9, 10), Interval(9, 16))
+        j2 = next_window(1, Interval(1, 2), p)
+        assert j2 == Interval(3, 4)
+        j3 = next_window(2, j2, p)
+        assert j3 == Interval(5, 8)
+        j4 = next_window(3, j3, p)
+        assert j4 == Interval(9, 16)
 
     def test_windows_are_consecutive(self):
         p = tower_params(2, 2, 3)
         window = Interval(1, 3)
         for m in range(1, 4):
-            j_star, nxt = next_window(m, window, p)
-            assert j_star.lo == window.hi + 1
-            assert nxt.lo == j_star.lo
+            nxt = next_window(m, window, p)
+            assert nxt.lo == window.hi + 1
             assert nxt.size() == p.size(m)
             window = nxt
 
@@ -48,41 +47,48 @@ class TestSolveWindow:
     def test_proof_mode_capped_by_window_stage(self):
         p = tower_params(2, 1, 4)
         ww = solve_window(
-            ConstantOracle(1), Interval(3, 4), 2, "proof",
-            depth=2, ks=(2, 2), params=p, base=Interval(3, 4),
+            ConstantOracle(1), Interval(3, 4), 2, "proof", ks=(2, 2), params=p,
         )
         assert (ww.e, ww.ls, ww.gamma) == (3, (1,), 1)
 
     def test_proof_mode_two_dimensional(self):
         p = tower_params(2, 1, 4)
         ww = solve_window(
-            ConstantOracle(1), Interval(5, 8), 3, "proof",
-            depth=2, ks=(2, 2), params=p, base=Interval(5, 6),
+            ConstantOracle(1), Interval(5, 8), 3, "proof", ks=(2, 2), params=p,
         )
         assert (ww.e, ww.ls, ww.gamma) == (5, (1, 2), 1)
 
+    def test_proof_mode_base_is_the_first_w1_cells(self):
+        # c = 2: windows 2.. are far larger than their 3-cell bases
+        out = run_stream(ThueMorseOracle(), 2, 2, 3, 4, "proof")
+        p = tower_params(2, 2, 3)
+        assert out.state.witnesses[-1].window.size() > p.w(1)
+        for w in out.state.witnesses:
+            assert solve_window(
+                ThueMorseOracle(), w.window, w.m, "proof", ks=(2, 2, 2), params=p
+            ) == w
+
     def test_search_mode_thue_morse(self):
         ww = solve_window(
-            ThueMorseOracle(), Interval(1, 16), 2, "search",
-            depth=2, ks=(2, 2), caps=(8, 8),
+            ThueMorseOracle(), Interval(1, 16), 2, "search", ks=(2, 2), caps=(8, 8),
         )
         assert (ww.e, ww.ls, ww.gamma) == (1, (3, 3), 1)
 
     def test_search_mode_periodic(self):
         ww = solve_window(
-            PeriodicOracle((1, 2)), Interval(1, 8), 2, "search", depth=2, ks=(2, 2)
+            PeriodicOracle((1, 2)), Interval(1, 8), 2, "search", ks=(2, 2)
         )
         assert (ww.e, ww.ls, ww.gamma) == (1, (2, 2), 1)
 
     def test_search_mode_failure(self):
         with pytest.raises(WindowFailureError):
             solve_window(
-                PeriodicOracle((1, 2)), Interval(1, 2), 1, "search", depth=1, ks=(2,)
+                PeriodicOracle((1, 2)), Interval(1, 2), 1, "search", ks=(2,)
             )
 
     def test_bad_mode(self):
         with pytest.raises(DomainError):
-            solve_window(ConstantOracle(1), Interval(1, 2), 1, "guess", depth=1, ks=(2,))
+            solve_window(ConstantOracle(1), Interval(1, 2), 1, "guess", ks=(2,))
 
 
 def _ww(m, ls, gamma, e=1):

@@ -13,7 +13,7 @@ from vdwitness import (
     MaterializationLimitError,
     SearchLimitError,
     TowerUncomputableError,
-    find_ap,
+    find_cube,
     tower_params,
     vdw_number,
     vdw_value,
@@ -21,6 +21,11 @@ from vdwitness import (
 )
 from vdwitness.wnumbers import _avoid, _cube_rows, _least_ap
 from bruteforce import all_colorings, expand_cube, has_mono_ap, least_mono_ap
+
+
+def find_ap(coloring: FiniteColoring, k: int) -> tuple[int, int] | None:
+    w = find_cube(coloring, (k,))
+    return None if w is None else (w.a, w.ds[0])
 
 
 def coloring_of(text: str, c: int) -> FiniteColoring:
