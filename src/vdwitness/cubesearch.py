@@ -44,8 +44,6 @@ class CapExceededError(LimitError):
         super().__init__(
             f"cube number for sides {list(ks)} with {c} colors exceeds cap {cap}"
         )
-        self.ks = ks
-        self.c = c
         self.cap = cap
 
 

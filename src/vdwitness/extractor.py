@@ -10,17 +10,17 @@ color-preserving shift of d* * sizes[n-1] positions; that shift becomes the
 top difference and the construction recurses into the first selected block.
 The stage-1 base case is a plain monochromatic progression search.
 
-A block is read and interned only when the progression scan (least block
-first, then least step) first looks at it, or when a scan walking the
-blocks in order reads ahead past it (never further ahead than it has
-already read), so a stage whose least progression of equal blocks starts
-near its first block is read only about that far. The scan jumps from a
-block to the next block with the same id (_Stage.index), which looks the
-blocks between them up in order, so it reads what a block-by-block scan
-would read. The recursion works on the colors of the selected block that
-the scan has already read: one unchecked extraction reads each cell at most
-once. The source is a finite coloring or an oracle; oracle reads, read-ahead
-and checked re-reads included, count against the cell limit.
+Each stage's blocks are read and interned in order from block 0, as far as
+the progression scan (least block first, then least step) has looked plus a
+read-ahead of at most as many blocks as are already read, so a stage whose
+least progression of equal blocks starts near its first block is read only
+about that far. The scan jumps from a block to the next block with the same
+id (_Stage.index), which reads the blocks between them in order, as a
+block-by-block scan would. The recursion works on the colors of the selected
+block that the scan has already read: one unchecked extraction reads each
+cell at most once. The source is a finite coloring or an oracle; oracle
+reads, read-ahead and checked re-reads included, count against the cell
+limit.
 A trace reports how many patterns the whole stage has, so with a trace
 every block of a stage is interned before its scan.
 
@@ -57,22 +57,20 @@ class _ReadFailure(Exception):
     """A block read's ValueError, as __cause__: index raises ValueError for "none"."""
 
 
-class _Stage(dict):
-    """Pattern id of each block of one stage, by 0-based block index.
+class _Stage(list):
+    """Pattern ids of blocks 0..len-1 of one stage, read in order.
 
-    A block is read and interned on its first lookup. Ids number the
-    distinct patterns in the order they were first read, so equal ids mean
-    equal colors at every offset, and the id-th key of patterns is the
-    pattern of id.
-    A lookup just past the run of blocks read from block 0 reads ahead as
-    many blocks as that run holds (at most about _BATCH_CELLS cells), so a
-    scan that walks the blocks in order reads at most about twice what it
-    looks at, in few batches, and no block is read twice. run holds the
-    ids of that run as a list, which index searches at C speed. A read
-    that raises ValueError raises _ReadFailure from it.
+    Ids number the distinct patterns in the order they were first read, so
+    equal ids mean equal colors at every offset, and the id-th key of
+    patterns is the pattern of id. A lookup at or past len reads the blocks
+    from len through it, or as many blocks as are already read if that is
+    more (at least one, at most about _BATCH_CELLS cells), so a scan that
+    walks the blocks in order reads at most about twice what it looks at,
+    in few batches, and no block is read twice. A read that raises
+    ValueError raises _ReadFailure from it.
     """
 
-    __slots__ = ("read", "size", "count", "patterns", "run")
+    __slots__ = ("read", "size", "count", "patterns")
 
     def __init__(self, read: _Reader, size: int, count: int) -> None:
         super().__init__()
@@ -80,26 +78,23 @@ class _Stage(dict):
         self.size = size
         self.count = count
         self.patterns: dict[tuple[int, ...], int] = {}
-        self.run: list[int] = []  # the ids of blocks 0..len(run)-1, all read
+
+    def __getitem__(self, b: int) -> int:
+        if b >= len(self):
+            self._read_through(b)
+        return list.__getitem__(self, b)
 
     def index(self, value: int, start: int, stop: int) -> int:
-        """Least block b in [start, stop) whose id is value, else ValueError.
-
-        Blocks are looked up in ascending order up to the answer, so the
-        reads are those of looking up start, start + 1, ... one by one.
-        """
-        run = self.run
+        """Least block b in [start, stop) whose id is value, else ValueError;
+        reads what looking up start, start + 1, ... one by one would read."""
         b = start
         while b < stop:
-            if b < len(run):
-                try:
-                    return run.index(value, b, stop)
-                except ValueError:
-                    b = len(run)
-            elif self[b] == value:  # reads ahead when b is the front
-                return b
-            else:
-                b += 1
+            if b >= len(self):
+                self._read_through(b)
+            try:
+                return list.index(self, value, b, stop)
+            except ValueError:
+                b = len(self)
         raise ValueError(f"no block with id {value} in [{start}, {stop})")
 
     def intern(self, b0: int, b1: int) -> list[int]:
@@ -115,24 +110,13 @@ class _Stage(dict):
             ]
         return ids
 
-    def __missing__(self, b: int) -> int:
-        run = self.run
-        stop = b + 1
-        if b == len(run):
-            stop = min(self.count, b + max(1, min(b, _BATCH_CELLS // self.size)))
-            if len(self) > b:
-                # A block past the front was read out of order: stop before it.
-                stop = next((x for x in range(b + 1, stop) if x in self), stop)
+    def _read_through(self, b: int) -> None:
+        front = len(self)
+        ahead = max(1, min(front, _BATCH_CELLS // self.size))
         try:
-            ids = self.intern(b, stop)
+            self.extend(self.intern(front, min(self.count, max(b + 1, front + ahead))))
         except ValueError as exc:
             raise _ReadFailure from exc
-        self.update(zip(range(b, stop), ids))
-        if b == len(run):
-            run += ids
-            while len(run) in self:
-                run.append(self[len(run)])
-        return self[b]
 
 
 def _reader(source: FiniteColoring | ColorOracle, lo: int, max_cells: int | None) -> _Reader:

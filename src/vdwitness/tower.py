@@ -29,7 +29,6 @@ class TowerUncomputableError(LimitError):
     def __init__(self, stage: int, reason: str):
         super().__init__(f"tower uncomputable at stage {stage}: {reason}")
         self.stage = stage
-        self.reason = reason
 
 
 @dataclass(frozen=True)

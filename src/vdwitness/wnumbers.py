@@ -220,11 +220,13 @@ def _search(k: int, c: int, limit: int, use_cache: bool) -> tuple[int, tuple[int
     return best_len + 1, cert
 
 
-def _validate(k: int, c: int) -> None:
+def _validate(k: int, c: int, search_limit: int | None) -> None:
     if k < 2:
         raise DomainError(f"progression length must be >= 2, got {k}")
     if c < 1:
         raise DomainError(f"number of colors must be >= 1, got {c}")
+    if search_limit is not None:
+        search_limit_default(search_limit)
 
 
 def vdw_number(
@@ -237,7 +239,7 @@ def vdw_number(
     certificate would have more cells than max_cells_limit(). use_cache=False
     searches even when this process has already resolved W(k, c).
     """
-    _validate(k, c)
+    _validate(k, c, search_limit)
     value = _closed_form(k, c)
     if value is not None:
         limit = max_cells_limit()
@@ -257,7 +259,7 @@ def vdw_value(k: int, c: int, search_limit: int | None = None) -> int:
 
     Materially cheaper than vdw_number for closed forms with huge palettes
     (W(2, c) = c + 1 would otherwise build a c-cell certificate)."""
-    _validate(k, c)
+    _validate(k, c, search_limit)
     value = _closed_form(k, c)
     if value is not None:
         return value

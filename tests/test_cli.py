@@ -262,6 +262,18 @@ class TestLimits:
         assert code == 3
         assert out_json(out)["error"] == "materialization limit exceeded"
 
+    def test_proof_window_read_up_to_the_cap(self, capsys):
+        # window 4's blocks do not repeat early, so its stage is read in
+        # order until the next read would pass the cap
+        code, out, err = run_cli(
+            capsys, "stream", "--oracle", "random:7", "--k", "2", "--c", "2",
+            "--depth", "3", "--windows", "4", "--mode", "proof", "--max-cells", "65536",
+        )
+        assert (code, out) == (3, '{"error":"materialization limit exceeded"}\n')
+        assert err == (
+            "extraction would read 110592 cells, over the materialization limit 65536\n"
+        )
+
     def test_stream_max_cells_wins_over_the_environment(self, capsys, monkeypatch):
         # depth records expand cubes of up to 32 positions under the flag's
         # limit, not the environment's
@@ -496,6 +508,20 @@ class TestInputErrors:
         argv = [coloring_122 if a == "COLORING" else a for a in argv]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", "difference caps must be >= 1\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wnumber", "--k", "2", "--c", "3", "--limit", "0"],
+            ["wnumber", "--k", "4", "--c", "1", "--limit", "-7"],
+            ["tower", "--k", "2", "--c", "1", "--n", "3", "--limit", "0"],
+            ["stream", "--oracle", "constant:1", "--k", "2", "--c", "1", "--depth", "1",
+             "--windows", "1", "--mode", "proof", "--limit", "0"],
+        ],
+    )
+    def test_non_positive_limit_on_closed_forms(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"search limit must be >= 1, got {argv[-1]}\n")
 
     def test_bad_threads(self, capsys):
         assert run_cli(capsys, "wnumber", "--k", "2", "--c", "2", "--threads", "0")[0] == 2

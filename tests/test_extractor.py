@@ -37,15 +37,28 @@ def coloring_of(text: str, c: int, lo: int = 1) -> FiniteColoring:
 def _agrees_with_dense(c: int, ks, colors, lo: int = 1) -> list:
     """Run extract on a finite coloring and on an oracle with the same colors,
     lazily and with a trace, checked and not; every run must equal the dense
-    reference, trace records included. Returns the reference trace."""
+    reference, trace records included. The unchecked, untraced oracle run
+    must read in order: each read starts where the last one ended, the first
+    at the base. Returns the reference trace."""
     params = tower_params(ks, c, len(ks))
     base = Interval(lo, lo + params.w(1) - 1)
     gamma, a, ds, trace = dense_extract(colors, lo, ks, params.W)
     col = FiniteColoring(c, Interval(lo, lo + len(colors) - 1), colors)
-    for source in (col, PrefixOracle(col, 1, c)):
+    reads: list = []
+
+    class Logged(PrefixOracle):
+        def _colors(self, i, j):
+            reads.append((i, j))
+            return super()._colors(i, j)
+
+    for source in (col, Logged(col, 1, c)):
         for checked in (False, True):
+            reads.clear()
             w = extract(source, base, len(ks), params, checked=checked)
             assert (w.gamma, w.a, w.ds, w.ks) == (gamma, a, ds, tuple(ks))
+            if source is not col and not checked:
+                starts = [base.lo] + [hi + 1 for _, hi in reads[:-1]]
+                assert [i for i, _ in reads] == starts
             got: list = []
             w = extract(source, base, len(ks), params, checked=checked, trace=got)
             assert (w.gamma, w.a, w.ds) == (gamma, a, ds)
@@ -120,7 +133,9 @@ class TestLazyScan:
         assert (w.a, w.ds) == (1, (1, 1024 * 5))
         assert (Counting.calls, Counting.cells) == (12, len(colors))
 
-    def test_read_ahead_stops_at_a_block_already_read(self):
+    def test_a_lookup_past_the_front_reads_in_order_through_it(self):
+        # block 5 reads blocks 0..5; block 6 then reads ahead as many blocks
+        # as are already read, up to the last block
         reads = []
         cells = tuple(range(1, 11))
 
@@ -129,8 +144,8 @@ class TestLazyScan:
             return cells[i:j]
 
         stage = _Stage(read, 1, 10)
-        assert [stage[b] for b in (5, 0, 1, 2, 4, 5, 6)] == [1, 2, 3, 4, 6, 1, 7]
-        assert reads == [(5, 6), (0, 1), (1, 2), (2, 4), (4, 5), (6, 10)]
+        assert [stage[b] for b in (5, 0, 1, 2, 4, 5, 6)] == [6, 1, 2, 3, 5, 6, 7]
+        assert reads == [(0, 6), (6, 10)]
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
@@ -179,7 +194,7 @@ class TestLazyScan:
                     found = find(fresh, value, start, stop)
                 except ValueError:
                     found = None
-            return hit, found, reads, dict(stage), dict(fresh)
+            return hit, found, reads, list(stage), list(fresh)
 
         got = run(_least_ap, lambda s, *args: s.index(*args))
         assert got == run(scan_least_ap, scan_index)
