@@ -22,11 +22,10 @@ from .core import (
 from .cubesearch import CapExceededError, cube_number, find_cube
 from .extractor import extract
 from .formats import (
-    _read_text,
     certificate_string,
     parse_oracle_spec,
     read_coloring,
-    witness_from_dict,
+    read_witness,
     witness_to_dict,
 )
 from .streamer import WindowFailureError, run_stream
@@ -119,11 +118,7 @@ def _cmd_cube_number(args: argparse.Namespace) -> int:
 
 def _cmd_stream(args: argparse.Namespace) -> int:
     oracle = parse_oracle_spec(args.oracle, args.c)
-    ks: int | list[int]
-    if args.ks is not None:
-        ks = _ints(args.ks)
-    else:
-        ks = args.k
+    ks = _ints(args.ks) if args.ks is not None else args.k
     caps = _ints(args.caps) if args.caps else None
     if caps is not None and len(caps) != args.depth:
         raise DomainError(f"{len(caps)} caps for depth {args.depth}")
@@ -150,11 +145,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        data = json.loads(_read_text(args.witness))
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"bad witness JSON: {exc}") from exc
-    witness = witness_from_dict(data)
+    witness = read_witness(args.witness)
     if args.coloring:
         source = read_coloring(args.coloring)
     else:
@@ -262,17 +253,10 @@ def main(argv: list[str] | None = None) -> int:
         if code in (0, None):
             return 0
         return 2
-    if getattr(args, "threads", 1) < 1:
-        _note("--threads must be >= 1")
-        return 2
     try:
+        if args.threads < 1:
+            raise DomainError("--threads must be >= 1")
         return args.func(args)
-    except FileNotFoundError as exc:
-        _note(f"missing file: {exc.filename}")
-        return 2
-    except IsADirectoryError as exc:
-        _note(f"not a file: {exc.filename}")
-        return 2
     except DomainError as exc:
         _note(str(exc))
         return 2

@@ -14,6 +14,8 @@ for palettes up to 9 colors, comma-separated integers otherwise.
 
 from __future__ import annotations
 
+import json
+
 from .core import (
     ColorOracle,
     ConstantOracle,
@@ -89,16 +91,32 @@ def parse_coloring_text(text: str) -> FiniteColoring:
 
 
 def _read_text(path: str) -> str:
-    """The contents of a UTF-8 text file; other bytes are a DomainError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The contents of a UTF-8 text file; any failure to open or decode it is
+    a one-line DomainError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"{path}: not UTF-8 text") from exc
+    except FileNotFoundError as exc:
+        raise DomainError(f"missing file: {path}") from exc
+    except IsADirectoryError as exc:
+        raise DomainError(f"not a file: {path}") from exc
+    except OSError as exc:
+        raise DomainError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text") from exc
 
 
 def read_coloring(path: str) -> FiniteColoring:
     return parse_coloring_text(_read_text(path))
+
+
+def read_witness(path: str) -> CubeWitness:
+    text = _read_text(path)
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
+        raise DomainError(f"bad witness JSON: {exc}") from exc
+    return witness_from_dict(data)
 
 
 def coloring_to_text(coloring: FiniteColoring) -> str:
@@ -145,6 +163,13 @@ def certificate_string(coloring: FiniteColoring) -> str:
     return ",".join(str(x) for x in coloring.colors)
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise DomainError(f"bad {what} {text!r}") from exc
+
+
 def parse_oracle_spec(spec: str, c: int | None = None) -> ColorOracle:
     """Build an oracle from its flat spec string; c overrides the inferred palette size."""
     spec = spec.strip()
@@ -156,11 +181,7 @@ def parse_oracle_spec(spec: str, c: int | None = None) -> ColorOracle:
     if not sep:
         raise DomainError(f"bad oracle spec {spec!r}")
     if kind == "constant":
-        try:
-            gamma = int(arg)
-        except ValueError as exc:
-            raise DomainError(f"bad constant color {arg!r}") from exc
-        return ConstantOracle(gamma, c)
+        return ConstantOracle(_int(arg, "constant color"), c)
     if kind == "periodic":
         return PeriodicOracle(parse_color_list(arg), c)
     if kind == "evperiodic":
@@ -172,18 +193,9 @@ def parse_oracle_spec(spec: str, c: int | None = None) -> ColorOracle:
     if kind == "random":
         if c is None:
             raise DomainError("random oracle needs an explicit number of colors")
-        try:
-            seed = int(arg)
-        except ValueError as exc:
-            raise DomainError(f"bad seed {arg!r}") from exc
-        return SeededRandomOracle(seed, c)
+        return SeededRandomOracle(_int(arg, "seed"), c)
     if kind == "file":
         path, colon, default_text = arg.partition(":")
-        default = 1
-        if colon:
-            try:
-                default = int(default_text)
-            except ValueError as exc:
-                raise DomainError(f"bad default color {default_text!r}") from exc
+        default = _int(default_text, "default color") if colon else 1
         return PrefixOracle(read_coloring(path), default, c)
     raise DomainError(f"unknown oracle kind {kind!r}")

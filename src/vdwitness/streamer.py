@@ -39,7 +39,7 @@ from .core import (
 )
 from .cubesearch import _check_caps, find_cube
 from .extractor import extract
-from .tower import TowerParams, tower_params
+from .tower import TowerParams, _stage_lengths, tower_params
 
 PROOF = "proof"
 SEARCH = "search"
@@ -248,7 +248,8 @@ def run_stream(
 ) -> StreamOutcome:
     """Drive a full stream: build windows, solve each, stabilize, re-verify.
 
-    ks is one uniform side length or one length per depth (nondecreasing).
+    ks is one uniform side length or one length per depth (nondecreasing,
+    each >= 2, in both modes).
     Every reported depth is re-verified against the oracle positionwise, so
     a successful outcome carries its own evidence.
     """
@@ -256,12 +257,7 @@ def run_stream(
         raise DomainError(f"depth must be >= 1, got {depth}")
     if windows < depth:
         raise DomainError(f"{windows} windows cannot reach depth {depth}")
-    if isinstance(ks, int):
-        ks_seq = (ks,) * depth
-    else:
-        ks_seq = tuple(ks)
-    if len(ks_seq) != depth:
-        raise DomainError(f"{len(ks_seq)} side lengths for depth {depth}")
+    ks_seq = _stage_lengths(ks, depth)
     if oracle.c != c:
         raise DomainError(f"oracle has {oracle.c} colors, expected {c}")
     caps = _check_caps(caps)

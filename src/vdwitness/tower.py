@@ -70,6 +70,19 @@ def _stage_w(k: int, c: int, stage: int, search_limit: int | None) -> int:
         ) from exc
 
 
+def _stage_lengths(ks: int | Sequence[int], n: int) -> tuple[int, ...]:
+    """The n progression lengths k_1 <= ... <= k_n, each >= 2, from one
+    length for every stage or n per-stage lengths."""
+    ks = (ks,) * n if isinstance(ks, int) else tuple(ks)
+    if len(ks) != n:
+        raise DomainError(f"{len(ks)} side lengths for {n} stages")
+    if min(ks) < 2:
+        raise DomainError(f"progression lengths must be >= 2, got {min(ks)}")
+    if any(ks[i] > ks[i + 1] for i in range(n - 1)):
+        raise DomainError("progression lengths must be nondecreasing")
+    return ks
+
+
 def tower_params(
     ks: int | Sequence[int],
     c: int,
@@ -81,13 +94,7 @@ def tower_params(
     stage or n per-stage lengths (nondecreasing, each >= 2)."""
     if n < 1:
         raise DomainError(f"need at least one stage, got {n}")
-    ks = (ks,) * n if isinstance(ks, int) else tuple(ks)
-    if len(ks) != n:
-        raise DomainError(f"{len(ks)} side lengths for {n} stages")
-    if min(ks) < 2:
-        raise DomainError(f"progression lengths must be >= 2, got {min(ks)}")
-    if any(ks[i] > ks[i + 1] for i in range(n - 1)):
-        raise DomainError("progression lengths must be nondecreasing")
+    ks = _stage_lengths(ks, n)
     if c < 1:
         raise DomainError(f"number of colors must be >= 1, got {c}")
     W: list[int] = [_stage_w(ks[0], c, 1, search_limit)]

@@ -1,5 +1,8 @@
+import errno
 import io
 import json
+import os
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -160,6 +163,11 @@ class TestExtractSearchVerify:
             "--oracle", "periodic:122",
         )
         assert code == 0
+
+    def test_search_takes_side_lengths_in_any_order(self, capsys, coloring_122):
+        code, out, _ = run_cli(capsys, "search", "--ks", "3,2", "--coloring", coloring_122)
+        assert code == 0
+        assert out_json(out)["ks"] == [3, 2]
 
     def test_search_absent(self, capsys, tmp_path):
         path = tmp_path / "two.txt"
@@ -378,6 +386,22 @@ class TestStream:
         assert code == 1
         assert out_json(out)["error"] == "window failure"
 
+    def test_every_window_skipped(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "stream", "--oracle", "random:1", "--k", "3", "--c", "2",
+            "--depth", "1", "--windows", "2", "--mode", "search",
+            "--window-size", "2", "--skip-failures",
+        )
+        assert (code, out) == (1, '{"error":"window failure","window":2,"lo":3,"hi":4}\n')
+
+    def test_search_mode_side_lengths_nondecreasing(self, capsys):
+        code, out, err = run_cli(
+            capsys, "stream", "--oracle", "random:1", "--ks", "3,2", "--c", "2",
+            "--depth", "2", "--windows", "4", "--mode", "search",
+            "--window-size", "64",
+        )
+        assert (code, out, err) == (2, "", "progression lengths must be nondecreasing\n")
+
     def test_thue_morse_proof_past_the_cell_limit(self, capsys):
         # window 4 is a stage-3 tower of 3,623,878,683 cells; its extraction
         # reads 33 blocks of 27 cells
@@ -472,6 +496,53 @@ class TestInputErrors:
             capsys, "verify", "--witness", str(tmp_path), "--coloring", coloring_122
         )
         assert (code, out, err) == (2, "", f"not a file: {tmp_path}\n")
+
+    @pytest.mark.parametrize("error", ["ENOTDIR", "ENAMETOOLONG", "ELOOP"])
+    @pytest.mark.parametrize("reader", ["coloring", "witness", "oracle"])
+    def test_unreadable_path(self, capsys, tmp_path, reader, error):
+        if error == "ENOTDIR":
+            (tmp_path / "file").write_text("")
+            path = tmp_path / "file" / "x"
+        elif error == "ENAMETOOLONG":
+            path = tmp_path / ("x" * 5000)
+        else:
+            path = tmp_path / "a"
+            path.symlink_to(tmp_path / "b")
+            (tmp_path / "b").symlink_to(path)
+        argv = {
+            "coloring": ["search", "--ks", "2", "--coloring", str(path)],
+            "witness": ["verify", "--witness", str(path), "--oracle", "constant:1", "--c", "1"],
+            "oracle": ["stream", "--oracle", f"file:{path}", "--k", "2", "--c", "2",
+                       "--depth", "1", "--windows", "1", "--mode", "search",
+                       "--window-size", "4"],
+        }[reader]
+        code, out, err = run_cli(capsys, *argv)
+        message = f"{path}: {os.strerror(getattr(errno, error))}\n"
+        assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000,
+            pytest.param(
+                "1" * 5000,
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no limit on integer digits",
+                ),
+            ),
+        ],
+        ids=["deep", "long-integer"],
+    )
+    def test_witness_json_past_the_decoder_limits(self, capsys, tmp_path, text):
+        witness_path = tmp_path / "w.json"
+        witness_path.write_text(text)
+        code, out, err = run_cli(
+            capsys, "verify", "--witness", str(witness_path),
+            "--oracle", "constant:1", "--c", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("bad witness JSON:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("reader", ["coloring", "witness"])
     def test_non_utf8_file(self, capsys, tmp_path, coloring_122, reader):

@@ -72,6 +72,18 @@ class TestColoringFiles:
         with pytest.raises(DomainError):
             parse_coloring_text("c=x lo=1 hi=2\n1 2\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("c=2 lo=1 hi\n1 2\n", "bad header field 'hi'"),
+            ("c=2 lo=1 hi=2\n1 x\n", "coloring body must contain integers"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(DomainError) as info:
+            parse_coloring_text(text)
+        assert str(info.value) == message
+
     def test_text_shape(self):
         col = FiniteColoring(2, Interval(1, 3), (1, 2, 1))
         assert coloring_to_text(col) == "c=2 lo=1 hi=3\n1 2 1\n"
@@ -134,6 +146,21 @@ class TestOracleSpecs:
         assert oracle.color_at(100) == 1
         oracle = parse_oracle_spec(f"file:{path}:2")
         assert oracle.color_at(100) == 2
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("constant:x", "bad constant color 'x'"),
+            ("random:x", "bad seed 'x'"),
+            ("file:PATH:x", "bad default color 'x'"),
+        ],
+    )
+    def test_integer_messages(self, tmp_path, spec, message):
+        path = tmp_path / "col.txt"
+        path.write_text("c=2 lo=1 hi=3\n1 2 1\n")
+        with pytest.raises(DomainError) as info:
+            parse_oracle_spec(spec.replace("PATH", str(path)), 2)
+        assert str(info.value) == message
 
     def test_palette_override(self):
         assert parse_oracle_spec("periodic:12", 5).c == 5

@@ -282,6 +282,19 @@ class TestRunStreamSearch:
         assert (st.gamma, st.ds) == (2, (1, 3, 3))
         assert all(r.verified for r in out.depths)
 
+    def test_side_lengths_nondecreasing_before_any_read(self):
+        class Counting(SeededRandomOracle):
+            cells = 0
+
+            def _colors(self, lo, hi):
+                Counting.cells += hi - lo + 1
+                return super()._colors(lo, hi)
+
+        for ks, message in (([3, 2], "nondecreasing"), ([2, 1], ">= 2, got 1")):
+            with pytest.raises(DomainError, match=message):
+                run_stream(Counting(1, 2), ks, 2, 2, 4, "search", window_size=64)
+        assert Counting.cells == 0
+
     def test_validation(self):
         with pytest.raises(DomainError):
             run_stream(ConstantOracle(1), 2, 1, 3, 2, "search", window_size=8)
