@@ -17,6 +17,7 @@ from .core import (
     Interval,
     LimitError,
     MaterializationLimitError,
+    _check_digits,
     find_violation,
 )
 from .cubesearch import CapExceededError, cube_number, find_cube
@@ -30,7 +31,7 @@ from .formats import (
 )
 from .streamer import WindowFailureError, run_stream
 from .tower import TowerUncomputableError, build_tower_interval, tower_params, tower_report
-from .wnumbers import SearchLimitError, _check_digits, vdw_number
+from .wnumbers import SearchLimitError, vdw_number
 
 
 def _emit(obj: dict) -> None:
@@ -156,6 +157,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _note("witness verified")
         return 0
     position, color = violation
+    _check_digits(position, "the first violating position")
     _emit({"verified": False, "first_violation": {"position": position, "color": color}})
     _note(f"position {position} has color {color}, not {witness.gamma}")
     return 1

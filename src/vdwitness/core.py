@@ -11,9 +11,14 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Iterable, Sequence
 
 DEFAULT_MAX_CELLS = 1 << 26
+# Numbers are printed in decimal only below 10^4300. The bound is CPython's
+# default int-to-str limit, fixed here so that every supported Python
+# (3.10.0-3.10.6 have no such limit) prints and refuses the same numbers.
+_MAX_DIGITS = 4300
+_DECIMAL_BOUND = 10**_MAX_DIGITS
 
 
 class DomainError(ValueError):
@@ -30,6 +35,56 @@ class MaterializationLimitError(LimitError):
 
 class InvariantViolationError(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def _show(x: int) -> str:
+    """x in decimal, or its number of decimal digits past _MAX_DIGITS."""
+    if x < _DECIMAL_BOUND:
+        return str(x)
+    # 30102/100000 < log10(2), so the first guess never exceeds the count.
+    digits = (x.bit_length() - 1) * 30102 // 100000 + 1
+    power = 10**digits
+    while x >= power:
+        power *= 10
+        digits += 1
+    return f"<{digits}-digit number>"
+
+
+def _check_digits(x: int, name: str) -> None:
+    """Refuse, with a LimitError, a number x too long to print in decimal."""
+    if x >= _DECIMAL_BOUND:
+        raise LimitError(f"{name} has more than {_MAX_DIGITS} decimal digits")
+
+
+def _check_palette(c: int | None, colors: Sequence[int] = ()) -> int:
+    """The palette rule: at least one color, and each of colors in [1, c].
+    Returns c, or the least palette [1, c] that holds colors if c is None."""
+    if c is None:
+        c = max(1, max(colors))
+    if c < 1:
+        raise DomainError(f"number of colors must be >= 1, got {c}")
+    if colors and (min(colors) < 1 or max(colors) > c):
+        raise DomainError(f"colors must lie in [1, {c}]")
+    return c
+
+
+def _side_lengths(ks: Iterable[int]) -> tuple[int, ...]:
+    """The side lengths ks as a tuple: at least one, each >= 2."""
+    ks = tuple(ks)
+    if not ks:
+        raise DomainError("need at least one side length")
+    if min(ks) < 2:
+        raise DomainError(f"side lengths must be >= 2, got {min(ks)}")
+    return ks
+
+
+def _check_cells(what: str, cells: int, limit: int) -> None:
+    """Refuse, with a MaterializationLimitError, cells past the cell cap
+    limit; what starts the message ("extraction would read", say)."""
+    if cells > limit:
+        raise MaterializationLimitError(
+            f"{what} {_show(cells)} cells, over the materialization limit {limit}"
+        )
 
 
 def _limit(explicit: int | None, what: str, env: str, default: int) -> int:
@@ -92,15 +147,12 @@ class FiniteColoring:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.c < 1:
-            raise DomainError(f"number of colors must be >= 1, got {self.c}")
         object.__setattr__(self, "colors", tuple(self.colors))
         if len(self.colors) != self.domain.size():
             raise DomainError(
                 f"{len(self.colors)} colors for a domain of {self.domain.size()} cells"
             )
-        if min(self.colors) < 1 or max(self.colors) > self.c:
-            raise DomainError(f"colors must lie in [1, {self.c}]")
+        _check_palette(self.c, self.colors)
 
     def color_at(self, p: int) -> int:
         if p not in self.domain:
@@ -151,13 +203,7 @@ class EventuallyPeriodicOracle(ColorOracle):
         object.__setattr__(self, "pattern", pattern)
         if not pattern:
             raise DomainError("empty period pattern")
-        used = max(prefix + pattern)
-        if min(prefix + pattern) < 1:
-            raise DomainError("colors must be >= 1")
-        if self.c is None:
-            object.__setattr__(self, "c", used)
-        elif self.c < used:
-            raise DomainError(f"colors beyond palette size {self.c}")
+        object.__setattr__(self, "c", _check_palette(self.c, prefix + pattern))
 
     def _color(self, p: int) -> int:
         if p <= len(self.prefix):
@@ -245,8 +291,7 @@ class SeededRandomOracle(ColorOracle):
     c: int
 
     def __post_init__(self) -> None:
-        if self.c < 1:
-            raise DomainError(f"number of colors must be >= 1, got {self.c}")
+        _check_palette(self.c)
         # The seed's key, hashed once; not a field, so eq, hash and repr ignore it.
         object.__setattr__(self, "_key", _splitmix64(self.seed & _MASK64))
 
@@ -282,11 +327,8 @@ class PrefixOracle(ColorOracle):
     def __post_init__(self) -> None:
         if self.default < 1:
             raise DomainError(f"default color must be >= 1, got {self.default}")
-        used = max(self.coloring.c, self.default)
-        if self.c is None:
-            object.__setattr__(self, "c", used)
-        elif self.c < used:
-            raise DomainError(f"colors beyond palette size {self.c}")
+        palette = _check_palette(self.c, (self.coloring.c, self.default))
+        object.__setattr__(self, "c", palette)
 
     def _color(self, p: int) -> int:
         if p in self.coloring.domain:
@@ -318,8 +360,7 @@ class CubeWitness:
             raise DomainError("ds and ks must be nonempty and of equal length")
         if min(self.ds) < 1:
             raise DomainError("all differences must be >= 1")
-        if min(self.ks) < 2:
-            raise DomainError("all side lengths must be >= 2")
+        _side_lengths(self.ks)
 
     @property
     def dim(self) -> int:
@@ -398,7 +439,7 @@ def _first_violation(
         if lo < dom.lo or hi > dom.hi:
             p = lo if lo < dom.lo else next(q for q in pts if q > dom.hi)
             raise DomainError(
-                f"cube position {p} outside domain [{dom.lo}, {dom.hi}]"
+                f"cube position {_show(p)} outside domain [{dom.lo}, {dom.hi}]"
             )
         colors, lo = source.colors, dom.lo
     elif hi - lo < _DENSE_SPAN * len(pts) and hi - lo < max_cells_limit(max_cells):
@@ -437,9 +478,5 @@ def materialize(
     oracle: ColorOracle, interval: Interval, max_cells: int | None = None
 ) -> FiniteColoring:
     """Evaluate an oracle over an interval as a dense coloring, subject to the cell cap."""
-    limit = max_cells_limit(max_cells)
-    if interval.size() > limit:
-        raise MaterializationLimitError(
-            f"{interval.size()} cells exceed the materialization limit {limit}"
-        )
+    _check_cells("the interval has", interval.size(), max_cells_limit(max_cells))
     return FiniteColoring(oracle.c, interval, oracle._colors(interval.lo, interval.hi))

@@ -33,7 +33,14 @@ from __future__ import annotations
 from operator import mul
 from typing import Sequence
 
-from .core import CubeWitness, DomainError, FiniteColoring, LimitError
+from .core import (
+    CubeWitness,
+    DomainError,
+    FiniteColoring,
+    LimitError,
+    _check_palette,
+    _side_lengths,
+)
 from .wnumbers import _avoid
 
 
@@ -50,21 +57,10 @@ class CapExceededError(LimitError):
 def _check_caps(caps: Sequence[int] | None) -> tuple[int, ...] | None:
     """Per-dimension caps on the differences d_i as a tuple; None means
     domain-bounded."""
-    if caps is None:
-        return None
-    caps = tuple(caps)
+    caps = None if caps is None else tuple(caps)
     if caps and min(caps) < 1:
         raise DomainError("difference caps must be >= 1")
     return caps
-
-
-def _validate_ks(ks: Sequence[int]) -> tuple[int, ...]:
-    ks = tuple(ks)
-    if not ks:
-        raise DomainError("need at least one side length")
-    if min(ks) < 2:
-        raise DomainError("side lengths must be >= 2")
-    return ks
 
 
 # Anchors served by one segment of stride masks at least: shifting a mask of
@@ -99,7 +95,7 @@ def find_cube(
     strictly increasing differences. Returns None when no witness exists
     within the domain and caps.
     """
-    ks = _validate_ks(ks)
+    ks = _side_lengths(ks)
     bounds = _check_caps(bounds)
     colors = coloring.colors
     n = len(colors)
@@ -224,9 +220,8 @@ def cube_number(ks: Sequence[int], c: int, cap: int) -> int:
     position. Raises CapExceededError when a cube-free coloring of the full
     cap length exists. Practical only for small N; the state space is c^N.
     """
-    ks = _validate_ks(ks)
-    if c < 1:
-        raise DomainError(f"number of colors must be >= 1, got {c}")
+    ks = _side_lengths(ks)
+    _check_palette(c)
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
     reached, best_len, _ = _avoid(ks, c, cap)

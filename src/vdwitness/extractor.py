@@ -8,7 +8,8 @@ it contains a monochromatic k_n-term progression of block indices. Equal ids
 mean the blocks agree position for position, so stepping d* blocks is a rigid
 color-preserving shift of d* * sizes[n-1] positions; that shift becomes the
 top difference and the construction recurses into the first selected block.
-The stage-1 base case is a plain monochromatic progression search.
+The stage-1 base case is a plain monochromatic progression search. Both
+scans run _least_ap, defined here because extraction is its only caller.
 
 Each stage's blocks are read and interned in order from block 0, as far as
 the progression scan (least block first, then least step) has looked plus a
@@ -40,17 +41,49 @@ from .core import (
     FiniteColoring,
     Interval,
     InvariantViolationError,
-    MaterializationLimitError,
+    _check_cells,
+    _check_palette,
     max_cells_limit,
 )
 from .tower import TowerParams, build_tower_interval
-from .wnumbers import _least_ap
 
 # read(i, j): the colors at 0-based offsets i..j-1 of the current tower segment.
 _Reader = Callable[[int, int], tuple[int, ...]]
 
 # Blocks are read in batches of at most about this many cells.
 _BATCH_CELLS = 1 << 16
+
+
+def _least_ap(colors, n: int, k: int) -> tuple[int, int] | None:
+    """Least (a0, d) with colors[a0] == colors[a0 + j*d] for 0 < j < k, over
+    0-based indices below n, k >= 2.
+
+    The scan runs a0 ascending, then d ascending. It jumps from one
+    candidate d to the next with colors.index(gamma, start, stop), the
+    least index in [start, stop) holding gamma (ValueError if none), and
+    reads the points j >= 2 only for that d. colors is a tuple, a list or
+    anything else with int indexing and that index; a lazily filled stage
+    (_Stage) whose index looks its elements up in ascending order is read
+    exactly as an element-by-element scan would read it, and no further
+    than the answer needs. Such a stage must not let a failed read out of
+    index as a ValueError (_Stage raises _ReadFailure instead).
+    """
+    for a0 in range(n - k + 1):
+        gamma = colors[a0]
+        stop = a0 + (n - 1 - a0) // (k - 1) + 1  # a0 + the largest d, plus one
+        q = a0
+        while True:
+            try:
+                q = colors.index(gamma, q + 1, stop)
+            except ValueError:
+                break
+            d = q - a0
+            for p in range(q + d, a0 + k * d, d):
+                if colors[p] != gamma:
+                    break
+            else:
+                return (a0, d)
+    return None
 
 
 class _ReadFailure(Exception):
@@ -131,14 +164,9 @@ def _reader(source: FiniteColoring | ColorOracle, lo: int, max_cells: int | None
     def read(i: int, j: int) -> tuple[int, ...]:
         nonlocal total
         total += j - i
-        if total > limit:
-            raise MaterializationLimitError(
-                f"extraction would read {total} cells, over the materialization "
-                f"limit {limit}"
-            )
+        _check_cells("extraction would read", total, limit)
         cells = source._colors(lo + i, lo + j - 1)
-        if min(cells) < 1 or max(cells) > c:
-            raise DomainError(f"colors must lie in [1, {c}]")
+        _check_palette(c, cells)
         return cells
 
     return read
@@ -172,8 +200,7 @@ def extract(
     block_size, palette_size} is appended per stage above the base, top
     stage first; palette_size counts the patterns of all the stage's blocks.
     """
-    if n < 1 or n > params.stages:
-        raise DomainError(f"stage {n} outside [1, {params.stages}]")
+    params._stage_index(n)  # refuses a stage outside the tower
     ks = params.ks[:n]
     if source.c != params.c:
         raise DomainError(

@@ -28,6 +28,7 @@ from .core import (
     PrefixOracle,
     SeededRandomOracle,
     ThueMorseOracle,
+    _check_palette,
     cube_positions,
 )
 
@@ -38,37 +39,25 @@ def parse_color_list(text: str) -> tuple[int, ...]:
     if not text:
         raise DomainError("empty color list")
     if "," in text or " " in text:
-        parts = [p for p in text.replace(",", " ").split() if p]
+        parts = text.replace(",", " ").split()
     else:
         parts = list(text)
     try:
         colors = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise DomainError(f"bad color list {text!r}") from exc
-    if min(colors) < 1:
-        raise DomainError("colors must be >= 1")
+    _check_palette(None, colors)
     return colors
 
 
 def parse_coloring_text(text: str) -> FiniteColoring:
-    lines = text.splitlines()
-    header = None
-    body: list[str] = []
-    for line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if header is None:
-            header = stripped
-        else:
-            body.append(stripped)
-    if header is None:
+    lines = [line.strip() for line in text.splitlines()]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    if not lines:
         raise DomainError("empty coloring file")
     fields = dict()
-    for part in header.split():
-        if "=" not in part:
-            raise DomainError(f"bad header field {part!r}")
-        key, _, value = part.partition("=")
+    for part in lines[0].split():
+        key, _, value = part.partition("=")  # no "=" leaves value empty
         try:
             fields[key] = int(value)
         except ValueError as exc:
@@ -77,9 +66,7 @@ def parse_coloring_text(text: str) -> FiniteColoring:
     if missing:
         raise DomainError(f"header missing {sorted(missing)}")
     c, lo, hi = fields["c"], fields["lo"], fields["hi"]
-    tokens: list[str] = []
-    for line in body:
-        tokens.extend(t for t in line.replace(",", " ").split() if t)
+    tokens = " ".join(lines[1:]).replace(",", " ").split()
     try:
         colors = tuple(int(t) for t in tokens)
     except ValueError as exc:
@@ -92,18 +79,20 @@ def parse_coloring_text(text: str) -> FiniteColoring:
 
 def _read_text(path: str) -> str:
     """The contents of a UTF-8 text file; any failure to open or decode it is
-    a one-line DomainError naming the file."""
+    a one-line DomainError naming the file, quoted if it holds a character
+    that does not print (a newline, say)."""
+    shown = path if path.isprintable() else repr(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except FileNotFoundError as exc:
-        raise DomainError(f"missing file: {path}") from exc
+        raise DomainError(f"missing file: {shown}") from exc
     except IsADirectoryError as exc:
-        raise DomainError(f"not a file: {path}") from exc
+        raise DomainError(f"not a file: {shown}") from exc
     except OSError as exc:
-        raise DomainError(f"{path}: {exc.strerror}") from exc
+        raise DomainError(f"{shown}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise DomainError(f"{path}: not UTF-8 text") from exc
+        raise DomainError(f"{shown}: not UTF-8 text") from exc
 
 
 def read_coloring(path: str) -> FiniteColoring:

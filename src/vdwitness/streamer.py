@@ -202,14 +202,14 @@ def stabilize(witnesses: Sequence[WindowWitness], depth: int) -> StreamState:
     if len(by_index) != len(witnesses):
         raise DomainError("duplicate window indices in witness stream")
 
-    def majority(items: list[tuple[int, int]]) -> int:
-        # items: (value, window index); most frequent value, ties to smaller.
+    def majority(values: list[int]) -> int:
+        # The most frequent value, ties to the smaller.
         counts: dict[int, int] = {}
-        for value, _ in items:
+        for value in values:
             counts[value] = counts.get(value, 0) + 1
         return min(counts, key=lambda v: (-counts[v], v))
 
-    gamma = majority([(w.gamma, w.m) for w in witnesses])
+    gamma = majority([w.gamma for w in witnesses])
     survivors = tuple(sorted(w.m for w in witnesses if w.gamma == gamma))
     sets = [survivors]
     ds: list[int] = []
@@ -217,7 +217,7 @@ def stabilize(witnesses: Sequence[WindowWitness], depth: int) -> StreamState:
         pool = [m for m in sets[-1] if by_index[m].dim >= t]
         if not pool:
             break
-        value = majority([(by_index[m].ls[t - 1], m) for m in pool])
+        value = majority([by_index[m].ls[t - 1] for m in pool])
         sets.append(tuple(m for m in pool if by_index[m].ls[t - 1] == value))
         ds.append(value)
     sources = tuple(s[0] for s in sets[1:])

@@ -17,8 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DomainError, Interval, LimitError, translate
-from .wnumbers import SearchLimitError, _check_digits, _show, vdw_value
+from .core import (
+    DomainError,
+    Interval,
+    LimitError,
+    _check_digits,
+    _show,
+    _side_lengths,
+    translate,
+)
+from .wnumbers import SearchLimitError, vdw_value
 
 MAX_PALETTE_BITS = 1 << 22
 
@@ -50,15 +58,17 @@ class TowerParams:
     def stages(self) -> int:
         return len(self.W)
 
+    def _stage_index(self, m: int) -> int:
+        """The 0-based index of stage m; stages run from 1 to self.stages."""
+        if not 1 <= m <= len(self.W):
+            raise DomainError(f"stage {m} outside [1, {len(self.W)}]")
+        return m - 1
+
     def w(self, m: int) -> int:
-        if not 1 <= m <= self.stages:
-            raise DomainError(f"stage {m} outside [1, {self.stages}]")
-        return self.W[m - 1]
+        return self.W[self._stage_index(m)]
 
     def size(self, m: int) -> int:
-        if not 1 <= m <= self.stages:
-            raise DomainError(f"stage {m} outside [1, {self.stages}]")
-        return self.sizes[m - 1]
+        return self.sizes[self._stage_index(m)]
 
 
 def _stage_w(k: int, c: int, stage: int, search_limit: int | None) -> int:
@@ -76,8 +86,7 @@ def _stage_lengths(ks: int | Sequence[int], n: int) -> tuple[int, ...]:
     ks = (ks,) * n if isinstance(ks, int) else tuple(ks)
     if len(ks) != n:
         raise DomainError(f"{len(ks)} side lengths for {n} stages")
-    if min(ks) < 2:
-        raise DomainError(f"progression lengths must be >= 2, got {min(ks)}")
+    _side_lengths(ks)
     if any(ks[i] > ks[i + 1] for i in range(n - 1)):
         raise DomainError("progression lengths must be nondecreasing")
     return ks
@@ -95,8 +104,6 @@ def tower_params(
     if n < 1:
         raise DomainError(f"need at least one stage, got {n}")
     ks = _stage_lengths(ks, n)
-    if c < 1:
-        raise DomainError(f"number of colors must be >= 1, got {c}")
     W: list[int] = [_stage_w(ks[0], c, 1, search_limit)]
     C: list[int] = []
     sizes: list[int] = [W[0]]

@@ -13,6 +13,9 @@ The search (_avoid) prunes with one row of hyperedge masks per position,
 built the first time the search reaches that position. A k-AP is the
 1-dimensional cube of side k, so cubesearch.cube_number runs the same
 search with its own side lengths.
+
+Extraction's least-progression scan (_least_ap) lives in extractor, and the
+decimal print bound (_show, _check_digits) in core.
 """
 
 from __future__ import annotations
@@ -20,43 +23,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    DomainError,
     FiniteColoring,
     Interval,
     LimitError,
-    MaterializationLimitError,
+    _check_cells,
+    _check_palette,
     _limit,
+    _show,
+    _side_lengths,
     max_cells_limit,
 )
 
 DEFAULT_SEARCH_LIMIT = 128
-# Numbers are printed in decimal only below 10^4300. The bound is CPython's
-# default int-to-str limit, fixed here so that every supported Python
-# (3.10.0-3.10.6 have no such limit) prints and refuses the same numbers.
-_MAX_DIGITS = 4300
-_DECIMAL_BOUND = 10**_MAX_DIGITS
 
 # (k, c) -> (value, certificate colors); filled by searches in this process.
 _MEMO: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-
-
-def _show(x: int) -> str:
-    """x in decimal, or its number of decimal digits past _MAX_DIGITS."""
-    if x < _DECIMAL_BOUND:
-        return str(x)
-    # 30102/100000 < log10(2), so the first guess never exceeds the count.
-    digits = (x.bit_length() - 1) * 30102 // 100000 + 1
-    power = 10**digits
-    while x >= power:
-        power *= 10
-        digits += 1
-    return f"<{digits}-digit number>"
-
-
-def _check_digits(x: int, name: str) -> None:
-    """Refuse, with a LimitError, a number x too long to print in decimal."""
-    if x >= _DECIMAL_BOUND:
-        raise LimitError(f"{name} has more than {_MAX_DIGITS} decimal digits")
 
 
 class SearchLimitError(LimitError):
@@ -221,10 +202,8 @@ def _search(k: int, c: int, limit: int, use_cache: bool) -> tuple[int, tuple[int
 
 
 def _validate(k: int, c: int, search_limit: int | None) -> None:
-    if k < 2:
-        raise DomainError(f"progression length must be >= 2, got {k}")
-    if c < 1:
-        raise DomainError(f"number of colors must be >= 1, got {c}")
+    _side_lengths((k,))
+    _check_palette(c)
     if search_limit is not None:
         search_limit_default(search_limit)
 
@@ -242,12 +221,8 @@ def vdw_number(
     _validate(k, c, search_limit)
     value = _closed_form(k, c)
     if value is not None:
-        limit = max_cells_limit()
-        if value - 1 > limit:
-            raise MaterializationLimitError(
-                f"the W({k},{_show(c)}) certificate has {_show(value - 1)} cells, "
-                f"over the materialization limit {limit}"
-            )
+        what = f"the W({k},{_show(c)}) certificate has"
+        _check_cells(what, value - 1, max_cells_limit())
         cert = (1,) * (k - 1) if c == 1 else tuple(range(1, c + 1))
     else:
         value, cert = _search(k, c, search_limit_default(search_limit), use_cache)
@@ -270,11 +245,10 @@ def verify_ap_free(coloring: FiniteColoring, k: int) -> bool:
     """True iff the coloring has no monochromatic k-term arithmetic progression.
 
     Enumerates progressions difference-major, independently of the search
-    above and of the least-progression scan, so certificates are checked
-    through a separate code path.
+    above and of extraction's least-progression scan, so certificates are
+    checked through a separate code path.
     """
-    if k < 2:
-        raise DomainError(f"progression length must be >= 2, got {k}")
+    _side_lengths((k,))
     colors = coloring.colors
     n = len(colors)
     for d in range(1, (n - 1) // (k - 1) + 1):
@@ -286,35 +260,3 @@ def verify_ap_free(coloring: FiniteColoring, k: int) -> bool:
             else:
                 return False
     return True
-
-
-def _least_ap(colors, n: int, k: int) -> tuple[int, int] | None:
-    """Least (a0, d) with colors[a0] == colors[a0 + j*d] for 0 < j < k, over
-    0-based indices below n, k >= 2.
-
-    The scan runs a0 ascending, then d ascending. It jumps from one
-    candidate d to the next with colors.index(gamma, start, stop), the
-    least index in [start, stop) holding gamma (ValueError if none), and
-    reads the points j >= 2 only for that d. colors is a tuple, a list or
-    anything else with int indexing and that index; a lazily filled stage
-    whose index looks its elements up in ascending order is read exactly as
-    an element-by-element scan would read it, and no further than the
-    answer needs. Such a stage must not let a failed read out of index as
-    a ValueError.
-    """
-    for a0 in range(n - k + 1):
-        gamma = colors[a0]
-        stop = a0 + (n - 1 - a0) // (k - 1) + 1  # a0 + the largest d, plus one
-        q = a0
-        while True:
-            try:
-                q = colors.index(gamma, q + 1, stop)
-            except ValueError:
-                break
-            d = q - a0
-            for p in range(q + d, a0 + k * d, d):
-                if colors[p] != gamma:
-                    break
-            else:
-                return (a0, d)
-    return None

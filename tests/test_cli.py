@@ -214,6 +214,19 @@ class TestExtractSearchVerify:
         assert code == 2
         assert out == ""
 
+    def test_verify_huge_position_outside_the_domain(self, capsys, tmp_path):
+        witness_path = tmp_path / "w.json"
+        witness_path.write_text('{"gamma":1,"a":1,"ds":[%d],"ks":[2]}' % (10**4300 - 1))
+        coloring_path = tmp_path / "c.txt"
+        coloring_path.write_text("c=1 lo=1 hi=4\n1 1 1 1\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--witness", str(witness_path),
+            "--coloring", str(coloring_path),
+        )
+        assert (code, out, err) == (
+            2, "", "cube position <4301-digit number> outside domain [1, 4]\n"
+        )
+
 
 class TestCubeNumber:
     def test_value(self, capsys):
@@ -306,6 +319,19 @@ class TestLimits:
         assert code == 3
         assert out_json(out) == {"error": "materialization limit exceeded"}
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_verify_refuses_to_print_a_huge_violation(self, capsys, tmp_path):
+        # every number has 4,300 digits; the first violation, 10^4300 + 2, has more
+        witness_path = tmp_path / "w.json"
+        witness_path.write_text(
+            '{"gamma":1,"a":%d,"ds":[%d],"ks":[2]}' % (10**4299 + 1, 9 * 10**4299 + 1)
+        )
+        code, out, err = run_cli(
+            capsys, "verify", "--witness", str(witness_path), "--oracle", "periodic:12"
+        )
+        assert (code, out, err) == (
+            3, "", "the first violating position has more than 4300 decimal digits\n"
+        )
 
     def test_verify_degenerate_cube(self, capsys, tmp_path):
         # 1000^4 index tuples collapse onto 3,997 positions
@@ -496,6 +522,10 @@ class TestInputErrors:
             capsys, "verify", "--witness", str(tmp_path), "--coloring", coloring_122
         )
         assert (code, out, err) == (2, "", f"not a file: {tmp_path}\n")
+
+    def test_path_with_a_newline_is_quoted(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--ks", "2", "--coloring", "/nope\nsecond")
+        assert (code, out, err) == (2, "", "missing file: '/nope\\nsecond'\n")
 
     @pytest.mark.parametrize("error", ["ENOTDIR", "ENAMETOOLONG", "ELOOP"])
     @pytest.mark.parametrize("reader", ["coloring", "witness", "oracle"])

@@ -24,8 +24,7 @@ from vdwitness import (
     verify_witness,
 )
 from vdwitness import extractor
-from vdwitness.extractor import _Stage, _check_block_shift
-from vdwitness.wnumbers import _least_ap
+from vdwitness.extractor import _Stage, _check_block_shift, _least_ap
 from bruteforce import all_colorings, dense_extract, mono_aps, scan_index, scan_least_ap
 
 

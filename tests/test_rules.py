@@ -1,0 +1,157 @@
+"""Each domain rule has one owning function, and every entry point that
+checks the rule refuses through it, with the owner's message.
+
+A refusal is traced to the function that raised it, so a second copy of a
+rule fails here even when its wording matches the owner's.
+"""
+
+from types import CodeType
+
+import pytest
+
+from vdwitness import (
+    ColorOracle,
+    ConstantOracle,
+    CubeWitness,
+    DomainError,
+    EventuallyPeriodicOracle,
+    FiniteColoring,
+    Interval,
+    MaterializationLimitError,
+    PeriodicOracle,
+    PrefixOracle,
+    SeededRandomOracle,
+    TowerParams,
+    cube_number,
+    extract,
+    find_cube,
+    materialize,
+    run_stream,
+    tower_params,
+    vdw_number,
+    vdw_value,
+    verify_ap_free,
+)
+from vdwitness.core import _check_cells, _check_palette, _side_lengths
+from vdwitness.formats import parse_color_list
+
+ONES = FiniteColoring(1, Interval(1, 3), (1, 1, 1))
+PARAMS = tower_params(2, 2, 2)  # W = (3, 9): stages 1 and 2
+TOWER = FiniteColoring(2, Interval(1, 27), (1, 2) * 13 + (1,))
+
+
+def refusal(call, error=DomainError) -> tuple[str, CodeType]:
+    """The message of the error that call raises, and the code of the
+    function that raised it."""
+    with pytest.raises(error) as excinfo:
+        call()
+    tb = excinfo.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return str(excinfo.value), tb.tb_frame.f_code
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FiniteColoring(0, Interval(1, 1), (1,)),
+        lambda: SeededRandomOracle(1, 0),
+        lambda: tower_params(2, 0, 1),
+        lambda: vdw_number(3, 0),
+        lambda: vdw_value(3, 0),
+        lambda: cube_number((2,), 0, 5),
+    ],
+    ids=["FiniteColoring", "SeededRandomOracle", "tower_params", "vdw_number",
+         "vdw_value", "cube_number"],
+)
+def test_palette_size(call):
+    assert refusal(call) == (
+        "number of colors must be >= 1, got 0",
+        _check_palette.__code__,
+    )
+
+
+class Threes(ColorOracle):
+    c = 2
+
+    def _color(self, p):
+        return 3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FiniteColoring(2, Interval(1, 2), (1, 3)),
+        lambda: PeriodicOracle((1, 3), 2),
+        lambda: EventuallyPeriodicOracle((3,), (1,), 2),
+        lambda: PrefixOracle(FiniteColoring(3, Interval(1, 1), (3,)), 1, 2),
+        lambda: extract(Threes(), Interval(1, 3), 2, PARAMS),
+        lambda: parse_color_list("1,0,2"),
+    ],
+    ids=["FiniteColoring", "PeriodicOracle", "EventuallyPeriodicOracle",
+         "PrefixOracle", "extract", "parse_color_list"],
+)
+def test_palette_colors(call):
+    assert refusal(call) == ("colors must lie in [1, 2]", _check_palette.__code__)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CubeWitness(1, 1, (1,), (1,)),
+        lambda: find_cube(ONES, (1,)),
+        lambda: cube_number((1,), 2, 5),
+        lambda: tower_params(1, 2, 1),
+        lambda: run_stream(ConstantOracle(1), 1, 1, 1, 1, "search", window_size=4),
+        lambda: vdw_number(1, 2),
+        lambda: verify_ap_free(ONES, 1),
+    ],
+    ids=["CubeWitness", "find_cube", "cube_number", "tower_params", "run_stream",
+         "vdw_number", "verify_ap_free"],
+)
+def test_side_lengths(call):
+    assert refusal(call) == (
+        "side lengths must be >= 2, got 1",
+        _side_lengths.__code__,
+    )
+
+
+@pytest.mark.parametrize("m", [0, PARAMS.stages + 1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: PARAMS.w(m),
+        lambda m: PARAMS.size(m),
+        lambda m: extract(TOWER, Interval(1, 3), m, PARAMS),
+    ],
+    ids=["w", "size", "extract"],
+)
+def test_stage_range(call, m):
+    assert refusal(lambda: call(m)) == (
+        f"stage {m} outside [1, 2]",
+        TowerParams._stage_index.__code__,
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: materialize(ConstantOracle(1), Interval(1, 11)),
+            "the interval has 11 cells",
+        ),
+        (
+            # stage 4 of the one-color tower: blocks 0 and 1 hold 8 cells each
+            lambda: extract(ConstantOracle(1), Interval(1, 2), 4, tower_params(2, 1, 4)),
+            "extraction would read 16 cells",
+        ),
+        (lambda: vdw_number(2, 11), "the W(2,11) certificate has 11 cells"),
+    ],
+    ids=["materialize", "extract", "vdw_number"],
+)
+def test_cell_cap(call, message, monkeypatch):
+    monkeypatch.setenv("VDW_MAX_CELLS", "10")
+    assert refusal(call, MaterializationLimitError) == (
+        f"{message}, over the materialization limit 10",
+        _check_cells.__code__,
+    )

@@ -19,7 +19,8 @@ from vdwitness import (
     vdw_value,
     verify_ap_free,
 )
-from vdwitness.wnumbers import _avoid, _cube_rows, _least_ap
+from vdwitness.extractor import _least_ap
+from vdwitness.wnumbers import _avoid, _cube_rows
 from bruteforce import all_colorings, expand_cube, has_mono_ap, least_mono_ap
 
 
