@@ -93,6 +93,8 @@ def _read_text(path: str) -> str:
         raise DomainError(f"{shown}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise DomainError(f"{shown}: not UTF-8 text") from exc
+    except ValueError as exc:  # a NUL in the path
+        raise DomainError(f"{shown}: {exc}") from exc
 
 
 def read_coloring(path: str) -> FiniteColoring:

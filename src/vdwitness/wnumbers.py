@@ -12,7 +12,14 @@ reaches at the extremal length is the lexicographically least one.
 The search (_avoid) prunes with one row of hyperedge masks per position,
 built the first time the search reaches that position. A k-AP is the
 1-dimensional cube of side k, so cubesearch.cube_number runs the same
-search with its own side lengths.
+search with its own side lengths. A candidate colour is tested against the
+first _HEAD masks of a row one by one (the head), and against the rest with
+one lane-wise zero test over an int that packs them one per lane
+(_split_row). Cube rows grow to hundreds of masks, and there the packed test
+replaces hundreds of Python-level subset tests. The head is kept because
+its small masks reject most candidates at once, and because W(k, c) rows
+are short: W(3, 3)'s hold at most 13 masks, so its search never pays for a
+packed test.
 
 Extraction's least-progression scan (_least_ap) lives in extractor, and the
 decimal print bound (_show, _check_digits) in core.
@@ -35,6 +42,9 @@ from .core import (
 )
 
 DEFAULT_SEARCH_LIMIT = 128
+
+# Masks of a row that _avoid tests one by one before its packed test.
+_HEAD = 16
 
 # (k, c) -> (value, certificate colors); filled by searches in this process.
 _MEMO: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
@@ -114,6 +124,27 @@ def _cube_rows(ks: tuple[int, ...]):
         yield tuple(sorted(row, key=lambda t: (t.bit_count(), t)))
 
 
+def _split_row(row: tuple[int, ...], p: int) -> tuple[tuple[int, ...], int, int, int]:
+    """Row p as (head, tails, ones, guard) for the candidate test in _avoid.
+
+    head is the first _HEAD masks of the row, scanned one by one. The rest
+    are packed into the int tails, one mask per lane; a lane is whole bytes
+    holding p + 1 bits, so bit p of every lane is clear and guards it. ones
+    has bit 0 of every lane set and guard has bit p. A colour mask m < 2^p
+    completes a packed mask t exactly when its lane of tails & ~(m * ones)
+    is zero, and only a zero lane borrows into its guard bit when ones is
+    subtracted, so `(tails & ~(m * ones)) - ones & guard` is nonzero exactly
+    when m completes one of them. Each row is packed once, in linear time.
+    """
+    head, rest = row[:_HEAD], row[_HEAD:]
+    if not rest:
+        return head, 0, 0, 0
+    width = p // 8 + 1
+    tails = int.from_bytes(b"".join(t.to_bytes(width, "little") for t in rest), "little")
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(rest), "little")
+    return head, tails, ones, ones << p
+
+
 def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[int, ...]]:
     """Depth-first search for the longest canonical c-coloring with no
     monochromatic cube of side lengths ks; ks = (k,) forbids k-term APs.
@@ -124,9 +155,20 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
     and nothing is proved about longer colorings. Row p of the hyperedge
     table and the colour slot of p are built when the search first reaches
     p, so the limit bounds the search but sizes nothing up front.
+
+    A candidate colour is blocked at p when its mask completes a mask of
+    row p. The test scans the row's head, its _HEAD masks with fewest
+    points, mask by mask, and then takes one zero test over the rest,
+    packed by _split_row; a row no longer than the head skips that test.
+    The head is kept because its masks block most often, so a scan rejects
+    most candidates before the packed test would have built m * ones, and
+    short rows, such as every row of W(3, 3) and W(4, 2), never pay for it.
+    Both parts answer exactly whether the candidate is blocked, so the
+    search visits the same nodes in the same order as a scan of the whole
+    row.
     """
     row_gen = _cube_rows(ks)
-    rows: list[tuple[int, ...]] = [(), next(row_gen)]
+    rows = [((), 0, 0, 0), _split_row(next(row_gen), 1)]
     color = [0, 0]
     # Canonical colorings never use more colors than positions, so huge
     # palettes need no huge mask table.
@@ -138,16 +180,17 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
     while p >= 1:
         cand = color[p] + 1
         top = used + 1 if used < c else c
-        row = rows[p]
+        head, tails, ones, guard = rows[p]
         chosen = 0
         while cand <= top:
             m = masks[cand]
-            for t in row:
+            for t in head:
                 if m & t == t:
                     break
             else:
-                chosen = cand
-                break
+                if not tails or not (tails & ~(m * ones)) - ones & guard:
+                    chosen = cand
+                    break
             cand += 1
         if chosen:
             color[p] = chosen
@@ -161,7 +204,7 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
                 return True, best_len, best
             p += 1
             if p == len(rows):
-                rows.append(next(row_gen))
+                rows.append(_split_row(next(row_gen), p))
                 color.append(0)
         else:
             color[p] = 0

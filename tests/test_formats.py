@@ -162,6 +162,12 @@ class TestOracleSpecs:
             parse_oracle_spec(spec.replace("PATH", str(path)), 2)
         assert str(info.value) == message
 
+    def test_nul_in_a_path_is_a_domain_error(self):
+        for read in (read_coloring, lambda path: parse_oracle_spec(f"file:{path}")):
+            with pytest.raises(DomainError) as info:
+                read("a\0b")
+            assert str(info.value) == "'a\\x00b': embedded null byte"
+
     def test_palette_override(self):
         assert parse_oracle_spec("periodic:12", 5).c == 5
         assert parse_oracle_spec("constant:1", 3).c == 3

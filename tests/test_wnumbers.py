@@ -20,7 +20,7 @@ from vdwitness import (
     verify_ap_free,
 )
 from vdwitness.extractor import _least_ap
-from vdwitness.wnumbers import _avoid, _cube_rows
+from vdwitness.wnumbers import _HEAD, _avoid, _cube_rows, _split_row
 from bruteforce import all_colorings, expand_cube, has_mono_ap, least_mono_ap
 
 
@@ -226,3 +226,54 @@ def test_search_rows_match_cube_expansion(ks):
     for p, row in enumerate(islice(_cube_rows(ks), 24), start=1):
         assert len(row) == len(set(row))
         assert set(row) == naive[p]
+
+
+# Rows 1..40 of shapes whose rows outgrow the head; lanes widen at p = 8, 16, 24.
+_LONG_ROWS = {ks: tuple(islice(_cube_rows(ks), 40)) for ks in [(3,), (2, 2), (2, 3), (2, 2, 2)]}
+
+
+def _packed_blocks(split, m):
+    """(head verdict, packed verdict) of _avoid's candidate test on a split row."""
+    head, tails, ones, guard = split
+    return any(m & t == t for t in head), bool(tails and (tails & ~(m * ones)) - ones & guard)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    ks=st.sampled_from(sorted(_LONG_ROWS)),
+    p=st.one_of(st.sampled_from([7, 8, 15, 16, 23, 24, 40]), st.integers(1, 40)),
+    thin=st.integers(0, 3),
+    plant=st.integers(-1, 2000),
+    seed=st.integers(0, 2**32),
+)
+def test_packed_zero_test_equals_the_scan(ks, p, thin, plant, seed):
+    # random masks over [1, p), sparser with thin; plant >= 0 also sets every
+    # point of one mask of the row, taken from past the head where it has one
+    row = _LONG_ROWS[ks][p - 1]
+    rng = random.Random(seed)
+    m = rng.getrandbits(p) & ~1
+    for _ in range(thin):
+        m &= rng.getrandbits(p)
+    if plant >= 0 and row:
+        lo = _HEAD if len(row) > _HEAD else 0
+        m |= row[lo + plant % (len(row) - lo)]
+    split = _split_row(row, p)
+    assert split[0] == row[:_HEAD]
+    in_head, in_rest = _packed_blocks(split, m)
+    assert in_head == any(m & t == t for t in row[:_HEAD])
+    assert in_rest == any(m & t == t for t in row[_HEAD:])
+
+
+def test_packed_zero_test_finds_every_lane():
+    for ks, rows in _LONG_ROWS.items():
+        for p, row in enumerate(rows, start=1):
+            split = _split_row(row, p)
+            assert _packed_blocks(split, 0) == (False, False)
+            for t in row[_HEAD:]:
+                assert _packed_blocks(split, t)[1]
+
+
+def test_long_rows_keep_the_search_path():
+    # the cube_number((2,2,2), 3, 48) refusal: rows outgrow the head from p = 10 on
+    want = tuple(map(int, "111211212221122313313332212133211332232311332231"))
+    assert _avoid((2, 2, 2), 3, 48) == (True, 48, want)
