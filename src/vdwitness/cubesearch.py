@@ -24,8 +24,9 @@ least cube it cannot rule out leaves it, so the work is bounded by how far
 the search reads.
 
 cube_number is the W(k, c) avoidance search (wnumbers._avoid) run with cube
-hyperedges. Its rows are checked independently, by the naive cube expansion
-in the tests, not by a second copy of the search here.
+hyperedges. The tests check its forward lists against the naive cube
+expansion and its results against a naive reference search, not a second
+copy of the search here.
 """
 
 from __future__ import annotations

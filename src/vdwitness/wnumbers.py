@@ -9,17 +9,15 @@ restriction is exhaustive up to renaming and the lexicographically least
 AP-free coloring is itself canonical, so the first coloring the search
 reaches at the extremal length is the lexicographically least one.
 
-The search (_avoid) prunes with one row of hyperedge masks per position,
-built the first time the search reaches that position. A k-AP is the
+The search (_avoid) checks forward: each colour keeps a mask of the
+positions it may no longer take, so a candidate costs one bit test, and a
+placement at s fires the forward list of s, the cubes whose second-highest
+position is s, packed one mask per lane (_pack, _fire). A k-AP is the
 1-dimensional cube of side k, so cubesearch.cube_number runs the same
-search with its own side lengths. A candidate colour is tested against the
-first _HEAD masks of a row one by one (the head), and against the rest with
-one lane-wise zero test over an int that packs them one per lane
-(_split_row). Cube rows grow to hundreds of masks, and there the packed test
-replaces hundreds of Python-level subset tests. The head is kept because
-its small masks reject most candidates at once, and because W(k, c) rows
-are short: W(3, 3)'s hold at most 13 masks, so its search never pays for a
-packed test.
+search with its own side lengths. A candidate that leaves a later position
+no colour may take is pruned only when its subtree could not colour a
+longer prefix than the best so far, so values, certificates and refusals
+are those of the search without the prune (see _avoid).
 
 Extraction's least-progression scan (_least_ap) lives in extractor, and the
 decimal print bound (_show, _check_digits) in core.
@@ -42,9 +40,6 @@ from .core import (
 )
 
 DEFAULT_SEARCH_LIMIT = 128
-
-# Masks of a row that _avoid tests one by one before its packed test.
-_HEAD = 16
 
 # (k, c) -> (value, certificate colors); filled by searches in this process.
 _MEMO: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
@@ -83,6 +78,11 @@ def _cube_tails(ks: tuple[int, ...], reach: int) -> tuple[int, ...]:
     """
     uniform = len(set(ks)) == 1
     last = len(ks) - 1
+    # need[i]: the least reach of dimensions i.. per unit of difference, so
+    # the loops below visit only difference vectors that end at reach.
+    need = [0] * (last + 2)
+    for i in range(last, -1, -1):
+        need[i] = need[i + 1] + ks[i] - 1
     out: set[int] = set()
 
     def spread(m: int, d: int, k: int) -> int:
@@ -98,51 +98,80 @@ def _cube_tails(ks: tuple[int, ...], reach: int) -> tuple[int, ...]:
             if not rem and d >= d_lo:
                 out.add(spread(m, d, k) & ~(1 << reach))
             return
-        for d in range(d_lo, left // (k - 1) + 1):
+        d_hi = left // need[i] if uniform else (left - need[i + 1]) // (k - 1)
+        for d in range(d_lo, d_hi + 1):
             rec(i + 1, d if uniform else 1, left - (k - 1) * d, spread(m, d, k))
 
     rec(0, 1, reach, 1)
     return tuple(out)
 
 
-def _cube_rows(ks: tuple[int, ...]):
-    """Yield row p for p = 1, 2, ...: the masks of the other positions of
-    every cube of side lengths ks whose maximum is p (bit q is position q).
+def _add_shapes(
+    ks: tuple[int, ...], shapes: list[list[tuple[int, int]]], lo: int, hi: int
+) -> None:
+    """Append the tails of every reach in [lo, hi) to shapes, as (tail, reach)
+    in shapes[h] where h is the tail's highest bit: the cube's second-highest
+    offset. Each list stays in increasing reach."""
+    for reach in range(lo, hi):
+        for t in _cube_tails(ks, reach):
+            h = t.bit_length() - 1
+            while len(shapes) <= h:
+                shapes.append([])
+            shapes[h].append((t, reach))
 
-    A cube of reach r ends at p when it is anchored at p - r, so row p is
-    the tails of every reach r < p shifted by p - r. The order of a row
-    never changes which colour the search picks, only how soon a blocked
-    colour is rejected: masks with fewest positions come first, since they
-    are completed most often.
+
+def _forward(shapes: list[list[tuple[int, int]]], s: int, horizon: int) -> list[tuple[int, int]]:
+    """(mask, top) of every cube anchored at 1 or later whose second-highest
+    position is s and whose top is at most horizon; mask holds the cube's
+    other positions (bit q is position q), so its highest bit is s.
+
+    A tail with second-highest offset h ends at s when it is anchored at
+    s - h, so its top is s - h + reach. shapes must hold every reach below
+    horizon.
     """
-    tails: list[tuple[int, ...]] = []
-    p = 0
-    while True:
-        p += 1
-        tails.append(_cube_tails(ks, p - 1))
-        row = [t << (p - r) for r, level in enumerate(tails) for t in level]
-        yield tuple(sorted(row, key=lambda t: (t.bit_count(), t)))
+    out = []
+    for h in range(min(s, len(shapes))):
+        a = s - h
+        for t, reach in shapes[h]:
+            if a + reach > horizon:
+                break
+            out.append((t << a, a + reach))
+    return out
 
 
-def _split_row(row: tuple[int, ...], p: int) -> tuple[tuple[int, ...], int, int, int]:
-    """Row p as (head, tails, ones, guard) for the candidate test in _avoid.
+def _pack(entries: list[tuple[int, int]], s: int) -> tuple[int, int, int, int, list[int]]:
+    """The forward list of position s packed for _fire: (tails, ones, guard,
+    width, tops).
 
-    head is the first _HEAD masks of the row, scanned one by one. The rest
-    are packed into the int tails, one mask per lane; a lane is whole bytes
-    holding p + 1 bits, so bit p of every lane is clear and guards it. ones
-    has bit 0 of every lane set and guard has bit p. A colour mask m < 2^p
-    completes a packed mask t exactly when its lane of tails & ~(m * ones)
-    is zero, and only a zero lane borrows into its guard bit when ones is
-    subtracted, so `(tails & ~(m * ones)) - ones & guard` is nonzero exactly
-    when m completes one of them. Each row is packed once, in linear time.
+    Masks go one per lane of whole bytes, width bits wide, holding bits 0..s
+    and a guard bit s + 1, which is set in every lane of tails. ones has bit
+    0 of every lane and guard bit s + 1. tops[i] is the top of lane i.
     """
-    head, rest = row[:_HEAD], row[_HEAD:]
-    if not rest:
-        return head, 0, 0, 0
-    width = p // 8 + 1
-    tails = int.from_bytes(b"".join(t.to_bytes(width, "little") for t in rest), "little")
-    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(rest), "little")
-    return head, tails, ones, ones << p
+    nbytes = (s + 9) // 8
+    ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * len(entries), "little")
+    guard = ones << (s + 1)
+    tails = int.from_bytes(b"".join(t.to_bytes(nbytes, "little") for t, _ in entries), "little")
+    return tails | guard, ones, guard, 8 * nbytes, [q for _, q in entries]
+
+
+def _fire(lanes: tuple[int, int, int, int, list[int]], m: int, f: int) -> int:
+    """f with bit q added for the top q of every lane whose mask is a subset
+    of m; m holds bits 0..s only.
+
+    A lane of x = tails & ~(m * ones) keeps its guard bit and the mask bits
+    m misses, so it is 2^(s+1) exactly when m covers its mask. Subtracting
+    ones borrows out of no lane and clears the guard bit of exactly those
+    lanes, so guard & ~(x - ones) flags them. (Without the guard bit set, a
+    covered lane would borrow from the lane above it and could flag that
+    one too.)
+    """
+    tails, ones, guard, width, tops = lanes
+    flags = guard & ~((tails & ~(m * ones)) - ones)
+    while flags:
+        b = flags.bit_length() - 1
+        f |= 1 << tops[b // width]
+        flags ^= 1 << b
+    return f
 
 
 def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[int, ...]]:
@@ -152,49 +181,78 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
     Returns (reached_limit, best_length, prefix), where prefix is the
     lexicographically least such coloring of best_length. If the search
     reaches the limit, prefix is the first coloring of that full length
-    and nothing is proved about longer colorings. Row p of the hyperedge
-    table and the colour slot of p are built when the search first reaches
-    p, so the limit bounds the search but sizes nothing up front.
+    and nothing is proved about longer colorings.
 
-    A candidate colour is blocked at p when its mask completes a mask of
-    row p. The test scans the row's head, its _HEAD masks with fewest
-    points, mask by mask, and then takes one zero test over the rest,
-    packed by _split_row; a row no longer than the head skips that test.
-    The head is kept because its masks block most often, so a scan rejects
-    most candidates before the packed test would have built m * ones, and
-    short rows, such as every row of W(3, 3) and W(4, 2), never pay for it.
-    Both parts answer exactly whether the candidate is blocked, so the
-    search visits the same nodes in the same order as a scan of the whole
-    row.
+    Forward checking: forbidden[g] has bit q set iff some cube with top q
+    has all its other positions in the coloured prefix, coloured g. Every
+    cube with top p has its other positions before p, so a candidate g at p
+    is blocked iff bit p of forbidden[g] is set. Placing g at p adds the top
+    of every cube whose second-highest position is p and whose other
+    positions are all g (_fire over the forward list of p); taking it back
+    restores the value saved before the placement.
+
+    Prune: once a placement leaves every one of the c colours in use
+    (before that, an unused colour forbids nothing), let q be the least
+    position past p that every colour forbids. No extension then colours
+    q, so the subtree colours no prefix longer than q - 1, and forbidden
+    masks only grow inside it. The candidate is rejected iff q - 1 <=
+    best_len: best changes only on a strictly longer prefix, so the pruned
+    subtree could not have changed (reached, best_len, prefix), and the
+    search returns the same triple as one without the prune.
+
+    The forward list of p is built when the search first reaches p, and
+    holds only cubes with top at most the horizon. Every position the
+    prune or the candidate test reads lies at or below the deepest
+    position reached, so when the search first reaches a position past the
+    horizon, the horizon grows by half and the lists and forbidden masks of
+    the current path are rebuilt. The limit bounds the search but sizes
+    nothing up front, even for ks = (2,), whose cubes reach every later
+    position.
     """
-    row_gen = _cube_rows(ks)
-    rows = [((), 0, 0, 0), _split_row(next(row_gen), 1)]
-    color = [0, 0]
     # Canonical colorings never use more colors than positions, so huge
-    # palettes need no huge mask table.
-    masks = [0] * (min(c, limit + 1) + 2)
+    # palettes need no huge mask tables.
+    size = min(c, limit + 1) + 2
+    masks = [0] * size
+    forbidden = [0] * size
+    color = [0, 0]
+    saved = [0, 0]
+    shapes: list[list[tuple[int, int]]] = []
+    horizon = min(limit, 8)
+    _add_shapes(ks, shapes, 1, horizon)
+    lanes = [None, _pack(_forward(shapes, 1, horizon), 1)]
     used = 0
     best_len = 0
     best: tuple[int, ...] = ()
     p = 1
     while p >= 1:
         cand = color[p] + 1
-        top = used + 1 if used < c else c
-        head, tails, ones, guard = rows[p]
+        hi = used + 1 if used < c else c
+        bit = 1 << p
+        fwd = lanes[p]
+        # positions p + 1 .. best_len + 1, the tops whose forbidding prunes
+        window = (4 << best_len) - (bit << 1) if p <= best_len else 0
         chosen = 0
-        while cand <= top:
-            m = masks[cand]
-            for t in head:
-                if m & t == t:
-                    break
-            else:
-                if not tails or not (tails & ~(m * ones)) - ones & guard:
+        while cand <= hi:
+            f = forbidden[cand]
+            if not f & bit:
+                f = _fire(fwd, masks[cand] | bit, f)
+                # an unused colour forbids nothing, so dead stays 0 until
+                # every colour is in use
+                dead = f & window
+                for g in range(1, c + 1):
+                    if not dead:
+                        break
+                    if g != cand:
+                        dead &= forbidden[g]
+                if not dead:
                     chosen = cand
                     break
             cand += 1
         if chosen:
             color[p] = chosen
-            masks[chosen] |= 1 << p
+            saved[p] = forbidden[chosen]
+            forbidden[chosen] = f
+            masks[chosen] |= bit
             if chosen > used:
                 used = chosen
             if p > best_len:
@@ -203,15 +261,28 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
             if p == limit:
                 return True, best_len, best
             p += 1
-            if p == len(rows):
-                rows.append(_split_row(next(row_gen), p))
+            if p == len(lanes):
+                if p > horizon:
+                    old, horizon = horizon, min(limit, p + p // 2)
+                    _add_shapes(ks, shapes, old, horizon)
+                    lanes = [None] + [_pack(_forward(shapes, s, horizon), s) for s in range(1, p)]
+                    forbidden = [0] * size
+                    # replay the path; bits of masks past s would spill
+                    # into the guard bits of the lanes of s
+                    for s in range(1, p):
+                        g = color[s]
+                        saved[s] = forbidden[g]
+                        forbidden[g] = _fire(lanes[s], masks[g] & ((2 << s) - 1), forbidden[g])
+                lanes.append(_pack(_forward(shapes, p, horizon), p))
                 color.append(0)
+                saved.append(0)
         else:
             color[p] = 0
             p -= 1
             if p >= 1:
                 prev = color[p]
                 masks[prev] &= ~(1 << p)
+                forbidden[prev] = saved[p]
                 if prev == used and masks[prev] == 0:
                     used -= 1
     return False, best_len, best

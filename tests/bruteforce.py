@@ -136,3 +136,42 @@ def scan_index(colors, value, start: int, stop: int):
     """The least i in [start, stop) with colors[i] == value, looking elements
     up one at a time in ascending order, or None."""
     return next((i for i in range(start, stop) if colors[i] == value), None)
+
+
+def longest_avoiding(ks, c: int, limit: int):
+    """(reached_limit, best_length, prefix) of a plain depth-first search over
+    canonical c-colorings of [1, limit] (each new colour is the least unused
+    one) that rejects a colouring when its newest position tops a
+    monochromatic cube of side lengths ks. prefix is the first colouring the
+    search reaches at best_length, so the lexicographically least one; when
+    the search reaches limit, prefix is its first colouring of that length.
+    """
+    dims = len(ks)
+
+    def completes(colors) -> bool:
+        n = len(colors)
+        for ds in product(range(1, n), repeat=dims):
+            if sum((k - 1) * d for k, d in zip(ks, ds)) >= n:
+                continue
+            pts = expand_cube(0, ds, ks)
+            a = n - max(pts)
+            if len({colors[a + q - 1] for q in pts}) == 1:
+                return True
+        return False
+
+    best: list = []
+
+    def extend(colors) -> bool:
+        if len(colors) > len(best):
+            best[:] = colors
+        if len(colors) == limit:
+            return True
+        for g in range(1, min(c, max(colors, default=0) + 1) + 1):
+            colors.append(g)
+            if not completes(colors) and extend(colors):
+                return True
+            colors.pop()
+        return False
+
+    reached = extend([])
+    return reached, len(best), tuple(best)

@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import islice, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +20,8 @@ from vdwitness import (
     verify_ap_free,
 )
 from vdwitness.extractor import _least_ap
-from vdwitness.wnumbers import _HEAD, _avoid, _cube_rows, _split_row
-from bruteforce import all_colorings, expand_cube, has_mono_ap, least_mono_ap
+from vdwitness.wnumbers import _add_shapes, _avoid, _fire, _forward, _pack
+from bruteforce import all_colorings, expand_cube, has_mono_ap, least_mono_ap, longest_avoiding
 
 
 def find_ap(coloring: FiniteColoring, k: int) -> tuple[int, int] | None:
@@ -205,8 +205,9 @@ class TestCertificates:
 
 
 def _naive_rows(ks, n):
-    """rows[p] = masks of the other positions of every cube ending at p <= n,
-    by expansion of every difference vector and anchor."""
+    """rows[s] = (mask of the other positions, top) of every cube inside
+    [1, n] whose second-highest position is s, by expansion of every
+    difference vector and anchor."""
     uniform = len(set(ks)) == 1
     rows = [set() for _ in range(n + 1)]
     for ds in product(range(1, n), repeat=len(ks)):
@@ -216,61 +217,75 @@ def _naive_rows(ks, n):
         for a in range(1, n - reach + 1):
             pts = expand_cube(a, ds, ks)
             top = max(pts)
-            rows[top].add(sum(1 << q for q in pts - {top}))
+            rows[max(pts - {top})].add((sum(1 << q for q in pts - {top}), top))
     return rows
 
 
 @pytest.mark.parametrize("ks", [(2,), (3,), (4,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 2, 3)])
 def test_search_rows_match_cube_expansion(ks):
-    naive = _naive_rows(ks, 24)
-    for p, row in enumerate(islice(_cube_rows(ks), 24), start=1):
-        assert len(row) == len(set(row))
-        assert set(row) == naive[p]
+    # the forward list of every position, whole and cut by a lower horizon
+    n = 24
+    naive = _naive_rows(ks, n)
+    shapes = []
+    _add_shapes(ks, shapes, 1, n)
+    for s in range(1, n + 1):
+        for horizon in (n, min(n, s + 3)):
+            entries = _forward(shapes, s, horizon)
+            assert len(entries) == len(set(entries))
+            assert set(entries) == {(t, q) for t, q in naive[s] if q <= horizon}
 
 
-# Rows 1..40 of shapes whose rows outgrow the head; lanes widen at p = 8, 16, 24.
-_LONG_ROWS = {ks: tuple(islice(_cube_rows(ks), 40)) for ks in [(3,), (2, 2), (2, 3), (2, 2, 2)]}
-
-
-def _packed_blocks(split, m):
-    """(head verdict, packed verdict) of _avoid's candidate test on a split row."""
-    head, tails, ones, guard = split
-    return any(m & t == t for t in head), bool(tails and (tails & ~(m * ones)) - ones & guard)
-
-
-@settings(max_examples=400, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(
-    ks=st.sampled_from(sorted(_LONG_ROWS)),
-    p=st.one_of(st.sampled_from([7, 8, 15, 16, 23, 24, 40]), st.integers(1, 40)),
-    thin=st.integers(0, 3),
-    plant=st.integers(-1, 2000),
+    s=st.one_of(st.sampled_from([6, 7, 8, 14, 15, 16, 40]), st.integers(1, 40)),
+    n=st.integers(0, 80),
     seed=st.integers(0, 2**32),
 )
-def test_packed_zero_test_equals_the_scan(ks, p, thin, plant, seed):
-    # random masks over [1, p), sparser with thin; plant >= 0 also sets every
-    # point of one mask of the row, taken from past the head where it has one
-    row = _LONG_ROWS[ks][p - 1]
+def test_packed_zero_test_equals_the_scan(s, n, seed):
+    # lanes covered by m (zero lanes), lanes missing only bit 0, which m
+    # never holds (one short of zero: a borrow out of a zero lane below
+    # would flag them), and random lanes; lane i has top i
     rng = random.Random(seed)
-    m = rng.getrandbits(p) & ~1
-    for _ in range(thin):
-        m &= rng.getrandbits(p)
-    if plant >= 0 and row:
-        lo = _HEAD if len(row) > _HEAD else 0
-        m |= row[lo + plant % (len(row) - lo)]
-    split = _split_row(row, p)
-    assert split[0] == row[:_HEAD]
-    in_head, in_rest = _packed_blocks(split, m)
-    assert in_head == any(m & t == t for t in row[:_HEAD])
-    assert in_rest == any(m & t == t for t in row[_HEAD:])
+    m = rng.getrandbits(s + 1) & ~1
+    masks = []
+    for _ in range(n):
+        kind = rng.randrange(3)
+        t = rng.getrandbits(s + 1)
+        masks.append(m & t if kind == 0 else m & t | 1 if kind == 1 else t)
+    want = sum(1 << i for i, t in enumerate(masks) if t & ~m == 0)
+    assert _fire(_pack([(t, i) for i, t in enumerate(masks)], s), m, 0) == want
 
 
 def test_packed_zero_test_finds_every_lane():
-    for ks, rows in _LONG_ROWS.items():
-        for p, row in enumerate(rows, start=1):
-            split = _split_row(row, p)
-            assert _packed_blocks(split, 0) == (False, False)
-            for t in row[_HEAD:]:
-                assert _packed_blocks(split, t)[1]
+    m = 0b1110
+    entries = [(0b0110, 5), (0b0111, 6), (0b1000, 7)]
+    assert _fire(_pack(entries, 3), m, 1) == 1 | 1 << 5 | 1 << 7
+    assert _fire(_pack([], 3), m, 0) == 0
+    # forward lists of positions 1..40, whose lanes widen at s = 7, 15, 23, 31
+    for ks in [(2,), (3,), (2, 2), (2, 3), (2, 2, 2)]:
+        shapes = []
+        _add_shapes(ks, shapes, 1, 60)
+        for s in range(1, 41):
+            entries = _forward(shapes, s, 60)
+            lanes = _pack(entries, s)
+            assert _fire(lanes, 0, 0) == 0
+            for t, q in entries:
+                assert _fire(lanes, t, 0) >> q & 1
+
+
+@pytest.mark.parametrize(
+    "ks, c, limit",
+    [
+        ((2,), 1, 3), ((2,), 3, 6), ((2,), 4, 4), ((3,), 1, 5), ((3,), 2, 8), ((3,), 2, 20),
+        ((3,), 3, 24), ((4,), 2, 34), ((4,), 2, 40), ((5,), 2, 16), ((2, 2), 2, 10),
+        ((2, 2), 3, 14), ((2, 2), 3, 16), ((2, 3), 2, 18), ((2, 3), 2, 24), ((3, 2), 2, 16),
+        ((2, 2, 2), 2, 16), ((2, 2, 3), 2, 10), ((3, 3), 2, 10),
+    ],
+)
+def test_search_equals_the_reference_search(ks, c, limit):
+    # the whole triple, refusals (reached = True) included: neither the
+    # forward masks nor the prune move a value or a certificate
+    assert _avoid(ks, c, limit) == longest_avoiding(ks, c, limit)
 
 
 def test_long_rows_keep_the_search_path():
