@@ -23,10 +23,11 @@ instead, with every bit past it set, and the prefix doubles whenever the
 least cube it cannot rule out leaves it, so the work is bounded by how far
 the search reads.
 
-cube_number is the W(k, c) avoidance search (wnumbers._avoid) run with cube
-hyperedges. The tests check its forward lists against the naive cube
-expansion and its results against a naive reference search, not a second
-copy of the search here.
+cube_number takes the closed forms of wnumbers._closed_form, 1 + sum(k_i - 1)
+for c = 1 and c + 1 for ks = (2,), and otherwise runs the W(k, c) avoidance
+search (wnumbers._avoid) with cube hyperedges. The tests check its forward
+lists against the naive cube expansion and its results against a naive
+reference search, not a second copy of the search here.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .core import (
     _check_palette,
     _side_lengths,
 )
-from .wnumbers import _avoid
+from .wnumbers import _avoid, _closed_form
 
 
 class CapExceededError(LimitError):
@@ -215,17 +216,18 @@ def cube_number(ks: Sequence[int], c: int, cap: int) -> int:
     """Least N <= cap such that every c-coloring of [1, N] has a monochromatic
     cube with side lengths ks.
 
-    Exhaustive over colorings up to color renaming: the depth-first extension
-    enumerates canonical colorings (colors first used in increasing order)
-    and prunes any prefix completing a monochromatic cube at its newest
-    position. Raises CapExceededError when a cube-free coloring of the full
-    cap length exists. Practical only for small N; the state space is c^N.
+    The closed form where wnumbers._closed_form has one, else the exhaustive
+    avoidance search wnumbers._avoid, practical only for small N. Raises
+    CapExceededError when N > cap: a cube-free coloring of length cap exists.
     """
     ks = _side_lengths(ks)
     _check_palette(c)
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
-    reached, best_len, _ = _avoid(ks, c, cap)
-    if reached:
+    value = _closed_form(ks, c)
+    if value is None:
+        reached, best_len, _ = _avoid(ks, c, cap)
+        value = cap + 1 if reached else best_len + 1
+    if value > cap:
         raise CapExceededError(ks, c, cap)
-    return best_len + 1
+    return value

@@ -12,12 +12,16 @@ reaches at the extremal length is the lexicographically least one.
 The search (_avoid) checks forward: each colour keeps a mask of the
 positions it may no longer take, so a candidate costs one bit test, and a
 placement at s fires the forward list of s, the cubes whose second-highest
-position is s, packed one mask per lane (_pack, _fire). A k-AP is the
-1-dimensional cube of side k, so cubesearch.cube_number runs the same
-search with its own side lengths. A candidate that leaves a later position
-no colour may take is pruned only when its subtree could not colour a
-longer prefix than the best so far, so values, certificates and refusals
-are those of the search without the prune (see _avoid).
+position is s, packed one mask per lane (_pack, _fire). Each list is built
+once, complete, when the search first reaches s; with S = sum(k_i - 1) >= 2
+its cubes reach at most (s - 1)S/(S - 1) past their anchor (proof in
+_cube_tails). A k-AP is the 1-dimensional cube of side k, so
+cubesearch.cube_number runs the same search with its own side lengths; both
+answer c = 1 and ks = (2,), the one shape with S = 1, by _closed_form
+instead. A candidate that leaves a later position no colour may take is
+pruned only when its subtree could not colour a longer prefix than the best
+so far, so values, certificates and refusals are those of the search
+without the prune.
 
 Extraction's least-progression scan (_least_ap) lives in extractor, and the
 decimal print bound (_show, _check_digits) in core.
@@ -70,103 +74,100 @@ def search_limit_default(explicit: int | None = None) -> int:
     return _limit(explicit, "search limit", "VDW_WNUMBER_LIMIT", DEFAULT_SEARCH_LIMIT)
 
 
-def _cube_tails(ks: tuple[int, ...], reach: int) -> tuple[int, ...]:
-    """Masks of every cube of side lengths ks anchored at 0 whose maximum is reach.
+def _cube_tails(ks: tuple[int, ...], h: int, limit: int) -> list[tuple[int, int]]:
+    """(tail, reach) of every cube of side lengths ks anchored at 0 whose
+    second-highest offset is h and whose reach (maximum) is below limit, in
+    increasing reach; the tail holds the other offsets (bit q is offset q).
 
-    Bit q stands for offset q; the maximum's own bit is cleared. Uniform side
-    lengths take nondecreasing differences only, which loses no cube.
+    Bound: with least difference m, h is the top minus m (one step back
+    along that dimension), so h = sum((k_i - 1)d_i) - m >= (S - 1)m with
+    S = sum(k_i - 1). So when S >= 2, m <= h/(S - 1) and the reach h + m is
+    at most hS/(S - 1); ks = (2,) (S = 1) has h = 0 and every m. Each m
+    pins one dimension's difference to m and spreads the others, all at
+    least m, over the rest of the reach. Uniform side lengths pin the first
+    and take nondecreasing differences only, which loses no cube.
     """
+    span = sum(ks) - len(ks)
     uniform = len(set(ks)) == 1
-    last = len(ks) - 1
-    # need[i]: the least reach of dimensions i.. per unit of difference, so
-    # the loops below visit only difference vectors that end at reach.
-    need = [0] * (last + 2)
-    for i in range(last, -1, -1):
-        need[i] = need[i + 1] + ks[i] - 1
-    out: set[int] = set()
+    cubes: set[int] = set()
 
-    def spread(m: int, d: int, k: int) -> int:
-        grown = m
+    def spread(mask: int, d: int, k: int) -> int:
+        grown = mask
         for j in range(1, k):
-            grown |= m << (j * d)
+            grown |= mask << (j * d)
         return grown
 
-    def rec(i: int, d_lo: int, left: int, m: int) -> None:
-        k = ks[i]
-        if i == last:
+    def rec(rest: tuple[int, ...], d_lo: int, left: int, mask: int) -> None:
+        # differences for rest, each at least d_lo and the loop's m, reaching left
+        k, more = rest[0], rest[1:]
+        if not more:
             d, rem = divmod(left, k - 1)
             if not rem and d >= d_lo:
-                out.add(spread(m, d, k) & ~(1 << reach))
+                cubes.add(spread(mask, d, k))
             return
-        d_hi = left // need[i] if uniform else (left - need[i + 1]) // (k - 1)
+        after = sum(more) - len(more)  # the least reach of more per unit
+        d_hi = left // (k - 1 + after) if uniform else (left - after * m) // (k - 1)
         for d in range(d_lo, d_hi + 1):
-            rec(i + 1, d if uniform else 1, left - (k - 1) * d, spread(m, d, k))
+            rec(more, d if uniform else m, left - (k - 1) * d, spread(mask, d, k))
 
-    rec(0, 1, reach, 1)
-    return tuple(out)
-
-
-def _add_shapes(
-    ks: tuple[int, ...], shapes: list[list[tuple[int, int]]], lo: int, hi: int
-) -> None:
-    """Append the tails of every reach in [lo, hi) to shapes, as (tail, reach)
-    in shapes[h] where h is the tail's highest bit: the cube's second-highest
-    offset. Each list stays in increasing reach."""
-    for reach in range(lo, hi):
-        for t in _cube_tails(ks, reach):
-            h = t.bit_length() - 1
-            while len(shapes) <= h:
-                shapes.append([])
-            shapes[h].append((t, reach))
+    for m in range(1, min(limit - h, h // (span - 1) + 1 if span > 1 else limit)):
+        for j in range(1 if uniform else len(ks)):
+            rest = ks[:j] + ks[j + 1 :]
+            left = h + m - (ks[j] - 1) * m
+            if rest:
+                rec(rest, m, left, spread(1, m, ks[j]))
+            elif not left:
+                cubes.add(spread(1, m, ks[j]))
+    return [(t ^ (1 << t.bit_length() - 1), t.bit_length() - 1) for t in sorted(cubes)]
 
 
-def _forward(shapes: list[list[tuple[int, int]]], s: int, horizon: int) -> list[tuple[int, int]]:
+def _forward(shapes: list[list[tuple[int, int]]], s: int, limit: int) -> list[tuple[int, int]]:
     """(mask, top) of every cube anchored at 1 or later whose second-highest
-    position is s and whose top is at most horizon; mask holds the cube's
+    position is s and whose top is at most limit; mask holds the cube's
     other positions (bit q is position q), so its highest bit is s.
 
     A tail with second-highest offset h ends at s when it is anchored at
-    s - h, so its top is s - h + reach. shapes must hold every reach below
-    horizon.
+    s - h, so its top is s - h + reach. shapes[h] must hold every tail of
+    second-highest offset h with reach below limit (_cube_tails), in
+    increasing reach, for every h < s.
     """
     out = []
-    for h in range(min(s, len(shapes))):
+    for h in range(s):
         a = s - h
         for t, reach in shapes[h]:
-            if a + reach > horizon:
+            if a + reach > limit:
                 break
             out.append((t << a, a + reach))
     return out
 
 
 def _pack(entries: list[tuple[int, int]], s: int) -> tuple[int, int, int, int, list[int]]:
-    """The forward list of position s packed for _fire: (tails, ones, guard,
+    """The forward list of position s packed for _fire: (holes, ones, guard,
     width, tops).
 
-    Masks go one per lane of whole bytes, width bits wide, holding bits 0..s
-    and a guard bit s + 1, which is set in every lane of tails. ones has bit
-    0 of every lane and guard bit s + 1. tops[i] is the top of lane i.
+    Lanes are whole bytes, width bits wide, one per mask: lane i of holes
+    has bits 0..s set where mask i is clear, and its guard bit s + 1 clear.
+    ones has bit 0 of every lane, guard bit s + 1 of every lane, and tops[i]
+    is the top of lane i.
     """
     nbytes = (s + 9) // 8
     ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * len(entries), "little")
     guard = ones << (s + 1)
     tails = int.from_bytes(b"".join(t.to_bytes(nbytes, "little") for t, _ in entries), "little")
-    return tails | guard, ones, guard, 8 * nbytes, [q for _, q in entries]
+    return (guard - ones) ^ tails, ones, guard, 8 * nbytes, [q for _, q in entries]
 
 
 def _fire(lanes: tuple[int, int, int, int, list[int]], m: int, f: int) -> int:
     """f with bit q added for the top q of every lane whose mask is a subset
     of m; m holds bits 0..s only.
 
-    A lane of x = tails & ~(m * ones) keeps its guard bit and the mask bits
-    m misses, so it is 2^(s+1) exactly when m covers its mask. Subtracting
-    ones borrows out of no lane and clears the guard bit of exactly those
-    lanes, so guard & ~(x - ones) flags them. (Without the guard bit set, a
-    covered lane would borrow from the lane above it and could flag that
-    one too.)
+    A lane of holes | m * ones has all of bits 0..s set exactly when m
+    covers its mask, so adding ones carries into the lane's guard bit for
+    exactly those lanes; the guard bit was clear, so no carry leaves a lane,
+    and guard & ((holes | m * ones) + ones) flags them.
     """
-    tails, ones, guard, width, tops = lanes
-    flags = guard & ~((tails & ~(m * ones)) - ones)
+    holes, ones, guard, width, tops = lanes
+    flags = guard & ((holes | m * ones) + ones)
     while flags:
         b = flags.bit_length() - 1
         f |= 1 << tops[b // width]
@@ -200,14 +201,12 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
     subtree could not have changed (reached, best_len, prefix), and the
     search returns the same triple as one without the prune.
 
-    The forward list of p is built when the search first reaches p, and
-    holds only cubes with top at most the horizon. Every position the
-    prune or the candidate test reads lies at or below the deepest
-    position reached, so when the search first reaches a position past the
-    horizon, the horizon grows by half and the lists and forbidden masks of
-    the current path are rebuilt. The limit bounds the search but sizes
-    nothing up front, even for ks = (2,), whose cubes reach every later
-    position.
+    The forward list of s is built once, complete, when the search first
+    reaches s: its cubes have second-highest offsets h < s from their
+    anchors, shapes[h] holds every tail with offset h (_cube_tails), and
+    shapes[s - 1] is enumerated then. When S = sum(k_i - 1) >= 2 each
+    shapes[h] is finite. ks = (2,) (S = 1) puts every tail at h = 0, up to
+    the limit; _closed_form keeps it out of every public search.
     """
     # Canonical colorings never use more colors than positions, so huge
     # palettes need no huge mask tables.
@@ -216,10 +215,8 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
     forbidden = [0] * size
     color = [0, 0]
     saved = [0, 0]
-    shapes: list[list[tuple[int, int]]] = []
-    horizon = min(limit, 8)
-    _add_shapes(ks, shapes, 1, horizon)
-    lanes = [None, _pack(_forward(shapes, 1, horizon), 1)]
+    shapes = [_cube_tails(ks, 0, limit)]
+    lanes = [None, _pack(_forward(shapes, 1, limit), 1)]
     used = 0
     best_len = 0
     best: tuple[int, ...] = ()
@@ -262,18 +259,8 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
                 return True, best_len, best
             p += 1
             if p == len(lanes):
-                if p > horizon:
-                    old, horizon = horizon, min(limit, p + p // 2)
-                    _add_shapes(ks, shapes, old, horizon)
-                    lanes = [None] + [_pack(_forward(shapes, s, horizon), s) for s in range(1, p)]
-                    forbidden = [0] * size
-                    # replay the path; bits of masks past s would spill
-                    # into the guard bits of the lanes of s
-                    for s in range(1, p):
-                        g = color[s]
-                        saved[s] = forbidden[g]
-                        forbidden[g] = _fire(lanes[s], masks[g] & ((2 << s) - 1), forbidden[g])
-                lanes.append(_pack(_forward(shapes, p, horizon), p))
+                shapes.append(_cube_tails(ks, p - 1, limit))
+                lanes.append(_pack(_forward(shapes, p, limit), p))
                 color.append(0)
                 saved.append(0)
         else:
@@ -288,12 +275,13 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
     return False, best_len, best
 
 
-def _closed_form(k: int, c: int) -> int | None:
-    """W(k, c) where it has a closed form: c = 1 or k = 2."""
+def _closed_form(ks: tuple[int, ...], c: int) -> int | None:
+    """The cube number for side lengths ks and c colours (W(k, c) for ks =
+    (k,)) where it has a closed form: for c = 1 the span of the least cube,
+    and for ks = (2,) c + 1, since any two equal colours form that cube."""
     if c == 1:
-        return k
-    if k == 2:
-        # Any two equal colors form a 2-AP, so extremal colorings are injective.
+        return 1 + sum(ks) - len(ks)
+    if ks == (2,):
         return c + 1
     return None
 
@@ -333,7 +321,7 @@ def vdw_number(
     searches even when this process has already resolved W(k, c).
     """
     _validate(k, c, search_limit)
-    value = _closed_form(k, c)
+    value = _closed_form((k,), c)
     if value is not None:
         what = f"the W({k},{_show(c)}) certificate has"
         _check_cells(what, value - 1, max_cells_limit())
@@ -349,7 +337,7 @@ def vdw_value(k: int, c: int, search_limit: int | None = None) -> int:
     Materially cheaper than vdw_number for closed forms with huge palettes
     (W(2, c) = c + 1 would otherwise build a c-cell certificate)."""
     _validate(k, c, search_limit)
-    value = _closed_form(k, c)
+    value = _closed_form((k,), c)
     if value is not None:
         return value
     return _search(k, c, search_limit_default(search_limit), True)[0]

@@ -21,7 +21,14 @@ from vdwitness import (
 )
 from vdwitness import cubesearch
 from vdwitness.cubesearch import _MIN_STEP
-from bruteforce import all_colorings, expand_cube, has_mono_cube, least_mono_cube, mono_cubes
+from bruteforce import (
+    all_colorings,
+    expand_cube,
+    has_mono_cube,
+    least_mono_cube,
+    longest_avoiding,
+    mono_cubes,
+)
 
 
 def _least_naive(colors, lo, ks, caps, distinct, *, nondecreasing):
@@ -340,10 +347,24 @@ class TestCubeNumber:
     def test_cap_only_bounds_the_search(self, ks, c, value):
         assert cube_number(ks, c, value) == cube_number(ks, c, 64) == value
 
+    @pytest.mark.parametrize("ks", [(2,), (3,), (2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 4)])
+    def test_closed_forms_equal_the_reference_search(self, ks):
+        # c = 1 for every ks, and every small c for ks = (2,); caps on both
+        # sides of the value check the refusal too
+        for c in (1, 2, 3, 4) if ks == (2,) else (1,):
+            reached, best_len, _ = longest_avoiding(ks, c, 8)
+            assert not reached
+            value = best_len + 1
+            assert cube_number(ks, c, value) == cube_number(ks, c, value + 3) == value
+            with pytest.raises(CapExceededError) as exc:
+                cube_number(ks, c, value - 1)
+            assert exc.value.cap == value - 1
+
     def test_huge_palette_allocates_nothing(self):
         start = time.perf_counter()
         with pytest.raises(CapExceededError):
             cube_number((2, 2), 10**12, 3)
+        assert cube_number((2,), 10**12, 10**13) == 10**12 + 1
         assert time.perf_counter() - start < 1.0
 
     def test_huge_cap_sizes_nothing_up_front(self):

@@ -20,7 +20,7 @@ from vdwitness import (
     verify_ap_free,
 )
 from vdwitness.extractor import _least_ap
-from vdwitness.wnumbers import _add_shapes, _avoid, _fire, _forward, _pack
+from vdwitness.wnumbers import _avoid, _cube_tails, _fire, _forward, _pack
 from bruteforce import all_colorings, expand_cube, has_mono_ap, least_mono_ap, longest_avoiding
 
 
@@ -223,16 +223,21 @@ def _naive_rows(ks, n):
 
 @pytest.mark.parametrize("ks", [(2,), (3,), (4,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 2, 3)])
 def test_search_rows_match_cube_expansion(ks):
-    # the forward list of every position, whole and cut by a lower horizon
+    # the forward list of every position, whole and cut at a lower limit,
+    # from shapes enumerated one second-highest offset h = s - 1 at a time,
+    # as the search does; their reach is at most hS/(S - 1) when S >= 2
     n = 24
     naive = _naive_rows(ks, n)
+    span = sum(ks) - len(ks)
     shapes = []
-    _add_shapes(ks, shapes, 1, n)
     for s in range(1, n + 1):
-        for horizon in (n, min(n, s + 3)):
-            entries = _forward(shapes, s, horizon)
+        shapes.append(_cube_tails(ks, s - 1, n))
+        if span > 1:
+            assert all(reach * (span - 1) <= (s - 1) * span for _, reach in shapes[-1])
+        for limit in (n, min(n, s + 3)):
+            entries = _forward(shapes, s, limit)
             assert len(entries) == len(set(entries))
-            assert set(entries) == {(t, q) for t, q in naive[s] if q <= horizon}
+            assert set(entries) == {(t, q) for t, q in naive[s] if q <= limit}
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -242,9 +247,9 @@ def test_search_rows_match_cube_expansion(ks):
     seed=st.integers(0, 2**32),
 )
 def test_packed_zero_test_equals_the_scan(s, n, seed):
-    # lanes covered by m (zero lanes), lanes missing only bit 0, which m
-    # never holds (one short of zero: a borrow out of a zero lane below
-    # would flag them), and random lanes; lane i has top i
+    # lanes covered by m, lanes missing only bit 0, which m never holds (one
+    # short of covered: a carry out of a covered lane below would flag
+    # them), and random lanes; lane i has top i
     rng = random.Random(seed)
     m = rng.getrandbits(s + 1) & ~1
     masks = []
@@ -263,8 +268,7 @@ def test_packed_zero_test_finds_every_lane():
     assert _fire(_pack([], 3), m, 0) == 0
     # forward lists of positions 1..40, whose lanes widen at s = 7, 15, 23, 31
     for ks in [(2,), (3,), (2, 2), (2, 3), (2, 2, 2)]:
-        shapes = []
-        _add_shapes(ks, shapes, 1, 60)
+        shapes = [_cube_tails(ks, h, 60) for h in range(40)]
         for s in range(1, 41):
             entries = _forward(shapes, s, 60)
             lanes = _pack(entries, s)
@@ -289,6 +293,7 @@ def test_search_equals_the_reference_search(ks, c, limit):
 
 
 def test_long_rows_keep_the_search_path():
-    # the cube_number((2,2,2), 3, 48) refusal: rows outgrow the head from p = 10 on
+    # the cube_number((2,2,2), 3, 48) refusal: the whole triple, colouring
+    # included, of a path whose forward lists take several lane widths
     want = tuple(map(int, "111211212221122313313332212133211332232311332231"))
     assert _avoid((2, 2, 2), 3, 48) == (True, 48, want)
