@@ -41,6 +41,7 @@ from .core import (
     FiniteColoring,
     LimitError,
     _check_palette,
+    _show,
     _side_lengths,
 )
 from .wnumbers import _avoid, _closed_form
@@ -51,7 +52,8 @@ class CapExceededError(LimitError):
 
     def __init__(self, ks: tuple[int, ...], c: int, cap: int):
         super().__init__(
-            f"cube number for sides {list(ks)} with {c} colors exceeds cap {cap}"
+            f"cube number for sides {list(ks)} with {_show(c)} colors "
+            f"exceeds cap {_show(cap)}"
         )
         self.cap = cap
 

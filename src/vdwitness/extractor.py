@@ -16,12 +16,12 @@ the progression scan (least block first, then least step) has looked plus a
 read-ahead of at most as many blocks as are already read, so a stage whose
 least progression of equal blocks starts near its first block is read only
 about that far. The scan jumps from a block to the next block with the same
-id (_Stage.index), which reads the blocks between them in order, as a
-block-by-block scan would. The recursion works on the colors of the selected
-block that the scan has already read: one unchecked extraction reads each
-cell at most once. The source is a finite coloring or an oracle; oracle
-reads, read-ahead and checked re-reads included, count against the cell
-limit.
+id, and past the blocks read so far _Stage.fill reads the blocks between
+them in order, as a block-by-block scan would. The recursion works on the
+colors of the selected block that the scan has already read: one unchecked
+extraction reads each cell at most once. The source is a finite coloring or
+an oracle; oracle reads, read-ahead and checked re-reads included, count
+against the cell limit.
 A trace reports how many patterns the whole stage has, so with a trace
 every block of a stage is interned before its scan.
 
@@ -54,102 +54,81 @@ _Reader = Callable[[int, int], tuple[int, ...]]
 _BATCH_CELLS = 1 << 16
 
 
-def _least_ap(colors, n: int, k: int) -> tuple[int, int] | None:
-    """Least (a0, d) with colors[a0] == colors[a0 + j*d] for 0 < j < k, over
+def _least_ap(
+    ids, n: int, k: int, fill: Callable[[int], None] | None = None
+) -> tuple[int, int] | None:
+    """Least (a0, d) with ids[a0] == ids[a0 + j*d] for 0 < j < k, over
     0-based indices below n, k >= 2.
 
     The scan runs a0 ascending, then d ascending. It jumps from one
-    candidate d to the next with colors.index(gamma, start, stop), the
-    least index in [start, stop) holding gamma (ValueError if none), and
-    reads the points j >= 2 only for that d. colors is a tuple, a list or
-    anything else with int indexing and that index; a lazily filled stage
-    (_Stage) whose index looks its elements up in ascending order is read
-    exactly as an element-by-element scan would read it, and no further
-    than the answer needs. Such a stage must not let a failed read out of
-    index as a ValueError (_Stage raises _ReadFailure instead).
+    candidate d to the next with ids.index(gamma, start, stop), the least
+    index in [start, stop) holding gamma, and reads the points j >= 2 only
+    for that d. ids is a tuple or a list; a list may be shorter than n if
+    fill(p) extends it through at least index p (_Stage.fill). The scan
+    calls fill only for an index p >= len(ids) that it is about to look at,
+    and continues a jump that finds nothing from len(ids), so a lazily
+    filled stage is read exactly as an element-by-element scan would read
+    it, and no further than the answer needs.
     """
     for a0 in range(n - k + 1):
-        gamma = colors[a0]
+        if a0 >= len(ids):
+            fill(a0)
+        gamma = ids[a0]
         stop = a0 + (n - 1 - a0) // (k - 1) + 1  # a0 + the largest d, plus one
-        q = a0
-        while True:
+        q = a0 + 1
+        while q < stop:
+            if q >= len(ids):
+                fill(q)
             try:
-                q = colors.index(gamma, q + 1, stop)
+                q = ids.index(gamma, q, stop)
             except ValueError:
-                break
+                q = len(ids)
+                continue
             d = q - a0
             for p in range(q + d, a0 + k * d, d):
-                if colors[p] != gamma:
+                if p >= len(ids):
+                    fill(p)
+                if ids[p] != gamma:
                     break
             else:
                 return (a0, d)
+            q += 1
     return None
 
 
-class _ReadFailure(Exception):
-    """A block read's ValueError, as __cause__: index raises ValueError for "none"."""
-
-
-class _Stage(list):
-    """Pattern ids of blocks 0..len-1 of one stage, read in order.
+class _Stage:
+    """Pattern ids of blocks 0..len(ids)-1 of one stage, read in order.
 
     Ids number the distinct patterns in the order they were first read, so
     equal ids mean equal colors at every offset, and the id-th key of
-    patterns is the pattern of id. A lookup at or past len reads the blocks
-    from len through it, or as many blocks as are already read if that is
-    more (at least one, at most about _BATCH_CELLS cells), so a scan that
-    walks the blocks in order reads at most about twice what it looks at,
-    in few batches, and no block is read twice. A read that raises
-    ValueError raises _ReadFailure from it.
+    patterns is the pattern of id. fill(b) reads and interns the blocks
+    from len(ids) through b, or as many blocks as are already read if that
+    is more (at least one, at most about _BATCH_CELLS cells), in batches of
+    at most about _BATCH_CELLS cells. So a scan that walks the blocks in
+    order reads at most about twice what it looks at, in few batches, and
+    no block is read twice.
     """
 
-    __slots__ = ("read", "size", "count", "patterns")
+    __slots__ = ("read", "size", "count", "patterns", "ids")
 
     def __init__(self, read: _Reader, size: int, count: int) -> None:
-        super().__init__()
         self.read = read
         self.size = size
         self.count = count
         self.patterns: dict[tuple[int, ...], int] = {}
+        self.ids: list[int] = []
 
-    def __getitem__(self, b: int) -> int:
-        if b >= len(self):
-            self._read_through(b)
-        return list.__getitem__(self, b)
-
-    def index(self, value: int, start: int, stop: int) -> int:
-        """Least block b in [start, stop) whose id is value, else ValueError;
-        reads what looking up start, start + 1, ... one by one would read."""
-        b = start
-        while b < stop:
-            if b >= len(self):
-                self._read_through(b)
-            try:
-                return list.index(self, value, b, stop)
-            except ValueError:
-                b = len(self)
-        raise ValueError(f"no block with id {value} in [{start}, {stop})")
-
-    def intern(self, b0: int, b1: int) -> list[int]:
-        """The ids of blocks b0..b1-1, read in batches and interned."""
-        size, patterns = self.size, self.patterns
+    def fill(self, b: int) -> None:
+        ids, size, patterns = self.ids, self.size, self.patterns
+        front = len(ids)
         step = max(1, _BATCH_CELLS // size)
-        ids: list[int] = []
-        for lo in range(b0, b1, step):
-            cells = self.read(lo * size, min(b1, lo + step) * size)
+        stop = min(self.count, max(b + 1, front + max(1, min(front, step))))
+        for lo in range(front, stop, step):
+            cells = self.read(lo * size, min(stop, lo + step) * size)
             ids += [
                 patterns.setdefault(cells[i : i + size], len(patterns) + 1)
                 for i in range(0, len(cells), size)
             ]
-        return ids
-
-    def _read_through(self, b: int) -> None:
-        front = len(self)
-        ahead = max(1, min(front, _BATCH_CELLS // self.size))
-        try:
-            self.extend(self.intern(front, min(self.count, max(b + 1, front + ahead))))
-        except ValueError as exc:
-            raise _ReadFailure from exc
 
 
 def _reader(source: FiniteColoring | ColorOracle, lo: int, max_cells: int | None) -> _Reader:
@@ -220,11 +199,9 @@ def extract(
         size = params.size(m - 1)
         count = params.w(m)
         stage = _Stage(read, size, count)
-        ids = stage.intern(0, count) if trace is not None else stage
-        try:
-            hit = _least_ap(ids, count, ks[m - 1])
-        except _ReadFailure as exc:
-            raise exc.__cause__ from None
+        if trace is not None:
+            stage.fill(count - 1)
+        hit = _least_ap(stage.ids, count, ks[m - 1], stage.fill)
         if hit is None:
             raise InvariantViolationError(
                 f"no length-{ks[m - 1]} progression among {count} blocks with "
@@ -241,7 +218,7 @@ def extract(
                     "palette_size": len(stage.patterns),
                 }
             )
-        block = next(islice(stage.patterns, ids[b1] - 1, None))
+        block = next(islice(stage.patterns, stage.ids[b1] - 1, None))
         if checked:
             _check_block_shift(read, b1, dstar, size, ks[m - 1], block)
         ds_rev.append(dstar * size)

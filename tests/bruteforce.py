@@ -132,12 +132,6 @@ def scan_least_ap(colors, n: int, k: int):
     return None
 
 
-def scan_index(colors, value, start: int, stop: int):
-    """The least i in [start, stop) with colors[i] == value, looking elements
-    up one at a time in ascending order, or None."""
-    return next((i for i in range(start, stop) if colors[i] == value), None)
-
-
 def longest_avoiding(ks, c: int, limit: int):
     """(reached_limit, best_length, prefix) of a plain depth-first search over
     canonical c-colorings of [1, limit] (each new colour is the least unused

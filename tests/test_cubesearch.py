@@ -367,6 +367,13 @@ class TestCubeNumber:
         assert cube_number((2,), 10**12, 10**13) == 10**12 + 1
         assert time.perf_counter() - start < 1.0
 
+    def test_a_refusal_past_the_decimal_limit_is_reported(self):
+        # numbers past Python's int-to-str digit limit show as digit counts
+        with pytest.raises(CapExceededError, match="with <5001-digit number> colors exceeds cap 3$"):
+            cube_number((2,), 10**5000, 3)
+        with pytest.raises(CapExceededError, match="exceeds cap <5000-digit number>$"):
+            cube_number((2,), 10**5000, 10**4999)
+
     def test_huge_cap_sizes_nothing_up_front(self):
         start = time.perf_counter()
         assert cube_number((2, 2, 2), 2, 10**6) == 21

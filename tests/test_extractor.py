@@ -25,7 +25,7 @@ from vdwitness import (
 )
 from vdwitness import extractor
 from vdwitness.extractor import _Stage, _check_block_shift, _least_ap
-from bruteforce import all_colorings, dense_extract, mono_aps, scan_index, scan_least_ap
+from bruteforce import all_colorings, dense_extract, mono_aps, scan_least_ap
 
 
 def coloring_of(text: str, c: int, lo: int = 1) -> FiniteColoring:
@@ -115,7 +115,8 @@ class TestLazyScan:
     def test_an_in_order_scan_reads_in_doubling_batches(self):
         # block b < 1024 of the c=4 stage-2 tower spells b in base 4, so block
         # 0 first recurs at block 1024 and the scan reads all 1025 blocks in
-        # order: once each, in 12 batches rather than 1025 reads
+        # order: once each, in 12 batches rather than 1025 reads. A trace
+        # interns them all in one read before the scan, which reads no more.
         colors = tuple(1 + (b >> 2 * i) % 4 for b in range(1025) for i in range(5))
         col = FiniteColoring(4, Interval(1, len(colors)), colors)
 
@@ -128,23 +129,34 @@ class TestLazyScan:
                 return super()._colors(lo, hi)
 
         p = tower_params(2, 4, 2)
-        w = extract(Counting(col, 1, 4), Interval(1, 5), 2, p)
-        assert (w.a, w.ds) == (1, (1, 1024 * 5))
-        assert (Counting.calls, Counting.cells) == (12, len(colors))
+        for trace, calls in ((None, 12), ([], 1)):
+            Counting.calls = Counting.cells = 0
+            w = extract(Counting(col, 1, 4), Interval(1, 5), 2, p, trace=trace)
+            assert (w.a, w.ds) == (1, (1, 1024 * 5))
+            assert (Counting.calls, Counting.cells) == (calls, len(colors))
+        assert trace[0]["palette_size"] == 1024
 
-    def test_a_lookup_past_the_front_reads_in_order_through_it(self):
-        # block 5 reads blocks 0..5; block 6 then reads ahead as many blocks
-        # as are already read, up to the last block
-        reads = []
-        cells = tuple(range(1, 11))
+    def test_a_fill_past_the_front_reads_in_order_through_it(self):
+        # filling through block 5 reads blocks 0..5; filling through block 6
+        # then reads ahead as many blocks as are already read, up to the last
+        # block and up to _BATCH_CELLS cells, in batches of _BATCH_CELLS cells
+        for count, batch, first, then in (
+            (10, extractor._BATCH_CELLS, [(0, 6)], [(6, 10)]),
+            (20, 4, [(0, 4), (4, 6)], [(6, 10)]),
+        ):
+            reads = []
+            cells = tuple(range(1, count + 1))
 
-        def read(i, j):
-            reads.append((i, j))
-            return cells[i:j]
+            def read(i, j):
+                reads.append((i, j))
+                return cells[i:j]
 
-        stage = _Stage(read, 1, 10)
-        assert [stage[b] for b in (5, 0, 1, 2, 4, 5, 6)] == [6, 1, 2, 3, 5, 6, 7]
-        assert reads == [(0, 6), (6, 10)]
+            stage = _Stage(read, 1, count)
+            with mock.patch.object(extractor, "_BATCH_CELLS", batch):
+                stage.fill(5)
+                assert (stage.ids, reads) == ([1, 2, 3, 4, 5, 6], first)
+                stage.fill(6)
+            assert (stage.ids, reads) == (list(range(1, 11)), first + then)
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
@@ -156,13 +168,13 @@ class TestLazyScan:
         batch=st.sampled_from([4, extractor._BATCH_CELLS]),
         seed=st.integers(0, 2**32),
     )
-    def test_index_reads_like_an_element_by_element_scan(
+    def test_the_jumping_scan_reads_like_an_element_by_element_scan(
         self, count, size, k, palette, distinct_but_one, batch, seed
     ):
-        # The jumping scan and the element-by-element reference, each on its
-        # own lazy stage, find the same progression with the same reads: the
-        # same blocks, in the same order and batches. So do index and a
-        # one-by-one lookup from a start past the blocks read so far.
+        # The jumping scan, filling its stage, and the element-by-element
+        # reference, looking blocks up one by one through a view that fills
+        # its own stage, find the same progression with the same reads: the
+        # same blocks, in the same order and batches.
         rng = random.Random(seed)
         if distinct_but_one:
             ids = list(range(1, count + 1))
@@ -172,11 +184,17 @@ class TestLazyScan:
         else:
             ids = [rng.randint(1, 1 + int(palette * (count - 1))) for _ in range(count)]
         cells = tuple(x for b in ids for x in (b,) * size)
-        early = rng.sample(range(count), min(count, rng.randint(0, 3)))
-        value, start = rng.choice(ids), rng.randrange(count)
-        stop = rng.randint(start, count)
 
-        def run(scan, find):
+        class View:
+            def __init__(self, stage):
+                self.stage = stage
+
+            def __getitem__(self, b):
+                if b >= len(self.stage.ids):
+                    self.stage.fill(b)
+                return self.stage.ids[b]
+
+        def run(scan):
             reads = []
 
             def read(i, j):
@@ -185,18 +203,11 @@ class TestLazyScan:
 
             stage = _Stage(read, size, count)
             with mock.patch.object(extractor, "_BATCH_CELLS", batch):
-                hit = scan(stage, count, k)
-                fresh = _Stage(read, size, count)
-                for b in early:
-                    fresh[b]
-                try:
-                    found = find(fresh, value, start, stop)
-                except ValueError:
-                    found = None
-            return hit, found, reads, list(stage), list(fresh)
+                hit = scan(stage)
+            return hit, reads, stage.ids
 
-        got = run(_least_ap, lambda s, *args: s.index(*args))
-        assert got == run(scan_least_ap, scan_index)
+        got = run(lambda stage: _least_ap(stage.ids, count, k, stage.fill))
+        assert got == run(lambda stage: scan_least_ap(View(stage), count, k))
         naive = mono_aps(ids, k)
         assert got[0] == (None if not naive else (min(naive)[0] - 1, min(naive)[1]))
 
@@ -216,7 +227,8 @@ class TestLazyScan:
     def test_oracle_value_error_propagates(self):
         # blocks 0-7 of the c=2 stage-2 tower are the eight distinct 3-cell
         # patterns, so the scan from block 0 reads block 8, whose cells raise
-        # a bare ValueError; it must not pass for "no such block"
+        # a bare ValueError; traced or not, it must not pass for "no such
+        # block"
         failure = ValueError("no colors past cell 24")
 
         class Failing(ColorOracle):
@@ -227,9 +239,10 @@ class TestLazyScan:
                     raise failure
                 return 1 + ((p - 1) // 3 >> (2 - (p - 1) % 3) & 1)
 
-        with pytest.raises(ValueError) as info:
-            extract(Failing(), Interval(1, 3), 2, tower_params(2, 2, 2))
-        assert info.value is failure
+        for trace in (None, []):
+            with pytest.raises(ValueError) as info:
+                extract(Failing(), Interval(1, 3), 2, tower_params(2, 2, 2), trace=trace)
+            assert info.value is failure
 
     def test_oracle_reads_are_capped(self, monkeypatch):
         p = tower_params(2, 1, 4)
