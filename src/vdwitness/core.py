@@ -384,10 +384,8 @@ def cube_positions(w: CubeWitness, *, max_cells: int | None = None) -> tuple[int
         for k in w.ks:
             count *= k
             if count > limit:
-                raise MaterializationLimitError(
-                    f"a cube of {w.dim} dimensions may have more positions than "
-                    f"the materialization limit {limit}"
-                )
+                break
+        _check_cells(f"a cube of {w.dim} dimensions may have", count, limit)
     dims = sorted(zip(w.ds, w.ks))
     reach = 0  # span of the dimensions before the current one
     for d, k in dims:

@@ -234,7 +234,7 @@ def extract(
         )
     a0, d1 = base_hit
     witness = CubeWitness(cells[a0], lo + a0, (d1, *reversed(ds_rev)), ks)
-    _check_bounds(witness, n, params)
+    _check_bounds(witness, params)
     return witness
 
 
@@ -252,7 +252,7 @@ def _check_block_shift(
             )
 
 
-def _check_bounds(witness: CubeWitness, n: int, params: TowerParams) -> None:
+def _check_bounds(witness: CubeWitness, params: TowerParams) -> None:
     """d_1 <= W_1 and d_m <= W_m * sizes[m-1]: the step at stage m moves whole
     stage-(m-1) towers, so its positional size carries that factor."""
     for m, d in enumerate(witness.ds, start=1):

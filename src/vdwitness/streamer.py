@@ -9,17 +9,16 @@ the t-th difference. The reported anchor at depth t comes from the earliest
 surviving window, so every depth-t cube is a sub-cube of a single window's
 witness and must verify against the oracle directly.
 
-Two window geometries are supported. Proof mode follows the tower
-construction: window 1 is [1, W_1], and window m+1 is the stage-m tower over
-the W_1-sized interval right after window m, so windows are consecutive,
-disjoint, and grow by a factor W_m each step. Search mode uses consecutive
-fixed-size windows and solves each by direct cube search under per-dimension
-caps. In both modes window m is solved at dimension min(available, depth):
-proof-mode window m is a stage-(m-1) tower (stage 1 for m = 1) over its
-first W_1 cells, and deeper stages than the requested depth are never read.
-Proof mode reads the oracle only at the blocks the extraction's scan looks
-at, so a window far larger than the cell limit is solved when its least
-progression of equal blocks lies near its start.
+Windows are consecutive in both modes, from position 1 on, and differ only
+in size: a search window has window_size cells, and proof window m is the
+tower of stage j = max(1, m-1), with W_1 * ... * W_j cells. Search mode
+solves each window by direct cube search under per-dimension caps. Proof
+mode extracts over the tower whose base is the window's first W_1 cells.
+In both modes window m is solved at dimension min(available, depth), so
+stages deeper than the requested depth are never read. Proof mode reads
+the oracle only at the blocks the extraction's scan looks at, so a window
+far larger than the cell limit is solved when its least progression of
+equal blocks lies near its start.
 """
 
 from __future__ import annotations
@@ -139,11 +138,6 @@ class StreamOutcome:
             "windows": self.windows,
             "conforming": self.conforming,
         }
-
-
-def next_window(m: int, prev: Interval, params: TowerParams) -> Interval:
-    """Window m+1: the stage-m tower over the W_1 cells right after window m."""
-    return Interval(prev.hi + 1, prev.hi + params.size(m))
 
 
 def solve_window(
@@ -271,19 +265,17 @@ def run_stream(
         # Geometry needs stages up to windows-1; extraction never goes past
         # the requested depth. Pad per-stage lengths with the last one, which
         # keeps them nondecreasing.
-        stages = max(1, windows - 1, depth)
+        stages = max(windows - 1, depth)
         padded = ks_seq + (ks_seq[-1],) * (stages - depth)
         params = tower_params(padded, c, stages, search_limit=search_limit)
 
     witnesses: list[WindowWitness] = []
     skipped: list[int] = []
+    hi = 0
     for m in range(1, windows + 1):
-        if mode == SEARCH:
-            window = Interval((m - 1) * window_size + 1, m * window_size)
-        elif m == 1:
-            window = Interval(1, params.w(1))
-        else:
-            window = next_window(m - 1, window, params)
+        size = window_size if mode == SEARCH else params.size(max(1, m - 1))
+        window = Interval(hi + 1, hi + size)
+        hi = window.hi
         try:
             witnesses.append(
                 solve_window(

@@ -208,11 +208,11 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
     shapes[h] is finite. ks = (2,) (S = 1) puts every tail at h = 0, up to
     the limit; _closed_form keeps it out of every public search.
     """
-    # Canonical colorings never use more colors than positions, so huge
-    # palettes need no huge mask tables.
-    size = min(c, limit + 1) + 2
-    masks = [0] * size
-    forbidden = [0] * size
+    # At position p the search reads colour indices up to p + 1 (a canonical
+    # colouring uses at most p - 1 colours before p), so the colour tables
+    # grow with p, whatever the palette.
+    masks = [0, 0, 0]
+    forbidden = [0, 0, 0]
     color = [0, 0]
     saved = [0, 0]
     shapes = [_cube_tails(ks, 0, limit)]
@@ -263,6 +263,8 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
                 lanes.append(_pack(_forward(shapes, p, limit), p))
                 color.append(0)
                 saved.append(0)
+                masks.append(0)
+                forbidden.append(0)
         else:
             color[p] = 0
             p -= 1

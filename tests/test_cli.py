@@ -443,7 +443,9 @@ class TestStream:
         assert [(w.e, w.ls, w.gamma) for w in witnesses] == [
             (2, (1,), 2), (4, (2,), 1), (8, (1, 6), 2), (34, (1, 6, 864), 1),
         ]
-        assert witnesses[3].window == Interval(34, 3623878716)
+        assert [w.window for w in witnesses] == [
+            Interval(1, 3), Interval(4, 6), Interval(7, 33), Interval(34, 3623878716),
+        ]
 
     # whole stdout lines of proof and search streams, byte for byte
     @pytest.mark.parametrize(

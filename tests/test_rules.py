@@ -23,6 +23,7 @@ from vdwitness import (
     SeededRandomOracle,
     TowerParams,
     cube_number,
+    cube_positions,
     extract,
     find_cube,
     materialize,
@@ -146,8 +147,12 @@ def test_stage_range(call, m):
             "extraction would read 16 cells",
         ),
         (lambda: vdw_number(2, 11), "the W(2,11) certificate has 11 cells"),
+        (
+            lambda: cube_positions(CubeWitness(1, 1, (1, 2, 4, 8), (2, 2, 2, 2))),
+            "a cube of 4 dimensions may have 16 cells",
+        ),
     ],
-    ids=["materialize", "extract", "vdw_number"],
+    ids=["materialize", "extract", "vdw_number", "cube_positions"],
 )
 def test_cell_cap(call, message, monkeypatch):
     monkeypatch.setenv("VDW_MAX_CELLS", "10")

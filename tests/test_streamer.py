@@ -13,7 +13,6 @@ from vdwitness import (
     ThueMorseOracle,
     WindowFailureError,
     WindowWitness,
-    next_window,
     run_stream,
     solve_window,
     stabilize,
@@ -24,23 +23,16 @@ from vdwitness import streamer
 
 
 class TestNextWindow:
-    def test_single_color_chain(self):
-        p = tower_params(2, 1, 6)
-        j2 = next_window(1, Interval(1, 2), p)
-        assert j2 == Interval(3, 4)
-        j3 = next_window(2, j2, p)
-        assert j3 == Interval(5, 8)
-        j4 = next_window(3, j3, p)
-        assert j4 == Interval(9, 16)
-
     def test_windows_are_consecutive(self):
+        # window m + 1 starts right after window m and has p.size(m) cells
         p = tower_params(2, 2, 3)
-        window = Interval(1, 3)
+        out = run_stream(ThueMorseOracle(), 2, 2, 3, 4, "proof")
+        windows = [w.window for w in out.state.witnesses]
+        assert windows[0] == Interval(1, 3)
         for m in range(1, 4):
-            nxt = next_window(m, window, p)
+            window, nxt = windows[m - 1], windows[m]
             assert nxt.lo == window.hi + 1
             assert nxt.size() == p.size(m)
-            window = nxt
 
 
 class TestSolveWindow:

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from vdwitness import (
     vdw_value,
     verify_ap_free,
 )
+from vdwitness import wnumbers
 from vdwitness.extractor import _least_ap
 from vdwitness.wnumbers import _avoid, _cube_tails, _fire, _forward, _pack
 from bruteforce import all_colorings, expand_cube, has_mono_ap, least_mono_ap, longest_avoiding
@@ -297,3 +299,29 @@ def test_long_rows_keep_the_search_path():
     # included, of a path whose forward lists take several lane widths
     want = tuple(map(int, "111211212221122313313332212133211332232311332231"))
     assert _avoid((2, 2, 2), 3, 48) == (True, 48, want)
+
+
+def test_colour_tables_grow_with_the_position(monkeypatch):
+    # a palette and a limit of 10**6 size nothing up front: the first 60
+    # placements that fire stay far below one table of 10**6 entries (8 MB)
+    class Stop(Exception):
+        pass
+
+    fire, calls = _fire, 0
+
+    def fire_then_stop(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 60:
+            raise Stop
+        return fire(*args)
+
+    monkeypatch.setattr(wnumbers, "_fire", fire_then_stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            _avoid((2, 2), 10**6, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
