@@ -59,11 +59,12 @@ def _check_digits(x: int, name: str) -> None:
 def _check_palette(c: int | None, colors: Sequence[int] = ()) -> int:
     """The palette rule: at least one color, and each of colors in [1, c].
     Returns c, or the least palette [1, c] that holds colors if c is None."""
+    distinct = set(colors)  # one pass over colors; min and max see each color once
     if c is None:
-        c = max(1, max(colors))
+        c = max(1, max(distinct))
     if c < 1:
         raise DomainError(f"number of colors must be >= 1, got {c}")
-    if colors and (min(colors) < 1 or max(colors) > c):
+    if distinct and (min(distinct) < 1 or max(distinct) > c):
         raise DomainError(f"colors must lie in [1, {c}]")
     return c
 

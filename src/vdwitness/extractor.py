@@ -1,8 +1,9 @@
 """Monochromatic cube extraction from tower colorings by block interning.
 
 Given a c-coloring of a stage-n tower, the top stage splits the tower into
-W_n blocks of size sizes[n-1] and interns each block's full color pattern as
-a small id. The id sequence is a coloring of the block indices with at most
+W_n blocks of size sizes[n-1] and interns each block's full color pattern:
+a block's id is its pattern tuple, one shared object per distinct pattern.
+The id sequence is a coloring of the block indices with at most
 c^(block size) colors, and the block count W_n = W(k_n, c_{n-1}) guarantees
 it contains a monochromatic k_n-term progression of block indices. Equal ids
 mean the blocks agree position for position, so stepping d* blocks is a rigid
@@ -31,7 +32,7 @@ deep towers (single color, twenty stages) stay clear of call-stack limits.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import tee
 from typing import Callable
 
 from .core import (
@@ -99,14 +100,17 @@ def _least_ap(
 class _Stage:
     """Pattern ids of blocks 0..len(ids)-1 of one stage, read in order.
 
-    Ids number the distinct patterns in the order they were first read, so
-    equal ids mean equal colors at every offset, and the id-th key of
-    patterns is the pattern of id. fill(b) reads and interns the blocks
-    from len(ids) through b, or as many blocks as are already read if that
-    is more (at least one, at most about _BATCH_CELLS cells), in batches of
-    at most about _BATCH_CELLS cells. So a scan that walks the blocks in
-    order reads at most about twice what it looks at, in few batches, and
-    no block is read twice.
+    A block's id is its color pattern as a tuple, the first one read with
+    those colors: patterns maps each distinct pattern to that tuple, so
+    equal blocks have the very same id object, and len(patterns) counts the
+    patterns read. fill(b) reads and interns the blocks from len(ids)
+    through b, or as many blocks as are already read if that is more (at
+    least one, at most about _BATCH_CELLS cells), in batches of at most
+    about _BATCH_CELLS cells. So a scan that walks the blocks in order reads
+    at most about twice what it looks at, in few batches, and no block is
+    read twice. A batch of several blocks is cut and interned with no Python
+    loop per block; a batch of one block interns the read itself, since
+    cutting a long block cell by cell costs more than its read.
     """
 
     __slots__ = ("read", "size", "count", "patterns", "ids")
@@ -115,20 +119,20 @@ class _Stage:
         self.read = read
         self.size = size
         self.count = count
-        self.patterns: dict[tuple[int, ...], int] = {}
-        self.ids: list[int] = []
+        self.patterns: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.ids: list[tuple[int, ...]] = []
 
     def fill(self, b: int) -> None:
-        ids, size, patterns = self.ids, self.size, self.patterns
+        ids, size, intern = self.ids, self.size, self.patterns.setdefault
         front = len(ids)
         step = max(1, _BATCH_CELLS // size)
         stop = min(self.count, max(b + 1, front + max(1, min(front, step))))
         for lo in range(front, stop, step):
             cells = self.read(lo * size, min(stop, lo + step) * size)
-            ids += [
-                patterns.setdefault(cells[i : i + size], len(patterns) + 1)
-                for i in range(0, len(cells), size)
-            ]
+            if len(cells) == size:
+                ids.append(intern(cells, cells))
+            else:
+                ids += map(intern, *tee(zip(*[iter(cells)] * size)))
 
 
 def _reader(source: FiniteColoring | ColorOracle, lo: int, max_cells: int | None) -> _Reader:
@@ -174,8 +178,8 @@ def extract(
     per-stage lengths take the same path. The witness is fully determined
     by the least-progression tie-break at every stage. With checked=True
     the selected blocks are re-read at each stage (oracle re-reads count
-    against the cell limit) and compared color by color with the pattern
-    their id stands for. If trace is a list, one record {stage, b1, dstar,
+    against the cell limit) and compared color by color with their id, the
+    pattern read first. If trace is a list, one record {stage, b1, dstar,
     block_size, palette_size} is appended per stage above the base, top
     stage first; palette_size counts the patterns of all the stage's blocks.
     """
@@ -218,7 +222,7 @@ def extract(
                     "palette_size": len(stage.patterns),
                 }
             )
-        block = next(islice(stage.patterns, stage.ids[b1] - 1, None))
+        block = stage.ids[b1]
         if checked:
             _check_block_shift(read, b1, dstar, size, ks[m - 1], block)
         ds_rev.append(dstar * size)
@@ -241,8 +245,8 @@ def extract(
 def _check_block_shift(
     read: _Reader, b1: int, dstar: int, block_size: int, k: int, pattern: tuple[int, ...]
 ) -> None:
-    """Selected blocks, re-read, must be literal copies of the pattern their
-    id stands for: color(q + j*dstar*block_size) = pattern[q] for 0 <= j < k."""
+    """Selected blocks, re-read, must be literal copies of their id, the
+    pattern first read: color(q + j*dstar*block_size) = pattern[q] for 0 <= j < k."""
     start = b1 * block_size
     for j in range(k):
         shifted = start + j * dstar * block_size

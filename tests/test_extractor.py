@@ -154,9 +154,9 @@ class TestLazyScan:
             stage = _Stage(read, 1, count)
             with mock.patch.object(extractor, "_BATCH_CELLS", batch):
                 stage.fill(5)
-                assert (stage.ids, reads) == ([1, 2, 3, 4, 5, 6], first)
+                assert (stage.ids, reads) == ([(1,), (2,), (3,), (4,), (5,), (6,)], first)
                 stage.fill(6)
-            assert (stage.ids, reads) == (list(range(1, 11)), first + then)
+            assert (stage.ids, reads) == ([(x,) for x in range(1, 11)], first + then)
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
@@ -204,6 +204,13 @@ class TestLazyScan:
             stage = _Stage(read, size, count)
             with mock.patch.object(extractor, "_BATCH_CELLS", batch):
                 hit = scan(stage)
+            # a block's id is its pattern, one shared object per pattern,
+            # across batches and in one-block batches alike
+            shared: dict = {}
+            for b, pattern in enumerate(stage.ids):
+                assert pattern == (ids[b],) * size
+                assert pattern is shared.setdefault(ids[b], pattern)
+            assert len(stage.patterns) == len(shared)
             return hit, reads, stage.ids
 
         got = run(lambda stage: _least_ap(stage.ids, count, k, stage.fill))
