@@ -281,6 +281,9 @@ def main(argv: list[str] | None = None) -> int:
     except LimitError as exc:
         _note(str(exc))
         return 3
+    except MemoryError:
+        _note("out of memory")
+        return 3
     except WindowFailureError as exc:
         _emit(
             {

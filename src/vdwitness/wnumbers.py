@@ -13,8 +13,11 @@ The search (_avoid) checks forward: each colour keeps a mask of the
 positions it may no longer take, so a candidate costs one bit test, and a
 placement at s fires the forward list of s, the cubes whose second-highest
 position is s, packed one mask per lane (_pack, _fire). Each list is built
-once, complete, when the search first reaches s; with S = sum(k_i - 1) >= 2
-its cubes reach at most (s - 1)S/(S - 1) past their anchor (proof in
+once, complete, when the search first reaches s, from the list of s - 1:
+a cube anchored at 2 or later is one of that list moved up one position, so
+the list of s is the list of s - 1 moved up, less the tops past the limit,
+plus the cubes anchored at 1 (_forward). With S = sum(k_i - 1) >= 2 its
+cubes reach at most (s - 1)S/(S - 1) past their anchor (proof in
 _cube_tails). A k-AP is the 1-dimensional cube of side k, so
 cubesearch.cube_number runs the same search with its own side lengths; both
 answer c = 1 and ks = (2,), the one shape with S = 1, by _closed_form
@@ -22,9 +25,6 @@ instead. A candidate that leaves a later position no colour may take is
 pruned only when its subtree could not colour a longer prefix than the best
 so far, so values, certificates and refusals are those of the search
 without the prune.
-
-Extraction's least-progression scan (_least_ap) lives in extractor, and the
-decimal print bound (_show, _check_digits) in core.
 """
 
 from __future__ import annotations
@@ -75,17 +75,18 @@ def search_limit_default(explicit: int | None = None) -> int:
 
 
 def _cube_tails(ks: tuple[int, ...], h: int, limit: int) -> list[tuple[int, int]]:
-    """(tail, reach) of every cube of side lengths ks anchored at 0 whose
-    second-highest offset is h and whose reach (maximum) is below limit, in
-    increasing reach; the tail holds the other offsets (bit q is offset q).
+    """(mask, top) of every cube of side lengths ks anchored at position 1
+    whose second-highest position is h + 1 and whose top is at most limit;
+    mask holds the cube's other positions (bit q is position q).
 
-    Bound: with least difference m, h is the top minus m (one step back
+    Bound: with least difference m, h is the reach minus m (one step back
     along that dimension), so h = sum((k_i - 1)d_i) - m >= (S - 1)m with
-    S = sum(k_i - 1). So when S >= 2, m <= h/(S - 1) and the reach h + m is
-    at most hS/(S - 1); ks = (2,) (S = 1) has h = 0 and every m. Each m
-    pins one dimension's difference to m and spreads the others, all at
-    least m, over the rest of the reach. Uniform side lengths pin the first
-    and take nondecreasing differences only, which loses no cube.
+    S = sum(k_i - 1). So when S >= 2, m <= h/(S - 1) and the reach h + m
+    (the top minus 1) is at most hS/(S - 1); ks = (2,) (S = 1) has h = 0 and
+    every m. Each m pins one dimension's difference to m and spreads the
+    others, all at least m, over the rest of the reach. Uniform side lengths
+    pin the first and take nondecreasing differences only, which loses no
+    cube.
     """
     span = sum(ks) - len(ks)
     uniform = len(set(ks)) == 1
@@ -115,30 +116,24 @@ def _cube_tails(ks: tuple[int, ...], h: int, limit: int) -> list[tuple[int, int]
             rest = ks[:j] + ks[j + 1 :]
             left = h + m - (ks[j] - 1) * m
             if rest:
-                rec(rest, m, left, spread(1, m, ks[j]))
+                rec(rest, m, left, spread(2, m, ks[j]))
             elif not left:
-                cubes.add(spread(1, m, ks[j]))
-    return [(t ^ (1 << t.bit_length() - 1), t.bit_length() - 1) for t in sorted(cubes)]
+                cubes.add(spread(2, m, ks[j]))
+    return [(t ^ (1 << t.bit_length() - 1), t.bit_length() - 1) for t in cubes]
 
 
-def _forward(shapes: list[list[tuple[int, int]]], s: int, limit: int) -> list[tuple[int, int]]:
+def _forward(
+    prev: list[tuple[int, int]], ks: tuple[int, ...], s: int, limit: int
+) -> list[tuple[int, int]]:
     """(mask, top) of every cube anchored at 1 or later whose second-highest
     position is s and whose top is at most limit; mask holds the cube's
     other positions (bit q is position q), so its highest bit is s.
 
-    A tail with second-highest offset h ends at s when it is anchored at
-    s - h, so its top is s - h + reach. shapes[h] must hold every tail of
-    second-highest offset h with reach below limit (_cube_tails), in
-    increasing reach, for every h < s.
+    prev is that list for s - 1 (empty for s = 1). A cube anchored at 2 or
+    later is a cube of prev moved up one position, and _cube_tails gives
+    those anchored at 1.
     """
-    out = []
-    for h in range(s):
-        a = s - h
-        for t, reach in shapes[h]:
-            if a + reach > limit:
-                break
-            out.append((t << a, a + reach))
-    return out
+    return [(t << 1, q + 1) for t, q in prev if q < limit] + _cube_tails(ks, s - 1, limit)
 
 
 def _pack(entries: list[tuple[int, int]], s: int) -> tuple[int, int, int, int, list[int]]:
@@ -202,11 +197,10 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
     search returns the same triple as one without the prune.
 
     The forward list of s is built once, complete, when the search first
-    reaches s: its cubes have second-highest offsets h < s from their
-    anchors, shapes[h] holds every tail with offset h (_cube_tails), and
-    shapes[s - 1] is enumerated then. When S = sum(k_i - 1) >= 2 each
-    shapes[h] is finite. ks = (2,) (S = 1) puts every tail at h = 0, up to
-    the limit; _closed_form keeps it out of every public search.
+    reaches s, from the list of s - 1 (_forward), which is then dropped.
+    When S = sum(k_i - 1) >= 2 each list is finite. ks = (2,) (S = 1) puts
+    every cube in the list of 1, up to the limit; _closed_form keeps it out
+    of every public search.
     """
     # At position p the search reads colour indices up to p + 1 (a canonical
     # colouring uses at most p - 1 colours before p), so the colour tables
@@ -215,8 +209,8 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
     forbidden = [0, 0, 0]
     color = [0, 0]
     saved = [0, 0]
-    shapes = [_cube_tails(ks, 0, limit)]
-    lanes = [None, _pack(_forward(shapes, 1, limit), 1)]
+    entries = _forward([], ks, 1, limit)
+    lanes = [None, _pack(entries, 1)]
     used = 0
     best_len = 0
     best: tuple[int, ...] = ()
@@ -259,8 +253,8 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
                 return True, best_len, best
             p += 1
             if p == len(lanes):
-                shapes.append(_cube_tails(ks, p - 1, limit))
-                lanes.append(_pack(_forward(shapes, p, limit), p))
+                entries = _forward(entries, ks, p, limit)
+                lanes.append(_pack(entries, p))
                 color.append(0)
                 saved.append(0)
                 masks.append(0)

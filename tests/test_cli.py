@@ -241,6 +241,17 @@ class TestCubeNumber:
 
 
 class TestLimits:
+    def test_out_of_memory(self, capsys, monkeypatch):
+        # like a bare limit refusal: exit 3, one stderr line, nothing on stdout
+        def exhaust(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("vdwitness.cli.cube_number", exhaust)
+        code, out, err = run_cli(
+            capsys, "cube-number", "--ks", "2,2", "--c", "1000", "--cap", "1000"
+        )
+        assert (code, out, err) == (3, "", "out of memory\n")
+
     def test_env_search_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("VDW_WNUMBER_LIMIT", "5")
         code, out, _ = run_cli(capsys, "wnumber", "--k", "3", "--c", "2")
@@ -488,16 +499,27 @@ class TestInputErrors:
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
 
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage:")
+
     def test_missing_required(self, capsys):
         assert run_cli(capsys, "wnumber", "--k", "3")[0] == 2
 
-    def test_bad_oracle(self, capsys):
+    def test_bad_oracle(self, capsys, tmp_path, coloring_122):
         code, _, _ = run_cli(
             capsys, "stream", "--oracle", "bogus:1", "--k", "2", "--c", "2",
             "--depth", "1", "--windows", "1", "--mode", "search",
             "--window-size", "8",
         )
         assert code == 2
+        witness = tmp_path / "w.json"
+        witness.write_text('{"gamma":1,"a":1,"ds":[1],"ks":[2]}')
+        code, out, err = run_cli(
+            capsys, "verify", "--witness", str(witness), "--oracle", f"file:{coloring_122}:0"
+        )
+        assert (code, out, err) == (2, "", "default color must be >= 1, got 0\n")
 
     def test_missing_file(self, capsys):
         assert run_cli(capsys, "search", "--ks", "2", "--coloring", "/nope")[0] == 2

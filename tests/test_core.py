@@ -235,6 +235,8 @@ class TestOracles:
         assert o.color_at(7) == 1
         assert o.c == 2
         assert [o.color_at(p) for p in range(1, 7)] == [1, 2, 2, 1, 2, 2]
+        with pytest.raises(DomainError, match="^empty period pattern$"):
+            PeriodicOracle(())
 
     def test_eventually_periodic(self):
         o = EventuallyPeriodicOracle((1, 1), (1, 2))
@@ -269,6 +271,8 @@ class TestOracles:
         o = PrefixOracle(inner, 1)
         assert [o.color_at(p) for p in range(1, 6)] == [2, 1, 2, 1, 1]
         assert o.c == 2
+        with pytest.raises(DomainError, match="^default color must be >= 1, got 0$"):
+            PrefixOracle(inner, 0)
 
 
 class TestColoringAndMaterialize:
@@ -297,6 +301,10 @@ class TestColoringAndMaterialize:
         with pytest.raises(MaterializationLimitError):
             materialize(ConstantOracle(1), Interval(1, 11))
         materialize(ConstantOracle(1), Interval(1, 10))
+        for raw, message in (("x", "is not an integer: 'x'"), ("0", "must be >= 1, got 0")):
+            monkeypatch.setenv("VDW_MAX_CELLS", raw)
+            with pytest.raises(DomainError, match=f"^VDW_MAX_CELLS {message}$"):
+                materialize(ConstantOracle(1), Interval(1, 10))
 
 
 class _OnlyColor(ColorOracle):

@@ -81,6 +81,8 @@ class TestSolveWindow:
     def test_bad_mode(self):
         with pytest.raises(DomainError):
             solve_window(ConstantOracle(1), Interval(1, 2), 1, "guess", ks=(2,))
+        with pytest.raises(DomainError, match="^proof mode needs tower parameters$"):
+            solve_window(ConstantOracle(1), Interval(1, 2), 1, "proof", ks=(2,))
 
 
 def _ww(m, ls, gamma, e=1):
@@ -136,6 +138,8 @@ class TestStabilize:
             stabilize([], 1)
         with pytest.raises(DomainError):
             stabilize([_ww(1, (1,), 1), _ww(1, (2,), 1)], 1)
+        with pytest.raises(DomainError, match="^depth must be >= 0, got -1$"):
+            stabilize([_ww(1, (1,), 1)], -1)
 
 
 class TestRunStreamProof:
@@ -298,6 +302,8 @@ class TestRunStreamSearch:
             run_stream(ConstantOracle(1), [2, 2], 1, 1, 1, "search", window_size=8)
         with pytest.raises(DomainError):
             run_stream(ConstantOracle(1), 2, 1, 1, 1, "nope", window_size=8)
+        with pytest.raises(DomainError, match="^depth must be >= 1, got 0$"):
+            run_stream(ConstantOracle(1), 2, 1, 0, 1, "search", window_size=8)
 
 
 class TestStreamProperties:

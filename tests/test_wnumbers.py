@@ -225,19 +225,19 @@ def _naive_rows(ks, n):
 
 @pytest.mark.parametrize("ks", [(2,), (3,), (4,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 2, 3)])
 def test_search_rows_match_cube_expansion(ks):
-    # the forward list of every position, whole and cut at a lower limit,
-    # from shapes enumerated one second-highest offset h = s - 1 at a time,
-    # as the search does; their reach is at most hS/(S - 1) when S >= 2
+    # the forward list of every position, each built from the one before it
+    # as the search does, at the whole limit and at two lower ones; the cubes
+    # anchored at 1 reach at most hS/(S - 1) with h = s - 1 when S >= 2
     n = 24
     naive = _naive_rows(ks, n)
     span = sum(ks) - len(ks)
-    shapes = []
-    for s in range(1, n + 1):
-        shapes.append(_cube_tails(ks, s - 1, n))
-        if span > 1:
-            assert all(reach * (span - 1) <= (s - 1) * span for _, reach in shapes[-1])
-        for limit in (n, min(n, s + 3)):
-            entries = _forward(shapes, s, limit)
+    for limit in (n, 12, 5):
+        entries = []
+        for s in range(1, n + 1):
+            if span > 1:
+                tails = _cube_tails(ks, s - 1, limit)
+                assert all((q - 1) * (span - 1) <= (s - 1) * span for _, q in tails)
+            entries = _forward(entries, ks, s, limit)
             assert len(entries) == len(set(entries))
             assert set(entries) == {(t, q) for t, q in naive[s] if q <= limit}
 
@@ -270,9 +270,9 @@ def test_packed_zero_test_finds_every_lane():
     assert _fire(_pack([], 3), m, 0) == 0
     # forward lists of positions 1..40, whose lanes widen at s = 7, 15, 23, 31
     for ks in [(2,), (3,), (2, 2), (2, 3), (2, 2, 2)]:
-        shapes = [_cube_tails(ks, h, 60) for h in range(40)]
+        entries = []
         for s in range(1, 41):
-            entries = _forward(shapes, s, 60)
+            entries = _forward(entries, ks, s, 60)
             lanes = _pack(entries, s)
             assert _fire(lanes, 0, 0) == 0
             for t, q in entries:
