@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 DEFAULT_MAX_CELLS = 1 << 26
 # Numbers are printed in decimal only below 10^4300. The bound is CPython's
@@ -169,10 +169,12 @@ class ColorOracle:
     Subclasses implement _color(p); repeated queries at the same position always
     return the same value, so oracles are safe to query in any order.
 
-    materialize evaluates a whole window through _colors(lo, hi), the colors
-    of positions lo..hi (1 <= lo <= hi) as one tuple. Overriding it is
-    optional: the default calls _color once per position. An override is a
-    faster batch rule and must equal _color position by position.
+    Windows are read in batches through _colors(lo, hi), the colors of
+    positions lo..hi (1 <= lo <= hi) as one tuple: materialize reads a whole
+    window at once, while extraction and search-mode windows read only the
+    runs of cells their scans reach (_reader). Overriding it is optional:
+    the default calls _color once per position. An override is a faster
+    batch rule and must equal _color position by position.
     """
 
     c: int
@@ -479,3 +481,33 @@ def materialize(
     """Evaluate an oracle over an interval as a dense coloring, subject to the cell cap."""
     _check_cells("the interval has", interval.size(), max_cells_limit(max_cells))
     return FiniteColoring(oracle.c, interval, oracle._colors(interval.lo, interval.hi))
+
+
+# read(i, j): the colors of the cells at 0-based offsets i..j-1 of a window.
+_Reader = Callable[[int, int], tuple[int, ...]]
+
+
+def _reader(source: FiniteColoring | ColorOracle, lo: int, max_cells: int | None) -> _Reader:
+    """Reads of the cells from position lo on. Oracle reads count their
+    cells, refusing once the total would pass max_cells_limit(max_cells),
+    and their colors are checked against the palette. A search window is
+    refused whole before its first read, so only extraction reaches the
+    count's refusal."""
+    if isinstance(source, FiniteColoring):
+        return _slicer(source.colors)
+    c, limit = source.c, max_cells_limit(max_cells)
+    total = 0
+
+    def read(i: int, j: int) -> tuple[int, ...]:
+        nonlocal total
+        total += j - i
+        _check_cells("extraction would read", total, limit)
+        cells = source._colors(lo + i, lo + j - 1)
+        _check_palette(c, cells)
+        return cells
+
+    return read
+
+
+def _slicer(cells: tuple[int, ...]) -> _Reader:
+    return lambda i, j: cells[i:j]

@@ -17,11 +17,18 @@ has no bits past the end of the domain, so the domain bound needs no check.
 The work is bounded by the caps, not by the window: rows keep only the
 differences up to the widest cap and live for one anchor, and the masks
 cover a segment of the window that holds every cell the cubes of the next
-anchors can reach, rebuilt when the anchors pass it. When the cubes of one
-anchor can reach the end of the window (no caps), the masks cover a prefix
-instead, with every bit past it set, and the prefix doubles whenever the
-least cube it cannot rule out leaves it, so the work is bounded by how far
-the search reads.
+anchors can reach, rebuilt when the anchors pass it. The first segment
+serves a few anchors and each later one twice as many, up to a fixed
+step. When the cubes of one anchor can reach the end of the window (no
+caps), the masks cover a prefix instead, with every bit past it set, and
+the prefix doubles whenever the least cube it cannot rule out leaves it,
+so the work is bounded by how far the search reads.
+
+The search reads a window's cells only as the masks first reach them:
+find_cube passes a finite coloring's cells whole, and a search-mode stream
+window (streamer.solve_window) is colored by the oracle one segment or
+prefix at a time, so only the cells up to the end of the last segment or
+prefix are ever colored.
 
 cube_number takes the closed forms of wnumbers._closed_form, 1 + sum(k_i - 1)
 for c = 1 and c + 1 for ks = (2,), and otherwise runs the W(k, c) avoidance
@@ -40,6 +47,7 @@ from .core import (
     DomainError,
     FiniteColoring,
     LimitError,
+    _Reader,
     _check_palette,
     _show,
     _side_lengths,
@@ -67,17 +75,22 @@ def _check_caps(caps: Sequence[int] | None) -> tuple[int, ...] | None:
     return caps
 
 
-# Anchors served by one segment of stride masks at least: shifting a mask of
-# a few hundred bits costs no more than a short one, and with small caps a
-# longer segment rebuilds its masks less often.
+# Anchors served by one segment of stride masks at least, once the segments
+# have grown: shifting a mask of a few hundred bits costs no more than a
+# short one, and with small caps a longer segment rebuilds its masks less
+# often.
 _MIN_STEP = 256
+# Anchors served by the first segment. Segments grow from it by doubling, so
+# a window whose least cube lies near its start is read about reach +
+# _FIRST_STEP cells far.
+_FIRST_STEP = 32
 # Cells in the first prefix of a window whose cubes may reach its end.
 _MIN_PREFIX = 1 << 12
 # Translate tables sending byte gamma to b"1" and every other byte to b"0".
 _ONE_HOT = [b"0" * gamma + b"1" + b"0" * (255 - gamma) for gamma in range(256)]
 
 
-def _stride_mask(cells: bytes | tuple[int, ...], gamma: int, j: int, r: int) -> int:
+def _stride_mask(cells: bytes | Sequence[int], gamma: int, j: int, r: int) -> int:
     """Bit t set iff cells[r + t*j] == gamma; cells are bytes when the
     palette fits in a byte."""
     if isinstance(cells, bytes):
@@ -99,10 +112,31 @@ def find_cube(
     strictly increasing differences. Returns None when no witness exists
     within the domain and caps.
     """
+    colors = coloring.colors
+    return _least_cube(
+        colors, None, len(colors), coloring.c, coloring.domain.lo, ks, bounds, distinct
+    )
+
+
+def _least_cube(
+    cells: list[int] | tuple[int, ...],
+    read: _Reader | None,
+    n: int,
+    c: int,
+    lo: int,
+    ks: Sequence[int],
+    bounds: Sequence[int] | None,
+    distinct: bool,
+) -> CubeWitness | None:
+    """find_cube over a window of n cells from position lo, colors in [1, c].
+
+    cells holds the colors of the window's first len(cells) cells. When the
+    masks need cells past them, read(i, j) returns the colors of cells
+    i..j-1 and the list cells is extended by them, so a window is colored
+    only as far as the search reaches.
+    """
     ks = _side_lengths(ks)
     bounds = _check_caps(bounds)
-    colors = coloring.colors
-    n = len(colors)
     last = len(ks) - 1
     uniform = len(set(ks)) == 1
     # Bit d of limits[i] is set iff d is within dimension i's cap; widest is
@@ -121,26 +155,32 @@ def find_cube(
     reach = (sum(ks) - len(ks)) * widest
     # The stride masks cover the segment [base, base + len(segment)) of the
     # window. With reach < n it is [base, base + step + reach): every cell
-    # read from the anchors [base, base + step). Otherwise it is a prefix
-    # [0, known), or the whole window when known == n. Past a prefix the
-    # masks have every bit set, as if each later cell matched, so a search
-    # finds the least cube that the prefix does not rule out; one that ends
-    # inside the prefix is a real witness and the least, and any other
-    # doubles the prefix and searches the anchor again.
-    step = max(reach + 1, _MIN_STEP) if reach < n else n
+    # read from the anchors [base, base + step). The first segment serves
+    # _FIRST_STEP anchors and each later one twice as many as the one
+    # before, up to top. Otherwise it is a prefix [0, known), or the whole
+    # window when known == n. Past a prefix the masks have every bit set,
+    # as if each later cell matched, so a search finds the least cube that
+    # the prefix does not rule out; one that ends inside the prefix is a
+    # real witness and the least, and any other doubles the prefix and
+    # searches the anchor again.
+    top = max(reach + 1, _MIN_STEP)
+    step = _FIRST_STEP if reach < n else n
     cut = (2 << widest) - 1 if reach < n else -1
     base = known = 0
-    segment: bytes | tuple[int, ...] = ()
+    segment: bytes | Sequence[int] = ()
     strides: dict[tuple[int, int, int], int] = {}  # (gamma, j, r) -> stride mask
     rows: dict[int, dict[int, int]] = {}  # k -> {cell: row}
 
-    def load(lo: int, hi: int) -> None:
-        """Mask the cells [lo, hi) of the window from now on."""
+    def load(start: int, hi: int) -> None:
+        """Mask the cells [start, hi) of the window from now on."""
         nonlocal base, known, segment
-        base, segment = lo, colors[lo:hi]
-        if coloring.c < 256:
+        hi = min(hi, n)
+        if hi > len(cells):
+            cells.extend(read(len(cells), hi))
+        base, segment = start, cells[start:hi]
+        if c < 256:
             segment = bytes(segment)
-        known = n if reach < n or hi >= n else hi
+        known = hi if reach >= n else n
         strides.clear()
         rows.clear()
 
@@ -166,8 +206,8 @@ def find_cube(
                 # Bit d of row, for d up to widest: cells p, p+d, ...,
                 # p+(k-1)d all have p's colour or lie past a prefix.
                 try:
-                    gamma = colors[p]
-                except IndexError:  # p is past the window, so past a prefix
+                    gamma = cells[p]
+                except IndexError:  # p is past the cells read, so past a prefix
                     gamma = 0  # no cell has colour 0
                 q = p - base
                 row = cut
@@ -201,6 +241,7 @@ def find_cube(
     load(0, step + reach if reach < n else _MIN_PREFIX)
     for a in range(n):
         if a == base + step:  # the anchors left the segment: move it to a
+            step = min(2 * step, top)
             load(a, a + step + reach)
         # Rows are memoized within one anchor: every cube point lies at or
         # after its anchor, so no later anchor reads an earlier row.
@@ -210,7 +251,7 @@ def find_cube(
             load(0, 2 * known)  # the cube leaves the prefix: double it
             ds = descend(0, [a], 0)
         if ds is not None:
-            return CubeWitness(colors[a], coloring.domain.lo + a, ds, ks)
+            return CubeWitness(cells[a], lo + a, ds, ks)
     return None
 
 

@@ -42,14 +42,11 @@ from .core import (
     FiniteColoring,
     Interval,
     InvariantViolationError,
-    _check_cells,
-    _check_palette,
-    max_cells_limit,
+    _Reader,
+    _reader,
+    _slicer,
 )
 from .tower import TowerParams, build_tower_interval
-
-# read(i, j): the colors at 0-based offsets i..j-1 of the current tower segment.
-_Reader = Callable[[int, int], tuple[int, ...]]
 
 # Blocks are read in batches of at most about this many cells.
 _BATCH_CELLS = 1 << 16
@@ -133,30 +130,6 @@ class _Stage:
                 ids.append(intern(cells, cells))
             else:
                 ids += map(intern, *tee(zip(*[iter(cells)] * size)))
-
-
-def _reader(source: FiniteColoring | ColorOracle, lo: int, max_cells: int | None) -> _Reader:
-    """Reads of the tower starting at position lo. Oracle reads count their
-    cells, refusing once the total would pass max_cells_limit(max_cells),
-    and their colors are checked against the palette."""
-    if isinstance(source, FiniteColoring):
-        return _slicer(source.colors)
-    c, limit = source.c, max_cells_limit(max_cells)
-    total = 0
-
-    def read(i: int, j: int) -> tuple[int, ...]:
-        nonlocal total
-        total += j - i
-        _check_cells("extraction would read", total, limit)
-        cells = source._colors(lo + i, lo + j - 1)
-        _check_palette(c, cells)
-        return cells
-
-    return read
-
-
-def _slicer(cells: tuple[int, ...]) -> _Reader:
-    return lambda i, j: cells[i:j]
 
 
 def extract(

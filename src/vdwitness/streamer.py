@@ -15,10 +15,12 @@ tower of stage j = max(1, m-1), with W_1 * ... * W_j cells. Search mode
 solves each window by direct cube search under per-dimension caps. Proof
 mode extracts over the tower whose base is the window's first W_1 cells.
 In both modes window m is solved at dimension min(available, depth), so
-stages deeper than the requested depth are never read. Proof mode reads
-the oracle only at the blocks the extraction's scan looks at, so a window
-far larger than the cell limit is solved when its least progression of
-equal blocks lies near its start.
+stages deeper than the requested depth are never read. Neither mode
+colors a whole window. Search mode colors a window only as far as the
+cube search's mask segments reach, though the cell limit still counts
+every cell of it. Proof mode reads the oracle only at the blocks the
+extraction's scan looks at, so a window far larger than the cell limit is
+solved when its least progression of equal blocks lies near its start.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ from .core import (
     DomainError,
     Interval,
     InvariantViolationError,
+    _check_cells,
     _first_violation,
+    _reader,
     cube_positions,
-    materialize,
+    max_cells_limit,
 )
-from .cubesearch import _check_caps, find_cube
+from .cubesearch import _check_caps, _least_cube
 from .extractor import extract
 from .tower import TowerParams, _stage_lengths, tower_params
 
@@ -156,9 +160,11 @@ def solve_window(
     Proof mode (params required) runs the block-interning extraction over
     the dimension-deep prefix of the tower over the window's base, its first
     W_1 cells, reading from the oracle only the blocks its scan looks at;
-    max_cells caps the cells read. Search mode materializes the whole
-    window, at most max_cells cells, and runs the direct cube search over it
-    under the caps. Raises WindowFailureError when search mode finds nothing.
+    max_cells caps the cells read. Search mode refuses a window of more
+    than max_cells cells, as materialize does, and runs the direct cube
+    search over it under the caps, coloring its cells from the oracle only
+    as far as the search reaches. Raises WindowFailureError when search
+    mode finds nothing.
     """
     if mode == PROOF:
         if params is None:
@@ -166,8 +172,10 @@ def solve_window(
         base = Interval(window.lo, window.lo + params.w(1) - 1)
         w = extract(oracle, base, min(max(1, m - 1), len(ks)), params, max_cells=max_cells)
     elif mode == SEARCH:
-        coloring = materialize(oracle, window, max_cells)
-        w = find_cube(coloring, ks[:m], caps)
+        n = window.size()
+        _check_cells("the interval has", n, max_cells_limit(max_cells))  # as materialize
+        read = _reader(oracle, window.lo, max_cells)
+        w = _least_cube([], read, n, oracle.c, window.lo, ks[:m], caps, False)
         if w is None:
             raise WindowFailureError(m, window)
     else:

@@ -20,7 +20,7 @@ from vdwitness import (
     verify_witness,
 )
 from vdwitness import cubesearch
-from vdwitness.cubesearch import _MIN_STEP
+from vdwitness.cubesearch import _FIRST_STEP, _MIN_STEP
 from bruteforce import (
     all_colorings,
     expand_cube,
@@ -210,21 +210,32 @@ class TestFindCube:
 
     def test_capped_windows_past_one_mask_segment(self):
         # With every dimension capped the stride masks cover a segment of
-        # _MIN_STEP anchors and the cells their cubes reach. Colours 1..5
-        # repeated have no cube with differences at most 4; a cube planted at
-        # a random anchor or at the last anchors of the first segment, and a
-        # few changed cells, put the least witness anywhere in a long
-        # window, or leave none.
+        # anchors and the cells their cubes reach: _FIRST_STEP anchors
+        # first, then twice as many per segment up to _MIN_STEP (the caps
+        # here are too small to raise it). Colours 1..5 repeated have no
+        # cube with differences at most 4; a cube planted at a random
+        # anchor, at the last anchors before _MIN_STEP or on either side of
+        # an anchor that starts a segment, and a few changed cells, put the
+        # least witness anywhere in a long window, or leave none.
+        starts, step = [_FIRST_STEP], _FIRST_STEP  # 0-based segment starts
+        while starts[-1] < 900:
+            step = min(2 * step, _MIN_STEP)
+            starts.append(starts[-1] + step)
+        sides = {e + side for e in starts for side in (-1, 0)}
         rng = random.Random(40)
-        late = edge = 0
+        late = edge = seam = 0
         for ks in ((2,), (3,), (2, 2), (3, 2), (4,)):
-            for _ in range(16):
+            for _ in range(24):
                 n = rng.randint(300, 900)
                 lo = rng.choice((1, rng.randint(2, 60)))
                 caps = tuple(rng.randint(1, 4) for _ in ks)
                 colors = [1 + i % 5 for i in range(n)]
                 if rng.random() < 0.8:
-                    a = rng.choice((rng.randint(1, n - 20), _MIN_STEP - rng.randint(0, 2)))
+                    a = rng.choice((
+                        rng.randint(1, n - 20),
+                        _MIN_STEP - rng.randint(0, 2),
+                        1 + rng.choice([e for e in sorted(sides) if e < n - 20]),
+                    ))
                     ds = caps if rng.random() < 0.5 else tuple(rng.randint(1, cap) for cap in caps)
                     gamma = rng.randint(1, 5)
                     for p in expand_cube(a, ds, ks):
@@ -241,7 +252,8 @@ class TestFindCube:
                     assert (w.a, w.ds) == naive
                     late += w.a - lo >= _MIN_STEP
                     edge += _MIN_STEP - 3 <= w.a - lo < _MIN_STEP and w.ds == caps
-        assert late >= 10 and edge >= 5
+                    seam += w.a - lo in sides
+        assert late >= 10 and edge >= 5 and seam >= 10
 
     def test_capped_search_is_bounded_by_the_caps(self):
         # 1122 repeated has no 3-term progression with difference at most 3,

@@ -87,10 +87,11 @@ class Threes(ColorOracle):
         lambda: EventuallyPeriodicOracle((3,), (1,), 2),
         lambda: PrefixOracle(FiniteColoring(3, Interval(1, 1), (3,)), 1, 2),
         lambda: extract(Threes(), Interval(1, 3), 2, PARAMS),
+        lambda: run_stream(Threes(), 2, 2, 1, 1, "search", window_size=3),
         lambda: parse_color_list("1,0,2"),
     ],
     ids=["FiniteColoring", "PeriodicOracle", "EventuallyPeriodicOracle",
-         "PrefixOracle", "extract", "parse_color_list"],
+         "PrefixOracle", "extract", "search", "parse_color_list"],
 )
 def test_palette_colors(call):
     assert refusal(call) == ("colors must lie in [1, 2]", _check_palette.__code__)
@@ -142,6 +143,10 @@ def test_stage_range(call, m):
             "the interval has 11 cells",
         ),
         (
+            lambda: run_stream(ConstantOracle(1), 2, 1, 1, 1, "search", window_size=11),
+            "the interval has 11 cells",
+        ),
+        (
             # stage 4 of the one-color tower: blocks 0 and 1 hold 8 cells each
             lambda: extract(ConstantOracle(1), Interval(1, 2), 4, tower_params(2, 1, 4)),
             "extraction would read 16 cells",
@@ -152,7 +157,7 @@ def test_stage_range(call, m):
             "a cube of 4 dimensions may have 16 cells",
         ),
     ],
-    ids=["materialize", "extract", "vdw_number", "cube_positions"],
+    ids=["materialize", "search", "extract", "vdw_number", "cube_positions"],
 )
 def test_cell_cap(call, message, monkeypatch):
     monkeypatch.setenv("VDW_MAX_CELLS", "10")

@@ -8,11 +8,14 @@ from vdwitness import (
     DomainError,
     EventuallyPeriodicOracle,
     Interval,
+    MaterializationLimitError,
     PeriodicOracle,
     SeededRandomOracle,
     ThueMorseOracle,
     WindowFailureError,
     WindowWitness,
+    find_cube,
+    materialize,
     run_stream,
     solve_window,
     stabilize,
@@ -20,6 +23,7 @@ from vdwitness import (
     verify_witness,
 )
 from vdwitness import streamer
+from vdwitness.cubesearch import _FIRST_STEP
 
 
 class TestNextWindow:
@@ -76,6 +80,92 @@ class TestSolveWindow:
         with pytest.raises(WindowFailureError):
             solve_window(
                 PeriodicOracle((1, 2)), Interval(1, 2), 1, "search", ks=(2,)
+            )
+
+    def test_search_mode_answers_as_find_cube_over_the_whole_window(self):
+        # A search window is colored only as far as the search reaches, and
+        # its answer is find_cube's over the materialized window, witness or
+        # none: with and without caps, 1-3 dimensions, windows from 1 and
+        # past it. Colors 1..5 repeated have no cube with differences at
+        # most 4, so those two oracles put a capped least cube past the
+        # first mask segment.
+        rng = random.Random(21)
+        oracles = [
+            SeededRandomOracle(3, 2),
+            SeededRandomOracle(8, 3),
+            ThueMorseOracle(),
+            PeriodicOracle((1, 2, 2, 1, 3), 3),
+            EventuallyPeriodicOracle((2, 2, 1), (1, 2, 3, 3, 2)),
+            EventuallyPeriodicOracle(tuple(1 + i % 5 for i in range(230)), (3,)),
+            EventuallyPeriodicOracle(tuple(1 + i % 5 for i in range(470)), (1, 1, 2)),
+        ]
+        found = late = 0
+        for i in range(280):
+            oracle = oracles[i % len(oracles)]
+            dim = rng.randint(1, 3)
+            ks = tuple(sorted(rng.randint(2, 3) for _ in range(dim)))
+            lo = rng.choice((1, rng.randint(2, 300), rng.randint(2, 10**4)))
+            window = Interval(lo, lo + rng.randint(1, 600) - 1)
+            caps = rng.choice((
+                None,
+                [rng.randint(1, 4) for _ in ks],
+                [rng.randint(1, 12) for _ in ks],
+                [rng.randint(1, 12) for _ in ks[1:]],  # the last dimension uncapped
+            ))
+            want = find_cube(materialize(oracle, window), ks, caps)
+            try:
+                got = solve_window(oracle, window, dim, "search", ks=ks, caps=caps)
+            except WindowFailureError:
+                assert want is None
+            else:
+                assert (got.e, got.ls, got.gamma) == (want.a, want.ds, want.gamma)
+                found += 1
+                late += caps is not None and len(caps) == dim and got.e - lo >= _FIRST_STEP
+        assert 100 <= found <= 260 and late >= 8
+
+    def test_search_mode_colors_a_window_up_to_its_first_segment(self):
+        # The least cube of a capped 10^5-cell window sits at its start, so
+        # the search colors reach + _FIRST_STEP cells at most.
+        class Counting(PeriodicOracle):
+            cells = 0
+
+            def _colors(self, lo, hi):
+                Counting.cells += hi - lo + 1
+                return super()._colors(lo, hi)
+
+        for ks, caps in (((3,), (5,)), ((2, 2), (7, 7)), ((2, 3, 3), (4, 4, 4))):
+            Counting.cells = 0
+            window = Interval(7, 7 + 10**5 - 1)
+            ww = solve_window(Counting((1,)), window, len(ks), "search", ks=ks, caps=caps)
+            assert (ww.e, ww.ls) == (7, (1,) * len(ks))
+            reach = (sum(ks) - len(ks)) * max(caps)
+            assert 0 < Counting.cells <= reach + _FIRST_STEP
+
+    def test_search_mode_refuses_a_window_over_the_cell_limit_unread(self):
+        class Counting(PeriodicOracle):
+            cells = 0
+
+            def _colors(self, lo, hi):
+                Counting.cells += hi - lo + 1
+                return super()._colors(lo, hi)
+
+        message = "^the interval has 1000 cells, over the materialization limit 999$"
+        with pytest.raises(MaterializationLimitError, match=message):
+            solve_window(
+                Counting((1, 2)), Interval(5, 1004), 1, "search", ks=(2,), max_cells=999
+            )
+        assert Counting.cells == 0
+
+    def test_search_mode_checks_the_palette_of_the_cells_it_reads(self):
+        # Cell 30 lies inside the first mask segment of a capped search.
+        class Stray(PeriodicOracle):
+            def _colors(self, lo, hi):
+                cells = super()._colors(lo, hi)
+                return tuple(5 if p == 30 else x for p, x in enumerate(cells, lo))
+
+        with pytest.raises(DomainError, match=r"^colors must lie in \[1, 2\]$"):
+            solve_window(
+                Stray((1, 2)), Interval(1, 10**4), 1, "search", ks=(2,), caps=(3,)
             )
 
     def test_bad_mode(self):
