@@ -488,11 +488,12 @@ _Reader = Callable[[int, int], tuple[int, ...]]
 
 
 def _reader(source: FiniteColoring | ColorOracle, lo: int, max_cells: int | None) -> _Reader:
-    """Reads of the cells from position lo on. Oracle reads count their
-    cells, refusing once the total would pass max_cells_limit(max_cells),
-    and their colors are checked against the palette. A search window is
-    refused whole before its first read, so only extraction reaches the
-    count's refusal."""
+    """Reads of the cells from position lo on, for extraction and the cube
+    search. A finite coloring's reads slice its colors, checked when it
+    was built. Oracle reads count their cells, refusing once the total
+    would pass max_cells_limit(max_cells), and their colors are checked
+    against the palette. A search window is refused whole before its
+    first read, so only extraction reaches the count's refusal."""
     if isinstance(source, FiniteColoring):
         return _slicer(source.colors)
     c, limit = source.c, max_cells_limit(max_cells)

@@ -20,15 +20,15 @@ cover a segment of the window that holds every cell the cubes of the next
 anchors can reach, rebuilt when the anchors pass it. The first segment
 serves a few anchors and each later one twice as many, up to a fixed
 step. When the cubes of one anchor can reach the end of the window (no
-caps), the masks cover a prefix instead, with every bit past it set, and
-the prefix doubles whenever the least cube it cannot rule out leaves it,
-so the work is bounded by how far the search reads.
+caps), the masks cover a prefix instead, _MIN_STEP cells first, with every
+bit past it set, and the prefix doubles whenever the least cube it cannot
+rule out leaves it, so the work is bounded by how far the search reads.
 
-The search reads a window's cells only as the masks first reach them:
-find_cube passes a finite coloring's cells whole, and a search-mode stream
-window (streamer.solve_window) is colored by the oracle one segment or
-prefix at a time, so only the cells up to the end of the last segment or
-prefix are ever colored.
+The search reads a window's cells through one reader (core._reader), in
+window order and only as the masks first reach them: find_cube reads a
+finite coloring's tuple, and a search-mode stream window
+(streamer.solve_window) is colored by the oracle, so only the cells up to
+the end of the last segment or prefix are ever read.
 
 cube_number takes the closed forms of wnumbers._closed_form, 1 + sum(k_i - 1)
 for c = 1 and c + 1 for ks = (2,), and otherwise runs the W(k, c) avoidance
@@ -46,9 +46,11 @@ from .core import (
     CubeWitness,
     DomainError,
     FiniteColoring,
+    Interval,
     LimitError,
     _Reader,
     _check_palette,
+    _reader,
     _show,
     _side_lengths,
 )
@@ -76,16 +78,14 @@ def _check_caps(caps: Sequence[int] | None) -> tuple[int, ...] | None:
 
 
 # Anchors served by one segment of stride masks at least, once the segments
-# have grown: shifting a mask of a few hundred bits costs no more than a
-# short one, and with small caps a longer segment rebuilds its masks less
-# often.
+# have grown, and the cells of the first prefix: shifting a mask of a few
+# hundred bits costs no more than a short one, and with small caps a longer
+# segment rebuilds its masks less often.
 _MIN_STEP = 256
 # Anchors served by the first segment. Segments grow from it by doubling, so
 # a window whose least cube lies near its start is read about reach +
 # _FIRST_STEP cells far.
 _FIRST_STEP = 32
-# Cells in the first prefix of a window whose cubes may reach its end.
-_MIN_PREFIX = 1 << 12
 # Translate tables sending byte gamma to b"1" and every other byte to b"0".
 _ONE_HOT = [b"0" * gamma + b"1" + b"0" * (255 - gamma) for gamma in range(256)]
 
@@ -112,29 +112,24 @@ def find_cube(
     strictly increasing differences. Returns None when no witness exists
     within the domain and caps.
     """
-    colors = coloring.colors
-    return _least_cube(
-        colors, None, len(colors), coloring.c, coloring.domain.lo, ks, bounds, distinct
-    )
+    read = _reader(coloring, coloring.domain.lo, None)
+    return _least_cube(read, coloring.domain, coloring.c, ks, bounds, distinct)
 
 
 def _least_cube(
-    cells: list[int] | tuple[int, ...],
-    read: _Reader | None,
-    n: int,
+    read: _Reader,
+    window: Interval,
     c: int,
-    lo: int,
     ks: Sequence[int],
     bounds: Sequence[int] | None,
     distinct: bool,
 ) -> CubeWitness | None:
-    """find_cube over a window of n cells from position lo, colors in [1, c].
-
-    cells holds the colors of the window's first len(cells) cells. When the
-    masks need cells past them, read(i, j) returns the colors of cells
-    i..j-1 and the list cells is extended by them, so a window is colored
-    only as far as the search reaches.
+    """find_cube over the cells of window, colors in [1, c]. read(i, j)
+    returns the colors of the window's cells i..j-1 (0-based); the buffer
+    cells is extended by them as the masks first reach them, so the window
+    is read only as far as the search reaches.
     """
+    n, lo = window.size(), window.lo
     ks = _side_lengths(ks)
     bounds = _check_caps(bounds)
     last = len(ks) - 1
@@ -157,16 +152,17 @@ def _least_cube(
     # window. With reach < n it is [base, base + step + reach): every cell
     # read from the anchors [base, base + step). The first segment serves
     # _FIRST_STEP anchors and each later one twice as many as the one
-    # before, up to top. Otherwise it is a prefix [0, known), or the whole
-    # window when known == n. Past a prefix the masks have every bit set,
-    # as if each later cell matched, so a search finds the least cube that
-    # the prefix does not rule out; one that ends inside the prefix is a
-    # real witness and the least, and any other doubles the prefix and
-    # searches the anchor again.
+    # before, up to top. Otherwise it is a prefix [0, known), _MIN_STEP
+    # cells first, or the whole window when known == n. Past a prefix the
+    # masks have every bit set, as if each later cell matched, so a search
+    # finds the least cube that the prefix does not rule out; one that ends
+    # inside the prefix is a real witness and the least, and any other
+    # doubles the prefix and searches the anchor again.
     top = max(reach + 1, _MIN_STEP)
     step = _FIRST_STEP if reach < n else n
     cut = (2 << widest) - 1 if reach < n else -1
     base = known = 0
+    cells: list[int] = []  # the colors read so far, from cell 0 on
     segment: bytes | Sequence[int] = ()
     strides: dict[tuple[int, int, int], int] = {}  # (gamma, j, r) -> stride mask
     rows: dict[int, dict[int, int]] = {}  # k -> {cell: row}
@@ -238,7 +234,7 @@ def _least_cube(
                 return (d, *rest)
         return None
 
-    load(0, step + reach if reach < n else _MIN_PREFIX)
+    load(0, step + reach if reach < n else _MIN_STEP)
     for a in range(n):
         if a == base + step:  # the anchors left the segment: move it to a
             step = min(2 * step, top)

@@ -15,12 +15,13 @@ tower of stage j = max(1, m-1), with W_1 * ... * W_j cells. Search mode
 solves each window by direct cube search under per-dimension caps. Proof
 mode extracts over the tower whose base is the window's first W_1 cells.
 In both modes window m is solved at dimension min(available, depth), so
-stages deeper than the requested depth are never read. Neither mode
-colors a whole window. Search mode colors a window only as far as the
-cube search's mask segments reach, though the cell limit still counts
-every cell of it. Proof mode reads the oracle only at the blocks the
-extraction's scan looks at, so a window far larger than the cell limit is
-solved when its least progression of equal blocks lies near its start.
+stages deeper than the requested depth are never read. Search mode colors
+a window only as far as the cube search's mask segments reach, or without
+caps on every dimension its prefix, 256 cells doubled while the least cube
+leaves it, though the cell limit still counts every cell of the window.
+Proof mode reads the oracle only at the blocks the extraction's scan looks
+at, so a window far larger than the cell limit is solved when its least
+progression of equal blocks lies near its start.
 """
 
 from __future__ import annotations
@@ -172,10 +173,9 @@ def solve_window(
         base = Interval(window.lo, window.lo + params.w(1) - 1)
         w = extract(oracle, base, min(max(1, m - 1), len(ks)), params, max_cells=max_cells)
     elif mode == SEARCH:
-        n = window.size()
-        _check_cells("the interval has", n, max_cells_limit(max_cells))  # as materialize
+        _check_cells("the interval has", window.size(), max_cells_limit(max_cells))
         read = _reader(oracle, window.lo, max_cells)
-        w = _least_cube([], read, n, oracle.c, window.lo, ks[:m], caps, False)
+        w = _least_cube(read, window, oracle.c, ks[:m], caps, False)
         if w is None:
             raise WindowFailureError(m, window)
     else:

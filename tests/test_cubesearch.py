@@ -185,21 +185,43 @@ class TestFindCube:
                     assert (w.a, w.ds) == naive
                     assert verify_witness(col, w)
 
-    def test_palette_past_a_byte(self):
+    def test_palette_past_a_byte(self, monkeypatch):
         # colours that do not fit in a byte give the same witnesses as their
-        # relabelling to 1..3
+        # relabelling to 1..5
         rng = random.Random(30)
-        relabel = {1: 1, 256: 2, 10**9: 3}
+        relabel = {1: 1, 256: 2, 10**9: 3, 300: 4, 65536: 5}
+        labels = list(relabel)
+        late = 0
+
+        def same(colors, ks, caps=None):
+            nonlocal late
+            domain = Interval(5, len(colors) + 4)
+            big = FiniteColoring(10**9, domain, colors)
+            small = FiniteColoring(5, domain, tuple(relabel[x] for x in colors))
+            w, v = find_cube(big, ks, caps), find_cube(small, ks, caps)
+            assert (w is None) == (v is None)
+            if w is not None:
+                assert (relabel[w.gamma], w.a, w.ds) == (v.gamma, v.a, v.ds)
+                late += w.a - 5 >= _FIRST_STEP
+
         for _ in range(60):
             n = rng.randint(1, 16)
-            colors = tuple(rng.choice(list(relabel)) for _ in range(n))
-            big = FiniteColoring(10**9, Interval(5, n + 4), colors)
-            small = FiniteColoring(3, Interval(5, n + 4), tuple(relabel[x] for x in colors))
+            colors = tuple(rng.choice(labels[:3]) for _ in range(n))
             for ks in ((2,), (2, 2), (3, 2)):
-                w, v = find_cube(big, ks), find_cube(small, ks)
-                assert (w is None) == (v is None)
-                if w is not None:
-                    assert (relabel[w.gamma], w.a, w.ds) == (v.gamma, v.a, v.ds)
+                same(colors, ks)
+        # Longer windows, read across the doublings of a 3-cell first prefix
+        # and the moves of capped segments. The labels in turn have no cube
+        # with differences below 5, so under caps below 5 the least cube
+        # sits at a changed cell, or there is none.
+        monkeypatch.setattr(cubesearch, "_MIN_STEP", 3)
+        for _ in range(40):
+            n = rng.randint(17, 600)
+            colors = [labels[i % 5] for i in range(n)]
+            for _ in range(rng.randint(0, 3)):
+                colors[rng.randrange(n)] = rng.choice(labels)
+            for ks, caps in (((2,), None), ((2, 2), None), ((2,), (4,)), ((3, 2), (4, 3))):
+                same(tuple(colors), ks, caps)
+        assert late >= 10
 
     def test_huge_cap_sizes_nothing(self):
         col = materialize(ThueMorseOracle(), Interval(1, 16))
@@ -287,7 +309,7 @@ class TestFindCube:
         # A first prefix of a few cells makes the search double it, redoing
         # the anchor, on every window past it: with and without caps on some
         # dimensions, distinct differences and domains not starting at 1.
-        monkeypatch.setattr(cubesearch, "_MIN_PREFIX", prefix)
+        monkeypatch.setattr(cubesearch, "_MIN_STEP", prefix)
         rng = random.Random(50 + prefix)
         for c, ks, n_max, runs in (
             (2, (2,), 14, 40),

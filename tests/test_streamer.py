@@ -23,7 +23,7 @@ from vdwitness import (
     verify_witness,
 )
 from vdwitness import streamer
-from vdwitness.cubesearch import _FIRST_STEP
+from vdwitness.cubesearch import _FIRST_STEP, _MIN_STEP
 
 
 class TestNextWindow:
@@ -124,8 +124,9 @@ class TestSolveWindow:
         assert 100 <= found <= 260 and late >= 8
 
     def test_search_mode_colors_a_window_up_to_its_first_segment(self):
-        # The least cube of a capped 10^5-cell window sits at its start, so
-        # the search colors reach + _FIRST_STEP cells at most.
+        # The least cube of a 10^5-cell window sits at its start, so the
+        # search colors reach + _FIRST_STEP cells at most under caps, and
+        # its first prefix of _MIN_STEP cells without them.
         class Counting(PeriodicOracle):
             cells = 0
 
@@ -133,13 +134,18 @@ class TestSolveWindow:
                 Counting.cells += hi - lo + 1
                 return super()._colors(lo, hi)
 
-        for ks, caps in (((3,), (5,)), ((2, 2), (7, 7)), ((2, 3, 3), (4, 4, 4))):
+        for ks, caps in (
+            ((3,), (5,)), ((2, 2), (7, 7)), ((2, 3, 3), (4, 4, 4)), ((3,), None)
+        ):
             Counting.cells = 0
             window = Interval(7, 7 + 10**5 - 1)
             ww = solve_window(Counting((1,)), window, len(ks), "search", ks=ks, caps=caps)
             assert (ww.e, ww.ls) == (7, (1,) * len(ks))
-            reach = (sum(ks) - len(ks)) * max(caps)
-            assert 0 < Counting.cells <= reach + _FIRST_STEP
+            if caps is None:
+                assert 0 < Counting.cells <= _MIN_STEP
+            else:
+                reach = (sum(ks) - len(ks)) * max(caps)
+                assert 0 < Counting.cells <= reach + _FIRST_STEP
 
     def test_search_mode_refuses_a_window_over_the_cell_limit_unread(self):
         class Counting(PeriodicOracle):
