@@ -1,13 +1,13 @@
 """Monochromatic cube extraction from tower colorings by block interning.
 
 Given a c-coloring of a stage-n tower, the top stage splits the tower into
-W_n blocks of size sizes[n-1] and interns each block's full color pattern:
+W_n blocks of size sizes[n-2] and interns each block's full color pattern:
 a block's id is its pattern tuple, one shared object per distinct pattern.
 The id sequence is a coloring of the block indices with at most
 c^(block size) colors, and the block count W_n = W(k_n, c_{n-1}) guarantees
 it contains a monochromatic k_n-term progression of block indices. Equal ids
 mean the blocks agree position for position, so stepping d* blocks is a rigid
-color-preserving shift of d* * sizes[n-1] positions; that shift becomes the
+color-preserving shift of d* * sizes[n-2] positions; that shift becomes the
 top difference and the construction recurses into the first selected block.
 The stage-1 base case is a plain monochromatic progression search. Both
 scans run _least_ap, defined here because extraction is its only caller.
@@ -157,7 +157,7 @@ def extract(
     stage first; palette_size counts the patterns of all the stage's blocks.
     """
     params._stage_index(n)  # refuses a stage outside the tower
-    ks = params.ks[:n]
+    W, sizes, ks = params.W[:n], params.sizes[:n], params.ks[:n]
     if source.c != params.c:
         raise DomainError(
             f"coloring has {source.c} colors, parameters expect {params.c}"
@@ -173,18 +173,21 @@ def extract(
     lo = I.lo
     ds_rev: list[int] = []
     for m in range(n, 1, -1):
-        size = params.size(m - 1)
-        count = params.w(m)
+        size, count, k = sizes[m - 2], W[m - 1], ks[m - 1]
         stage = _Stage(read, size, count)
         if trace is not None:
             stage.fill(count - 1)
-        hit = _least_ap(stage.ids, count, ks[m - 1], stage.fill)
+        hit = _least_ap(stage.ids, count, k, stage.fill)
         if hit is None:
             raise InvariantViolationError(
-                f"no length-{ks[m - 1]} progression among {count} blocks with "
+                f"no length-{k} progression among {count} blocks with "
                 f"{len(stage.patterns)} patterns at stage {m}"
             )
         b1, dstar = hit
+        if dstar > count:  # the step moves whole stage-(m-1) towers
+            raise InvariantViolationError(
+                f"difference {dstar * size} at stage {m} exceeds bound {count * size}"
+            )
         if trace is not None:
             trace.append(
                 {
@@ -197,12 +200,12 @@ def extract(
             )
         block = stage.ids[b1]
         if checked:
-            _check_block_shift(read, b1, dstar, size, ks[m - 1], block)
+            _check_block_shift(read, b1, dstar, size, k, block)
         ds_rev.append(dstar * size)
         lo += b1 * size
         read = _slicer(block)
 
-    cells = read(0, params.w(1))
+    cells = read(0, W[0])
     base_hit = _least_ap(cells, len(cells), ks[0])
     if base_hit is None:
         raise InvariantViolationError(
@@ -210,9 +213,9 @@ def extract(
             f"with {params.c} colors"
         )
     a0, d1 = base_hit
-    witness = CubeWitness(cells[a0], lo + a0, (d1, *reversed(ds_rev)), ks)
-    _check_bounds(witness, params)
-    return witness
+    if d1 > W[0]:
+        raise InvariantViolationError(f"difference {d1} at stage 1 exceeds bound {W[0]}")
+    return CubeWitness(cells[a0], lo + a0, (d1, *reversed(ds_rev)), ks)
 
 
 def _check_block_shift(
@@ -226,15 +229,4 @@ def _check_block_shift(
         if read(shifted, shifted + block_size) != pattern:
             raise InvariantViolationError(
                 f"block {b1 + j * dstar} does not match the pattern of its id"
-            )
-
-
-def _check_bounds(witness: CubeWitness, params: TowerParams) -> None:
-    """d_1 <= W_1 and d_m <= W_m * sizes[m-1]: the step at stage m moves whole
-    stage-(m-1) towers, so its positional size carries that factor."""
-    for m, d in enumerate(witness.ds, start=1):
-        bound = params.w(1) if m == 1 else params.w(m) * params.size(m - 1)
-        if d > bound:
-            raise InvariantViolationError(
-                f"difference {d} at stage {m} exceeds bound {bound}"
             )

@@ -422,6 +422,39 @@ class TestCheckedMode:
             col = FiniteColoring(2, Interval(1, 27), colors)
             extract(col, Interval(1, 3), 2, p, checked=True)
 
+    @pytest.mark.parametrize(
+        "scan, message",
+        [
+            (
+                lambda ids, n, k, fill=None: None if fill else _least_ap(ids, n, k),
+                "no length-2 progression among 9 blocks with 0 patterns at stage 2",
+            ),
+            (
+                lambda ids, n, k, fill=None: _least_ap(ids, n, k, fill) if fill else None,
+                "no length-2 progression in a 3-cell base with 2 colors",
+            ),
+            (
+                lambda ids, n, k, fill=None: (
+                    (_least_ap(ids, n, k, fill)[0], n + 1) if fill else _least_ap(ids, n, k)
+                ),
+                "difference 30 at stage 2 exceeds bound 27",
+            ),
+            (
+                lambda ids, n, k, fill=None: _least_ap(ids, n, k, fill) if fill else (0, n + 1),
+                "difference 4 at stage 1 exceeds bound 3",
+            ),
+        ],
+        ids=["stage", "base", "stage_bound", "base_bound"],
+    )
+    def test_refuses_a_scan_that_breaks_its_invariant(self, scan, message, monkeypatch):
+        # the scans of a sound tower always succeed within their bounds, so
+        # these refusals are reached only through a scan that misbehaves
+        monkeypatch.setattr(extractor, "_least_ap", scan)
+        tower = FiniteColoring(2, Interval(1, 27), (1, 2) * 13 + (1,))
+        with pytest.raises(InvariantViolationError) as excinfo:
+            extract(tower, Interval(1, 3), 2, tower_params(2, 2, 2))
+        assert str(excinfo.value) == message
+
     def test_block_shift_detects_mismatch(self):
         # feed the checker blocks that are not actual copies
         colors = coloring_of("111222", 2).colors

@@ -17,6 +17,7 @@ from vdwitness import (
     EventuallyPeriodicOracle,
     FiniteColoring,
     Interval,
+    LimitError,
     MaterializationLimitError,
     PeriodicOracle,
     PrefixOracle,
@@ -29,12 +30,14 @@ from vdwitness import (
     materialize,
     run_stream,
     tower_params,
+    tower_report,
     vdw_number,
     vdw_value,
     verify_ap_free,
 )
-from vdwitness.core import _check_cells, _check_palette, _side_lengths
+from vdwitness.core import _check_cells, _check_digits, _check_palette, _side_lengths
 from vdwitness.formats import parse_color_list
+from vdwitness.tower import _stage_lengths
 
 ONES = FiniteColoring(1, Interval(1, 3), (1, 1, 1))
 PARAMS = tower_params(2, 2, 2)  # W = (3, 9): stages 1 and 2
@@ -115,6 +118,34 @@ def test_side_lengths(call):
     assert refusal(call) == (
         "side lengths must be >= 2, got 1",
         _side_lengths.__code__,
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tower_params((3, 2), 2, 2), "progression lengths must be nondecreasing"),
+        (
+            lambda: run_stream(ConstantOracle(1), (3, 2), 1, 2, 3, "search", window_size=8),
+            "progression lengths must be nondecreasing",
+        ),
+        (lambda: tower_params((2, 2), 2, 3), "2 side lengths for 3 stages"),
+        (
+            lambda: run_stream(ConstantOracle(1), (2, 2), 1, 3, 3, "proof"),
+            "2 side lengths for 3 stages",
+        ),
+    ],
+    ids=["tower_params-order", "run_stream-order", "tower_params-count",
+         "run_stream-count"],
+)
+def test_stage_lengths(call, message):
+    assert refusal(call) == (message, _stage_lengths.__code__)
+
+
+def test_print_bound():
+    assert refusal(lambda: tower_report(tower_params(2, 5, 3)), LimitError) == (
+        "W_3 has more than 4300 decimal digits",
+        _check_digits.__code__,
     )
 
 

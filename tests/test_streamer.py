@@ -5,9 +5,11 @@ import pytest
 
 from vdwitness import (
     ConstantOracle,
+    CubeWitness,
     DomainError,
     EventuallyPeriodicOracle,
     Interval,
+    InvariantViolationError,
     MaterializationLimitError,
     PeriodicOracle,
     SeededRandomOracle,
@@ -179,6 +181,15 @@ class TestSolveWindow:
             solve_window(ConstantOracle(1), Interval(1, 2), 1, "guess", ks=(2,))
         with pytest.raises(DomainError, match="^proof mode needs tower parameters$"):
             solve_window(ConstantOracle(1), Interval(1, 2), 1, "proof", ks=(2,))
+
+    def test_refuses_a_witness_that_escapes_its_window(self, monkeypatch):
+        monkeypatch.setattr(
+            streamer, "_least_cube",
+            lambda read, window, *args: CubeWitness(1, window.hi, (1,), (2,)),
+        )
+        with pytest.raises(InvariantViolationError) as excinfo:
+            solve_window(ConstantOracle(1), Interval(1, 8), 1, "search", ks=(2,))
+        assert str(excinfo.value) == "window 1 witness escapes [1, 8]"
 
 
 def _ww(m, ls, gamma, e=1):
