@@ -20,7 +20,7 @@ from .core import (
     _check_digits,
     find_violation,
 )
-from .cubesearch import CapExceededError, cube_number, find_cube
+from .cubesearch import find_cube
 from .extractor import extract
 from .formats import (
     certificate_string,
@@ -31,7 +31,7 @@ from .formats import (
 )
 from .streamer import WindowFailureError, run_stream
 from .tower import TowerUncomputableError, build_tower_interval, tower_params, tower_report
-from .wnumbers import SearchLimitError, vdw_number
+from .wnumbers import CapExceededError, SearchLimitError, cube_number, vdw_number
 
 
 def _emit(obj: dict) -> None:

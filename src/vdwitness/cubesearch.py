@@ -1,4 +1,4 @@
-"""Direct search for monochromatic cubes, and minimal cube numbers.
+"""Direct search for monochromatic cubes.
 
 This module is the independent oracle for the tower extraction: it knows
 nothing about towers or block compression and simply enumerates witnesses
@@ -29,12 +29,6 @@ window order and only as the masks first reach them: find_cube reads a
 finite coloring's tuple, and a search-mode stream window
 (streamer.solve_window) is colored by the oracle, so only the cells up to
 the end of the last segment or prefix are ever read.
-
-cube_number takes the closed forms of wnumbers._closed_form, 1 + sum(k_i - 1)
-for c = 1 and c + 1 for ks = (2,), and otherwise runs the W(k, c) avoidance
-search (wnumbers._avoid) with cube hyperedges. The tests check its forward
-lists against the naive cube expansion and its results against a naive
-reference search, not a second copy of the search here.
 """
 
 from __future__ import annotations
@@ -47,25 +41,10 @@ from .core import (
     DomainError,
     FiniteColoring,
     Interval,
-    LimitError,
     _Reader,
-    _check_palette,
     _reader,
-    _show,
     _side_lengths,
 )
-from .wnumbers import _avoid, _closed_form
-
-
-class CapExceededError(LimitError):
-    """The cube number is not determined within the interval cap."""
-
-    def __init__(self, ks: tuple[int, ...], c: int, cap: int):
-        super().__init__(
-            f"cube number for sides {list(ks)} with {_show(c)} colors "
-            f"exceeds cap {_show(cap)}"
-        )
-        self.cap = cap
 
 
 def _check_caps(caps: Sequence[int] | None) -> tuple[int, ...] | None:
@@ -249,24 +228,3 @@ def _least_cube(
         if ds is not None:
             return CubeWitness(cells[a], lo + a, ds, ks)
     return None
-
-
-def cube_number(ks: Sequence[int], c: int, cap: int) -> int:
-    """Least N <= cap such that every c-coloring of [1, N] has a monochromatic
-    cube with side lengths ks.
-
-    The closed form where wnumbers._closed_form has one, else the exhaustive
-    avoidance search wnumbers._avoid, practical only for small N. Raises
-    CapExceededError when N > cap: a cube-free coloring of length cap exists.
-    """
-    ks = _side_lengths(ks)
-    _check_palette(c)
-    if cap < 1:
-        raise DomainError(f"cap must be >= 1, got {cap}")
-    value = _closed_form(ks, c)
-    if value is None:
-        reached, best_len, _ = _avoid(ks, c, cap)
-        value = cap + 1 if reached else best_len + 1
-    if value > cap:
-        raise CapExceededError(ks, c, cap)
-    return value

@@ -1,4 +1,5 @@
-"""Exact van der Waerden numbers W(k, c) with extremal certificate colorings.
+"""Exact van der Waerden numbers W(k, c) with extremal certificate colorings,
+and cube numbers.
 
 W(k, c) is the least n such that every c-coloring of [1, n] contains a
 monochromatic k-term arithmetic progression. The search is a depth-first
@@ -18,10 +19,9 @@ a cube anchored at 2 or later is one of that list moved up one position, so
 the list of s is the list of s - 1 moved up, less the tops past the limit,
 plus the cubes anchored at 1 (_forward). With S = sum(k_i - 1) >= 2 its
 cubes reach at most (s - 1)S/(S - 1) past their anchor (proof in
-_cube_tails). A k-AP is the 1-dimensional cube of side k, so
-cubesearch.cube_number runs the same search with its own side lengths; both
-answer c = 1 and ks = (2,), the one shape with S = 1, by _closed_form
-instead. A candidate that leaves a later position no colour may take is
+_cube_tails). A k-AP is the 1-dimensional cube of side k, so cube_number
+runs the same search with its own side lengths; both answer c = 1 and
+ks = (2,), the one shape with S = 1, by _closed_form instead. A candidate that leaves a later position no colour may take is
 pruned only when its subtree could not colour a longer prefix than the best
 so far, so values, certificates and refusals are those of the search
 without the prune.
@@ -30,8 +30,10 @@ without the prune.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
+    DomainError,
     FiniteColoring,
     Interval,
     LimitError,
@@ -60,6 +62,17 @@ class SearchLimitError(LimitError):
         self.k = k
         self.c = c
         self.limit = limit
+
+
+class CapExceededError(LimitError):
+    """The cube number is not determined within the interval cap."""
+
+    def __init__(self, ks: tuple[int, ...], c: int, cap: int):
+        super().__init__(
+            f"cube number for sides {list(ks)} with {_show(c)} colors "
+            f"exceeds cap {_show(cap)}"
+        )
+        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -337,6 +350,27 @@ def vdw_value(k: int, c: int, search_limit: int | None = None) -> int:
     if value is not None:
         return value
     return _search(k, c, search_limit_default(search_limit), True)[0]
+
+
+def cube_number(ks: Sequence[int], c: int, cap: int) -> int:
+    """Least N <= cap such that every c-coloring of [1, N] has a monochromatic
+    cube with side lengths ks.
+
+    The closed form where _closed_form has one, else the exhaustive avoidance
+    search _avoid, practical only for small N. Raises CapExceededError when
+    N > cap: a cube-free coloring of length cap exists.
+    """
+    ks = _side_lengths(ks)
+    _check_palette(c)
+    if cap < 1:
+        raise DomainError(f"cap must be >= 1, got {cap}")
+    value = _closed_form(ks, c)
+    if value is None:
+        reached, best_len, _ = _avoid(ks, c, cap)
+        value = cap + 1 if reached else best_len + 1
+    if value > cap:
+        raise CapExceededError(ks, c, cap)
+    return value
 
 
 def verify_ap_free(coloring: FiniteColoring, k: int) -> bool:
