@@ -12,19 +12,30 @@ reaches at the extremal length is the lexicographically least one.
 
 The search (_avoid) checks forward: each colour keeps a mask of the
 positions it may no longer take, so a candidate costs one bit test, and a
-placement at s fires the forward list of s, the cubes whose second-highest
-position is s, packed one mask per lane (_pack, _fire). Each list is built
-once, complete, when the search first reaches s, from the list of s - 1:
-a cube anchored at 2 or later is one of that list moved up one position, so
-the list of s is the list of s - 1 moved up, less the tops past the limit,
-plus the cubes anchored at 1 (_forward). With S = sum(k_i - 1) >= 2 its
-cubes reach at most (s - 1)S/(S - 1) past their anchor (proof in
-_cube_tails). A k-AP is the 1-dimensional cube of side k, so cube_number
-runs the same search with its own side lengths; both answer c = 1 and
-ks = (2,), the one shape with S = 1, by _closed_form instead. A candidate that leaves a later position no colour may take is
-pruned only when its subtree could not colour a longer prefix than the best
-so far, so values, certificates and refusals are those of the search
-without the prune.
+placement at s fires: it adds the top of every cube whose second-highest
+position is s and whose other positions have the placed colour. The shape
+of the side lengths picks one of two fires.
+
+Progressions (ks = (k,)) fire through stride masks. Each colour keeps one
+reflected mask per stride j = 1..k-2 and residue mod j, and the plan of s
+(_plan) turns them into every top s + d at once: k - 2 shifts and ANDs. The
+masks reach a horizon that doubles when the search passes it (_widen), so
+nothing is sized by the limit or the palette.
+
+Cubes with more than one side fire the forward list of s, packed one mask
+per lane (_pack, _fire). Each list is built once, complete, when the search
+first reaches s, from the list of s - 1: a cube anchored at 2 or later is
+one of that list moved up one position, so the list of s is the list of
+s - 1 moved up, less the tops past the limit, plus the cubes anchored at 1
+(_forward). With S = sum(k_i - 1) >= 2 its cubes reach at most
+(s - 1)S/(S - 1) past their anchor (proof in _cube_tails).
+
+A k-AP is the 1-dimensional cube of side k, so cube_number runs the same
+search with its own side lengths; both answer c = 1 and ks = (2,), the one
+shape with S = 1, by _closed_form instead. A candidate that leaves a later
+position no colour may take is pruned only when its subtree could not
+colour a longer prefix than the best so far, so values, certificates and
+refusals are those of the search without the prune.
 """
 
 from __future__ import annotations
@@ -183,6 +194,45 @@ def _fire(lanes: tuple[int, int, int, int, list[int]], m: int, f: int) -> int:
     return f
 
 
+# The first horizon of the stride masks: the greatest position they can hold
+# before _widen doubles it.
+_HORIZON = 64
+
+
+def _plan(k: int, s: int, horizon: int, limit: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The stride-mask fire of position s <= horizon for ks = (k,): (cut,
+    steps).
+
+    A colour's stride row holds one int per stride j = 1..k-2 and residue r
+    mod j, at slot j(j - 1)/2 + r, whose bit horizon//j - u stands for
+    position r + j*u. The bits are reflected, so the positions before s
+    with s's residue sit above the bit of s. Step j is (slot, shift): the
+    slot of s's residue, and the shift right that leaves bit d - 1 set iff
+    s - j*d has the colour; bit shift - 1 stands for s itself.
+
+    Colour g placed at s completes the k-AP s - (k-2)d, ..., s, s + d iff
+    s - j*d has colour g for every j, so the tops it forbids are the AND of
+    the shifted slots, moved up s + 1 positions and cut to the limit. cut
+    is the run of tops s + 1..limit, or -1 when 2s <= limit, where a k-AP
+    with k >= 3 has no top past the limit. For k = 2 there are no steps and
+    the whole run fires.
+    """
+    steps = tuple((j * (j - 1) // 2 + s % j, horizon // j - s // j + 1) for j in range(1, k - 1))
+    cut = (1 << limit - s) - 1 if k == 2 or 2 * s > limit else -1
+    return cut, steps
+
+
+def _widen(rows: list[list[int]], k: int, horizon: int) -> int:
+    """Double the horizon of the stride rows in place and return it: the
+    bit of position r + j*u moves from horizon//j - u to 2*horizon//j - u."""
+    for j in range(1, k - 1):
+        up = 2 * horizon // j - horizon // j
+        for row in rows:
+            for slot in range(j * (j - 1) // 2, j * (j + 1) // 2):
+                row[slot] <<= up
+    return 2 * horizon
+
+
 def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[int, ...]]:
     """Depth-first search for the longest canonical c-coloring with no
     monochromatic cube of side lengths ks; ks = (k,) forbids k-term APs.
@@ -197,8 +247,18 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
     cube with top p has its other positions before p, so a candidate g at p
     is blocked iff bit p of forbidden[g] is set. Placing g at p adds the top
     of every cube whose second-highest position is p and whose other
-    positions are all g (_fire over the forward list of p); taking it back
-    restores the value saved before the placement.
+    positions are all g; taking it back restores the value saved before the
+    placement. The shape of ks alone picks how a placement fires:
+    - ks = (k,): the plan of p (_plan) reads g's stride row, which has the
+      bit of every position coloured g set on placement and cleared on
+      backtrack. The row's ints reach the horizon, which doubles (_widen,
+      and every plan rebuilt) when the search first passes it. ks = (2,)
+      has no strides and fires the run of tops p + 1..limit; _closed_form
+      keeps it out of every public search.
+    - more than one side: _fire over the forward list of p, which is built
+      once, complete, when the search first reaches p, from the list of
+      p - 1 (_forward), which is then dropped. When S = sum(k_i - 1) >= 2
+      each list is finite.
 
     Prune: once a placement leaves every one of the c colours in use
     (before that, an unused colour forbids nothing), let q be the least
@@ -208,22 +268,24 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
     best_len: best changes only on a strictly longer prefix, so the pruned
     subtree could not have changed (reached, best_len, prefix), and the
     search returns the same triple as one without the prune.
-
-    The forward list of s is built once, complete, when the search first
-    reaches s, from the list of s - 1 (_forward), which is then dropped.
-    When S = sum(k_i - 1) >= 2 each list is finite. ks = (2,) (S = 1) puts
-    every cube in the list of 1, up to the limit; _closed_form keeps it out
-    of every public search.
     """
+    ap = len(ks) == 1
+    k = ks[0]
+    horizon = _HORIZON
+    slots = (k - 1) * (k - 2) // 2 if ap else 0
     # At position p the search reads colour indices up to p + 1 (a canonical
     # colouring uses at most p - 1 colours before p), so the colour tables
     # grow with p, whatever the palette.
     masks = [0, 0, 0]
     forbidden = [0, 0, 0]
+    strides = [[0] * slots for _ in range(3)]
     color = [0, 0]
     saved = [0, 0]
-    entries = _forward([], ks, 1, limit)
-    lanes = [None, _pack(entries, 1)]
+    if ap:
+        fires = [None, _plan(k, 1, horizon, limit)]
+    else:
+        entries = _forward([], ks, 1, limit)
+        fires = [None, _pack(entries, 1)]
     used = 0
     best_len = 0
     best: tuple[int, ...] = ()
@@ -232,14 +294,23 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
         cand = color[p] + 1
         hi = used + 1 if used < c else c
         bit = 1 << p
-        fwd = lanes[p]
+        fire = fires[p]
+        if ap:
+            cut, steps = fire
         # positions p + 1 .. best_len + 1, the tops whose forbidding prunes
         window = (4 << best_len) - (bit << 1) if p <= best_len else 0
         chosen = 0
         while cand <= hi:
             f = forbidden[cand]
             if not f & bit:
-                f = _fire(fwd, masks[cand] | bit, f)
+                if ap:
+                    tops = cut
+                    row = strides[cand]
+                    for slot, shift in steps:
+                        tops &= row[slot] >> shift
+                    f |= tops << p + 1
+                else:
+                    f = _fire(fire, masks[cand] | bit, f)
                 # an unused colour forbids nothing, so dead stays 0 until
                 # every colour is in use
                 dead = f & window
@@ -257,6 +328,10 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
             saved[p] = forbidden[chosen]
             forbidden[chosen] = f
             masks[chosen] |= bit
+            if ap:
+                row = strides[chosen]
+                for slot, shift in steps:
+                    row[slot] |= 1 << shift - 1
             if chosen > used:
                 used = chosen
             if p > best_len:
@@ -265,13 +340,20 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
             if p == limit:
                 return True, best_len, best
             p += 1
-            if p == len(lanes):
-                entries = _forward(entries, ks, p, limit)
-                lanes.append(_pack(entries, p))
+            if p == len(fires):
+                if not ap:
+                    entries = _forward(entries, ks, p, limit)
+                    fires.append(_pack(entries, p))
+                elif p <= horizon:
+                    fires.append(_plan(k, p, horizon, limit))
+                else:
+                    horizon = _widen(strides, k, horizon)
+                    fires[1:] = [_plan(k, s, horizon, limit) for s in range(1, p + 1)]
                 color.append(0)
                 saved.append(0)
                 masks.append(0)
                 forbidden.append(0)
+                strides.append([0] * slots)
         else:
             color[p] = 0
             p -= 1
@@ -279,6 +361,10 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
                 prev = color[p]
                 masks[prev] &= ~(1 << p)
                 forbidden[prev] = saved[p]
+                if ap:
+                    row = strides[prev]
+                    for slot, shift in fires[p][1]:
+                        row[slot] ^= 1 << shift - 1
                 if prev == used and masks[prev] == 0:
                     used -= 1
     return False, best_len, best

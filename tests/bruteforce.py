@@ -169,3 +169,20 @@ def longest_avoiding(ks, c: int, limit: int):
 
     reached = extend([])
     return reached, len(best), tuple(best)
+
+
+def greedy_avoiding(k: int, n: int):
+    """The colouring of [1, n] that gives each position in turn the least
+    colour completing no monochromatic k-term progression with the
+    positions before it; colours are tried 1, 2, ... and differences
+    scanned directly."""
+    colors: list = []
+    for q in range(n):
+        g = 1
+        while any(
+            all(colors[q - j * d] == g for j in range(1, k))
+            for d in range(1, q // (k - 1) + 1)
+        ):
+            g += 1
+        colors.append(g)
+    return tuple(colors)

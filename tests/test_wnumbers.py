@@ -22,8 +22,15 @@ from vdwitness import (
 )
 from vdwitness import wnumbers
 from vdwitness.extractor import _least_ap
-from vdwitness.wnumbers import _avoid, _cube_tails, _fire, _forward, _pack
-from bruteforce import all_colorings, expand_cube, has_mono_ap, least_mono_ap, longest_avoiding
+from vdwitness.wnumbers import _avoid, _cube_tails, _fire, _forward, _pack, _plan, _widen
+from bruteforce import (
+    all_colorings,
+    expand_cube,
+    greedy_avoiding,
+    has_mono_ap,
+    least_mono_ap,
+    longest_avoiding,
+)
 
 
 def find_ap(coloring: FiniteColoring, k: int) -> tuple[int, int] | None:
@@ -279,6 +286,81 @@ def test_packed_zero_test_finds_every_lane():
                 assert _fire(lanes, t, 0) >> q & 1
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    k=st.integers(2, 6),
+    s=st.one_of(st.sampled_from([1, 63, 64, 65, 128, 129, 140]), st.integers(1, 140)),
+    past=st.integers(0, 150),
+    near_double=st.booleans(),
+    density=st.floats(0, 1),
+    seed=st.integers(0, 2**32),
+)
+def test_stride_fire_equals_the_packed_fire(k, s, past, near_double, density, seed):
+    # colour 1 placed at s after a random colouring of [1, s - 1]: the plan
+    # of s over colour 1's stride row, read as _avoid reads it, fires what
+    # _fire fires over the forward list of s built as _avoid builds it; the
+    # row is filled position by position and widened as _avoid widens it,
+    # so s past 64 and 128 crosses the horizon. Limits at and just below
+    # 2s - 1, the highest top a 3-AP placed at s can have, test the cut.
+    rng = random.Random(seed)
+    limit = max(s, 2 * s - 1 - past % 4) if near_double else s + past
+    colors = [1 if rng.random() < density else 2 for _ in range(s)]
+    rows = [[0] * ((k - 1) * (k - 2) // 2) for _ in range(3)]
+    horizon = wnumbers._HORIZON
+    for q in range(1, s + 1):
+        if q > horizon:
+            horizon = _widen(rows, k, horizon)
+        cut, steps = _plan(k, q, horizon, limit)
+        if q < s:
+            for slot, shift in steps:
+                rows[colors[q - 1]][slot] |= 1 << shift - 1
+    f = rng.getrandbits(limit + 1) & ~((2 << s) - 1)
+    tops = cut
+    for slot, shift in steps:
+        tops &= rows[1][slot] >> shift
+    entries = []
+    for q in range(1, s + 1):
+        entries = _forward(entries, (k,), q, limit)
+    m = sum(1 << q for q in range(1, s) if colors[q - 1] == 1) | 1 << s
+    assert f | tops << s + 1 == _fire(_pack(entries, s), m, f)
+
+
+def test_progressions_fire_without_lanes(monkeypatch):
+    def lanes(*args):
+        raise AssertionError("a progression search built or fired a forward list")
+
+    for name in ("_cube_tails", "_forward", "_pack", "_fire"):
+        monkeypatch.setattr(wnumbers, name, lanes)
+    assert _avoid((3,), 3, 128)[:2] == (False, 26)
+    assert _avoid((2,), 3, 10)[:2] == (False, 3)
+    assert _avoid((5,), 2, 40)[:2] == (True, 40)
+
+
+@pytest.mark.parametrize("k, c, limit", [(3, 1000, 300), (4, 50, 400)])
+def test_greedy_prefix_across_horizon_growth(k, c, limit):
+    # while fewer than c colours are in use the prune is off and a new
+    # colour is never blocked, so the search never backtracks: it colours
+    # greedily to the limit, doubling the horizon past 64, 128 and 256
+    prefix = greedy_avoiding(k, limit)
+    assert max(prefix) < c
+    assert _avoid((k,), c, limit) == (True, limit, prefix)
+
+
+def test_progression_memory_grows_with_the_depth_only():
+    # a palette of 10**6 and 3,000 positions, coloured greedily to the
+    # limit: the forward lists of (3,) would hold about s lanes of s bits
+    # at each position s, about a gigabyte in all, where the stride rows
+    # and plans stay within a few megabytes
+    tracemalloc.start()
+    try:
+        reached, best_len, _ = _avoid((3,), 10**6, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (reached, best_len) == (True, 3000)
+    assert peak < 8_000_000
+
+
 @pytest.mark.parametrize(
     "ks, c, limit",
     [
@@ -292,6 +374,16 @@ def test_search_equals_the_reference_search(ks, c, limit):
     # the whole triple, refusals (reached = True) included: neither the
     # forward masks nor the prune move a value or a certificate
     assert _avoid(ks, c, limit) == longest_avoiding(ks, c, limit)
+
+
+@pytest.mark.parametrize("horizon", [1, 3])
+def test_search_is_independent_of_the_first_horizon(monkeypatch, horizon):
+    # a first horizon of 1 or 3 doubles many times below 40 positions, so
+    # these searches backtrack across each doubling and read plans rebuilt
+    # for every position before it
+    monkeypatch.setattr(wnumbers, "_HORIZON", horizon)
+    for ks, c, limit in [((2,), 3, 6), ((3,), 2, 20), ((3,), 3, 24), ((4,), 2, 40), ((5,), 2, 16)]:
+        assert _avoid(ks, c, limit) == longest_avoiding(ks, c, limit)
 
 
 def test_long_rows_keep_the_search_path():
