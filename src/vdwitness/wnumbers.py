@@ -13,22 +13,25 @@ reaches at the extremal length is the lexicographically least one.
 The search (_avoid) checks forward: each colour keeps a mask of the
 positions it may no longer take, so a candidate costs one bit test, and a
 placement at s fires: it adds the top of every cube whose second-highest
-position is s and whose other positions have the placed colour. The shape
-of the side lengths picks one of two fires.
+position is s and whose other positions have the placed colour. The fire
+reads the colour's row, which holds its positions; the fire record of s
+names the row bits of s (its steps), set on placement and XORed off on
+backtrack. The shape of the side lengths picks the row and the fire.
 
-Progressions (ks = (k,)) fire through stride masks. Each colour keeps one
+Progressions (ks = (k,)) fire through stride masks. A colour's row holds one
 reflected mask per stride j = 1..k-2 and residue mod j, and the plan of s
 (_plan) turns them into every top s + d at once: k - 2 shifts and ANDs. The
 masks reach a horizon that doubles when the search passes it (_widen), so
 nothing is sized by the limit or the palette.
 
-Cubes with more than one side fire the forward list of s, packed one mask
-per lane (_pack, _fire). Each list is built once, complete, when the search
-first reaches s, from the list of s - 1: a cube anchored at 2 or later is
-one of that list moved up one position, so the list of s is the list of
-s - 1 moved up, less the tops past the limit, plus the cubes anchored at 1
-(_forward). With S = sum(k_i - 1) >= 2 its cubes reach at most
-(s - 1)S/(S - 1) past their anchor (proof in _cube_tails).
+Cubes with more than one side keep a colour's positions in a one-int row
+and fire the forward list of s, packed one mask per lane (_pack, _fire).
+Each list is built once, complete, when the search first reaches s, from
+the list of s - 1: a cube anchored at 2 or later is one of that list moved
+up one position, so the list of s is the list of s - 1 moved up, less the
+tops past the limit, plus the cubes anchored at 1 (_forward). With
+S = sum(k_i - 1) >= 2 its cubes reach at most (s - 1)S/(S - 1) past their
+anchor (proof in _cube_tails).
 
 A k-AP is the 1-dimensional cube of side k, so cube_number runs the same
 search with its own side lengths; both answer c = 1 and ks = (2,), the one
@@ -245,20 +248,23 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
     Forward checking: forbidden[g] has bit q set iff some cube with top q
     has all its other positions in the coloured prefix, coloured g. Every
     cube with top p has its other positions before p, so a candidate g at p
-    is blocked iff bit p of forbidden[g] is set. Placing g at p adds the top
-    of every cube whose second-highest position is p and whose other
-    positions are all g; taking it back restores the value saved before the
-    placement. The shape of ks alone picks how a placement fires:
-    - ks = (k,): the plan of p (_plan) reads g's stride row, which has the
-      bit of every position coloured g set on placement and cleared on
-      backtrack. The row's ints reach the horizon, which doubles (_widen,
-      and every plan rebuilt) when the search first passes it. ks = (2,)
-      has no strides and fires the run of tops p + 1..limit; _closed_form
-      keeps it out of every public search.
-    - more than one side: _fire over the forward list of p, which is built
-      once, complete, when the search first reaches p, from the list of
-      p - 1 (_forward), which is then dropped. When S = sum(k_i - 1) >= 2
-      each list is finite.
+    is blocked iff bit p of forbidden[g] is set. fires[p], built when the
+    search first reaches p, is the fire record (head, steps) of p. Placing g
+    at p adds the top of every cube whose second-highest position is p and
+    whose other positions are all g, sets bit shift - 1 of rows[g][slot] for
+    each step (slot, shift), and keeps in prior[p] the colours in use before
+    p; taking it back restores forbidden[g] as saved, XORs the same bits off
+    and restores prior[p]. The shape of ks picks the row and the fire:
+    - ks = (k,): rows[g] is g's stride slots and fires[p] the plan of p
+      (_plan). The slots reach the horizon, which doubles (_widen, and every
+      plan rebuilt) when the search first passes it. ks = (2,) has no
+      strides and fires the run of tops p + 1..limit; _closed_form keeps it
+      out of every public search.
+    - more than one side: rows[g] is one int with bit q for each position q
+      coloured g, and fires[p] is (lanes, ((0, p + 1),)): _fire over the
+      lanes (_pack) of the forward list of p, built from the list of p - 1
+      (_forward), which is then dropped. When S = sum(k_i - 1) >= 2 each
+      list is finite.
 
     Prune: once a placement leaves every one of the c colours in use
     (before that, an unused colour forbids nothing), let q be the least
@@ -272,31 +278,40 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
     ap = len(ks) == 1
     k = ks[0]
     horizon = _HORIZON
-    slots = (k - 1) * (k - 2) // 2 if ap else 0
+    slots = (k - 1) * (k - 2) // 2 if ap else 1
     # At position p the search reads colour indices up to p + 1 (a canonical
-    # colouring uses at most p - 1 colours before p), so the colour tables
-    # grow with p, whatever the palette.
-    masks = [0, 0, 0]
-    forbidden = [0, 0, 0]
-    strides = [[0] * slots for _ in range(3)]
-    color = [0, 0]
-    saved = [0, 0]
-    if ap:
-        fires = [None, _plan(k, 1, horizon, limit)]
-    else:
-        entries = _forward([], ks, 1, limit)
-        fires = [None, _pack(entries, 1)]
+    # colouring uses at most p - 1 colours before p), so every table grows
+    # by one entry when the loop first reaches p, whatever the palette.
+    forbidden = [0, 0]
+    rows = [[0] * slots, [0] * slots]
+    color = [0]
+    saved = [0]
+    prior = [0]
+    fires: list = [None]
+    entries: list[tuple[int, int]] = []
     used = 0
     best_len = 0
     best: tuple[int, ...] = ()
     p = 1
     while p >= 1:
+        if p == len(fires):
+            if not ap:
+                entries = _forward(entries, ks, p, limit)
+                fires.append((_pack(entries, p), ((0, p + 1),)))
+            elif p <= horizon:
+                fires.append(_plan(k, p, horizon, limit))
+            else:
+                horizon = _widen(rows, k, horizon)
+                fires[1:] = [_plan(k, s, horizon, limit) for s in range(1, p + 1)]
+            color.append(0)
+            saved.append(0)
+            prior.append(0)
+            forbidden.append(0)
+            rows.append([0] * slots)
         cand = color[p] + 1
         hi = used + 1 if used < c else c
         bit = 1 << p
-        fire = fires[p]
-        if ap:
-            cut, steps = fire
+        head, steps = fires[p]
         # positions p + 1 .. best_len + 1, the tops whose forbidding prunes
         window = (4 << best_len) - (bit << 1) if p <= best_len else 0
         chosen = 0
@@ -304,13 +319,13 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
             f = forbidden[cand]
             if not f & bit:
                 if ap:
-                    tops = cut
-                    row = strides[cand]
+                    tops = head
+                    row = rows[cand]
                     for slot, shift in steps:
                         tops &= row[slot] >> shift
                     f |= tops << p + 1
                 else:
-                    f = _fire(fire, masks[cand] | bit, f)
+                    f = _fire(head, rows[cand][0] | bit, f)
                 # an unused colour forbids nothing, so dead stays 0 until
                 # every colour is in use
                 dead = f & window
@@ -326,12 +341,11 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
         if chosen:
             color[p] = chosen
             saved[p] = forbidden[chosen]
+            prior[p] = used
             forbidden[chosen] = f
-            masks[chosen] |= bit
-            if ap:
-                row = strides[chosen]
-                for slot, shift in steps:
-                    row[slot] |= 1 << shift - 1
+            row = rows[chosen]
+            for slot, shift in steps:
+                row[slot] |= 1 << shift - 1
             if chosen > used:
                 used = chosen
             if p > best_len:
@@ -340,33 +354,16 @@ def _avoid(ks: tuple[int, ...], c: int, limit: int) -> tuple[bool, int, tuple[in
             if p == limit:
                 return True, best_len, best
             p += 1
-            if p == len(fires):
-                if not ap:
-                    entries = _forward(entries, ks, p, limit)
-                    fires.append(_pack(entries, p))
-                elif p <= horizon:
-                    fires.append(_plan(k, p, horizon, limit))
-                else:
-                    horizon = _widen(strides, k, horizon)
-                    fires[1:] = [_plan(k, s, horizon, limit) for s in range(1, p + 1)]
-                color.append(0)
-                saved.append(0)
-                masks.append(0)
-                forbidden.append(0)
-                strides.append([0] * slots)
         else:
             color[p] = 0
             p -= 1
             if p >= 1:
                 prev = color[p]
-                masks[prev] &= ~(1 << p)
                 forbidden[prev] = saved[p]
-                if ap:
-                    row = strides[prev]
-                    for slot, shift in fires[p][1]:
-                        row[slot] ^= 1 << shift - 1
-                if prev == used and masks[prev] == 0:
-                    used -= 1
+                row = rows[prev]
+                for slot, shift in fires[p][1]:
+                    row[slot] ^= 1 << shift - 1
+                used = prior[p]
     return False, best_len, best
 
 

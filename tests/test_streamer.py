@@ -149,6 +149,25 @@ class TestSolveWindow:
                 reach = (sum(ks) - len(ks)) * max(caps)
                 assert 0 < Counting.cells <= reach + _FIRST_STEP
 
+    def test_search_mode_reads_a_pinned_number_of_cells(self):
+        # 3,000 cells of 200 colours, then colour 1 forever: the least
+        # (2,2)-cube under caps 128 (reach 256) is the first one of the
+        # constant tail, and the segments that find it read 3,306 cells; a
+        # segment bound one cell higher reads more
+        class Counting(EventuallyPeriodicOracle):
+            cells = 0
+
+            def _colors(self, lo, hi):
+                Counting.cells += hi - lo + 1
+                return super()._colors(lo, hi)
+
+        oracle = Counting(tuple(1 + i % 200 for i in range(3000)), (1,), 200)
+        ww = solve_window(
+            oracle, Interval(1, 10**4), 2, "search", ks=(2, 2), caps=(128, 128)
+        )
+        assert (ww.e, ww.ls) == (3001, (1, 1))
+        assert Counting.cells == 3306
+
     def test_search_mode_refuses_a_window_over_the_cell_limit_unread(self):
         class Counting(PeriodicOracle):
             cells = 0

@@ -393,6 +393,31 @@ def test_long_rows_keep_the_search_path():
     assert _avoid((2, 2, 2), 3, 48) == (True, 48, want)
 
 
+@pytest.mark.parametrize(
+    "ks, c, limit, answer, fires",
+    [
+        ((2, 2), 3, 64, (False, 14), 1619),
+        ((2, 3), 2, 64, (False, 20), 1466),
+        ((2, 2, 2), 2, 21, (False, 20), 1448),
+        ((2, 2, 2), 3, 48, (True, 48), 6127),
+    ],
+)
+def test_cube_searches_fire_a_pinned_number_of_times(monkeypatch, ks, c, limit, answer, fires):
+    # one _fire per candidate that passes the bit test; a prune window one
+    # position short, a candidate bound past the next new colour or a count
+    # of colours in use that never falls gives the same answers and fires more
+    fire, calls = _fire, 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return fire(*args)
+
+    monkeypatch.setattr(wnumbers, "_fire", counting)
+    assert _avoid(ks, c, limit)[:2] == answer
+    assert calls == fires
+
+
 def test_colour_tables_grow_with_the_position(monkeypatch):
     # a palette and a limit of 10**6 size nothing up front: the first 60
     # placements that fire stay far below one table of 10**6 entries (8 MB)
