@@ -1,9 +1,14 @@
 """Command-line frontend.
 
-Structured output is a single JSON object on stdout; human-readable summaries
-go to stderr. Exit codes: 0 success / witness found, 1 no witness or failed
-verification, 2 input error, 3 resource limit. VDW_MAX_CELLS and
-VDW_WNUMBER_LIMIT set default limits; explicit flags win.
+A run writes at most one JSON object, on one line, to stdout and one
+human-readable summary line to stderr; --help and malformed arguments print
+argparse's usage text instead. Exit codes: 0 success / witness found, 1 no
+witness or failed verification, 2 input error, 3 resource limit. Input
+errors, bare limit refusals and out of memory leave stdout empty.
+VDW_MAX_CELLS and VDW_WNUMBER_LIMIT set default limits; explicit flags win.
+
+Each subcommand returns (exit code, stdout object or None, stderr line) and
+writes nothing; _run maps each refusal to the same triple and main writes it.
 """
 
 from __future__ import annotations
@@ -34,14 +39,6 @@ from .tower import TowerUncomputableError, build_tower_interval, tower_params, t
 from .wnumbers import CapExceededError, SearchLimitError, cube_number, vdw_number
 
 
-def _emit(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
-
-
-def _note(message: str) -> None:
-    sys.stderr.write(message + "\n")
-
-
 def _ints(text: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",") if p]
@@ -49,21 +46,18 @@ def _ints(text: str) -> list[int]:
         raise DomainError(f"bad integer list {text!r}") from exc
 
 
-def _cmd_wnumber(args: argparse.Namespace) -> int:
+def _cmd_wnumber(args: argparse.Namespace) -> tuple[int, dict | None, str]:
     result = vdw_number(args.k, args.c, args.limit)
-    _emit(
-        {
-            "k": result.k,
-            "c": result.c,
-            "value": result.value,
-            "certificate": certificate_string(result.certificate),
-        }
-    )
-    _note(f"W({result.k},{result.c}) = {result.value}")
-    return 0
+    out = {
+        "k": result.k,
+        "c": result.c,
+        "value": result.value,
+        "certificate": certificate_string(result.certificate),
+    }
+    return 0, out, f"W({result.k},{result.c}) = {result.value}"
 
 
-def _cmd_tower(args: argparse.Namespace) -> int:
+def _cmd_tower(args: argparse.Namespace) -> tuple[int, dict | None, str]:
     params = tower_params(args.k, args.c, args.n, search_limit=args.limit)
     report = tower_report(params)
     if args.start is not None:
@@ -71,12 +65,10 @@ def _cmd_tower(args: argparse.Namespace) -> int:
         iv = build_tower_interval(base, args.n, params)
         _check_digits(iv.hi, "the interval end")
         report["interval"] = [str(iv.lo), str(iv.hi)]
-    _emit(report)
-    _note(f"stage {args.n} tower has {params.size(args.n)} cells")
-    return 0
+    return 0, report, f"stage {args.n} tower has {params.size(args.n)} cells"
 
 
-def _cmd_extract(args: argparse.Namespace) -> int:
+def _cmd_extract(args: argparse.Namespace) -> tuple[int, dict | None, str]:
     coloring = read_coloring(args.coloring)
     if args.c != coloring.c:
         raise DomainError(f"--c {args.c} does not match file palette {coloring.c}")
@@ -88,12 +80,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     out = witness_to_dict(witness)
     if trace is not None:
         out["trace"] = trace
-    _emit(out)
-    _note(f"cube of color {witness.gamma} anchored at {witness.a}")
-    return 0
+    return 0, out, f"cube of color {witness.gamma} anchored at {witness.a}"
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> tuple[int, dict | None, str]:
     coloring = read_coloring(args.coloring)
     ks = _ints(args.ks)
     bounds = _ints(args.bounds) if args.bounds else None
@@ -101,23 +91,18 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise DomainError(f"{len(bounds)} caps for {len(ks)} dimensions")
     witness = find_cube(coloring, ks, bounds, distinct=args.distinct)
     if witness is None:
-        _emit({"found": False})
-        _note("no monochromatic cube")
-        return 1
-    _emit(witness_to_dict(witness))
-    _note(f"cube of color {witness.gamma} anchored at {witness.a}")
-    return 0
+        return 1, {"found": False}, "no monochromatic cube"
+    return 0, witness_to_dict(witness), f"cube of color {witness.gamma} anchored at {witness.a}"
 
 
-def _cmd_cube_number(args: argparse.Namespace) -> int:
+def _cmd_cube_number(args: argparse.Namespace) -> tuple[int, dict | None, str]:
     ks = _ints(args.ks)
     value = cube_number(ks, args.c, args.cap)
-    _emit({"ks": ks, "c": args.c, "value": value})
-    _note(f"cube number for sides {ks} with {args.c} colors = {value}")
-    return 0
+    out = {"ks": ks, "c": args.c, "value": value}
+    return 0, out, f"cube number for sides {ks} with {args.c} colors = {value}"
 
 
-def _cmd_stream(args: argparse.Namespace) -> int:
+def _cmd_stream(args: argparse.Namespace) -> tuple[int, dict | None, str]:
     oracle = parse_oracle_spec(args.oracle, args.c)
     ks = _ints(args.ks) if args.ks is not None else args.k
     caps = _ints(args.caps) if args.caps else None
@@ -136,16 +121,15 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         search_limit=args.limit,
         max_cells=args.max_cells,
     )
-    _emit(outcome.report())
     state = outcome.state
-    _note(
+    note = (
         f"achieved depth {state.achieved_depth} of {args.depth} with color "
         f"{state.gamma}; survivors {[len(s) for s in state.survivor_sets]}"
     )
-    return 0
+    return 0, outcome.report(), note
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict | None, str]:
     witness = read_witness(args.witness)
     if args.coloring:
         source = read_coloring(args.coloring)
@@ -153,18 +137,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         source = parse_oracle_spec(args.oracle, args.c)
     violation = find_violation(source, witness)
     if violation is None:
-        _emit({"verified": True})
-        _note("witness verified")
-        return 0
+        return 0, {"verified": True}, "witness verified"
     position, color = violation
     _check_digits(position, "the first violating position")
-    _emit({"verified": False, "first_violation": {"position": position, "color": color}})
-    _note(f"position {position} has color {color}, not {witness.gamma}")
-    return 1
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--threads", type=int, default=1, help="worker cap (advisory; results are thread-count independent)")
+    out = {"verified": False, "first_violation": {"position": position, "color": color}}
+    return 1, out, f"position {position} has color {color}, not {witness.gamma}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--limit", type=int, default=None)
-    _add_common(p)
     p.set_defaults(func=_cmd_wnumber)
 
     p = sub.add_parser("tower", help="stage parameters and tower geometry")
@@ -187,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--start", type=int, default=None, help="base interval start")
     p.add_argument("--limit", type=int, default=None)
-    _add_common(p)
     p.set_defaults(func=_cmd_tower)
 
     p = sub.add_parser("extract", help="monochromatic cube from a tower coloring file")
@@ -199,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coloring", required=True)
     p.add_argument("--trace", action="store_true", help="include per-stage trace records")
     p.add_argument("--limit", type=int, default=None)
-    _add_common(p)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("search", help="least monochromatic cube in a coloring file")
@@ -207,14 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coloring", required=True)
     p.add_argument("--bounds", default=None, help="comma-separated difference caps")
     p.add_argument("--distinct", action="store_true", help="strictly increasing differences")
-    _add_common(p)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("cube-number", help="least N forcing a monochromatic cube")
     p.add_argument("--ks", required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--cap", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_cube_number)
 
     p = sub.add_parser("stream", help="window stream over an infinite coloring")
@@ -231,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-failures", action="store_true")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--max-cells", type=int, default=None)
-    _add_common(p)
     p.set_defaults(func=_cmd_stream)
 
     p = sub.add_parser("verify", help="check a witness against a coloring or oracle")
@@ -240,10 +211,36 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--coloring")
     group.add_argument("--oracle")
     p.add_argument("--c", type=int, default=None)
-    _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
+    # last, so it closes every subcommand's help screen
+    for p in sub.choices.values():
+        p.add_argument("--threads", type=int, default=1, help="worker cap (advisory; results are thread-count independent)")
     return parser
+
+
+def _run(args: argparse.Namespace) -> tuple[int, dict | None, str]:
+    """The subcommand's (code, out, note), or its refusal's in their place."""
+    try:
+        if args.threads < 1:
+            raise DomainError("--threads must be >= 1")
+        return args.func(args)
+    except DomainError as exc:
+        return 2, None, str(exc)
+    except TowerUncomputableError as exc:
+        return 3, {"error": "tower uncomputable", "stage": exc.stage}, str(exc)
+    except SearchLimitError as exc:
+        out = {"error": "search limit exceeded", "k": exc.k, "c": exc.c, "limit": exc.limit}
+        return 3, out, str(exc)
+    except CapExceededError as exc:
+        return 3, {"exceeds_cap": exc.cap}, str(exc)
+    except MaterializationLimitError as exc:
+        return 3, {"error": "materialization limit exceeded"}, str(exc)
+    except LimitError as exc:
+        return 3, None, str(exc)
+    except WindowFailureError as exc:
+        out = {"error": "window failure", "window": exc.m, "lo": exc.window.lo, "hi": exc.window.hi}
+        return 1, out, str(exc)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -251,50 +248,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code in (0, None):
-            return 0
-        return 2
+        return 0 if exc.code in (0, None) else 2
+    # serialising sits under the guard too: a result can be too large to print
     try:
-        if args.threads < 1:
-            raise DomainError("--threads must be >= 1")
-        return args.func(args)
-    except DomainError as exc:
-        _note(str(exc))
-        return 2
-    except TowerUncomputableError as exc:
-        _emit({"error": "tower uncomputable", "stage": exc.stage})
-        _note(str(exc))
-        return 3
-    except SearchLimitError as exc:
-        _emit({"error": "search limit exceeded", "k": exc.k, "c": exc.c, "limit": exc.limit})
-        _note(str(exc))
-        return 3
-    except CapExceededError as exc:
-        _emit({"exceeds_cap": exc.cap})
-        _note(str(exc))
-        return 3
-    except MaterializationLimitError as exc:
-        _emit({"error": "materialization limit exceeded"})
-        _note(str(exc))
-        return 3
-    except LimitError as exc:
-        _note(str(exc))
-        return 3
+        code, out, note = _run(args)
+        text = "" if out is None else json.dumps(out, separators=(",", ":")) + "\n"
     except MemoryError:
-        _note("out of memory")
-        return 3
-    except WindowFailureError as exc:
-        _emit(
-            {
-                "error": "window failure",
-                "window": exc.m,
-                "lo": exc.window.lo,
-                "hi": exc.window.hi,
-            }
-        )
-        _note(str(exc))
-        return 1
+        code, text, note = 3, "", "out of memory"
+    sys.stdout.write(text)
+    sys.stderr.write(note + "\n")
+    return code
 
 
 if __name__ == "__main__":

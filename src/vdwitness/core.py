@@ -114,7 +114,7 @@ def max_cells_limit(explicit: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class Interval:
-    """Contiguous range [lo, hi] of positive integers with 1-based element access."""
+    """Contiguous range [lo, hi] of positive integers, with size and membership."""
 
     lo: int
     hi: int

@@ -252,6 +252,26 @@ class TestLimits:
         )
         assert (code, out, err) == (3, "", "out of memory\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wnumber", "--k", "3", "--c", "2"],
+            ["stream", "--oracle", "thue-morse", "--k", "2", "--c", "2", "--depth", "3",
+             "--windows", "4", "--mode", "proof"],
+            ["cube-number", "--ks", "2,2", "--c", "2", "--cap", "5"],
+        ],
+    )
+    def test_out_of_memory_while_serialising(self, capsys, monkeypatch, argv):
+        # a result or a refusal's payload that cannot be serialised exits like
+        # a search that runs out of memory, with nothing on stdout
+        class Exhausted:
+            @staticmethod
+            def dumps(*args, **kwargs):
+                raise MemoryError
+
+        monkeypatch.setattr("vdwitness.cli.json", Exhausted)
+        assert run_cli(capsys, *argv) == (3, "", "out of memory\n")
+
     def test_env_search_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("VDW_WNUMBER_LIMIT", "5")
         code, out, _ = run_cli(capsys, "wnumber", "--k", "3", "--c", "2")

@@ -418,6 +418,33 @@ def test_cube_searches_fire_a_pinned_number_of_times(monkeypatch, ks, c, limit, 
     assert calls == fires
 
 
+@pytest.mark.parametrize(
+    "k, c, answer, reads",
+    [(3, 2, (False, 8), 74), (4, 2, (False, 34), 11968), (3, 3, (False, 26), 69883)],
+)
+def test_progression_searches_read_a_pinned_number_of_plans(monkeypatch, k, c, answer, reads):
+    # each fire, placement and backtrack walks the steps of a plan once, so
+    # reads = fires + 2 * placements (30 + 2*22, 4870 + 2*3549, 30483 +
+    # 2*19700); a prune window one position short, a candidate bound past
+    # the next new colour or a count of colours in use that never falls
+    # gives the same answers and reads more
+    plan, calls = _plan, 0
+
+    class Steps(tuple):
+        def __iter__(self):
+            nonlocal calls
+            calls += 1
+            return super().__iter__()
+
+    def counting(*args):
+        cut, steps = plan(*args)
+        return cut, Steps(steps)
+
+    monkeypatch.setattr(wnumbers, "_plan", counting)
+    assert _avoid((k,), c, 128)[:2] == answer
+    assert calls == reads
+
+
 def test_colour_tables_grow_with_the_position(monkeypatch):
     # a palette and a limit of 10**6 size nothing up front: the first 60
     # placements that fire stay far below one table of 10**6 entries (8 MB)
