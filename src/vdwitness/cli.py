@@ -6,6 +6,7 @@ argparse's usage text instead. Exit codes: 0 success / witness found, 1 no
 witness or failed verification, 2 input error, 3 resource limit. Input
 errors, bare limit refusals and out of memory leave stdout empty.
 VDW_MAX_CELLS and VDW_WNUMBER_LIMIT set default limits; explicit flags win.
+VDW_WNUMBER_LIMIT is read only when a value needs the search.
 
 Each subcommand returns (exit code, stdout object or None, stderr line) and
 writes nothing; _run maps each refusal to the same triple and main writes it.

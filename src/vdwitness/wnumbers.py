@@ -378,28 +378,29 @@ def _closed_form(ks: tuple[int, ...], c: int) -> int | None:
     return None
 
 
-def _search(k: int, c: int, limit: int, use_cache: bool) -> tuple[int, tuple[int, ...]]:
-    """W(k, c) and its certificate colors for k >= 3, c >= 2, from the memo or
-    by search; raises SearchLimitError when limit does not resolve it."""
-    if use_cache and (k, c) in _MEMO:
-        value, cert = _MEMO[(k, c)]
-        # A fresh search resolves W only when limit >= W; keep memoized
-        # results indistinguishable from fresh ones.
-        if value > limit:
-            raise SearchLimitError(k, c, limit)
-        return value, cert
-    reached, best_len, cert = _avoid((k,), c, limit)
-    if reached:
-        raise SearchLimitError(k, c, limit)
-    _MEMO[(k, c)] = (best_len + 1, cert)
-    return best_len + 1, cert
-
-
-def _validate(k: int, c: int, search_limit: int | None) -> None:
+def _resolve(
+    k: int, c: int, search_limit: int | None, use_cache: bool
+) -> tuple[int, tuple[int, ...] | None]:
+    """W(k, c) and its certificate colors: None for a closed form, answered
+    before VDW_WNUMBER_LIMIT is read, else from the memo or by search."""
     _side_lengths((k,))
     _check_palette(c)
     if search_limit is not None:
         search_limit_default(search_limit)
+    value = _closed_form((k,), c)
+    if value is not None:
+        return value, None
+    limit = search_limit_default(search_limit)
+    memo = _MEMO.get((k, c)) if use_cache else None
+    if memo is None:
+        reached, best_len, cert = _avoid((k,), c, limit)
+        if not reached:
+            memo = _MEMO[(k, c)] = (best_len + 1, cert)
+    # A search resolves W only when limit >= W; a memoized W past the limit
+    # is refused the same way, so it is indistinguishable from a fresh one.
+    if memo is None or memo[0] > limit:
+        raise SearchLimitError(k, c, limit)
+    return memo
 
 
 def vdw_number(
@@ -412,14 +413,11 @@ def vdw_number(
     certificate would have more cells than max_cells_limit(). use_cache=False
     searches even when this process has already resolved W(k, c).
     """
-    _validate(k, c, search_limit)
-    value = _closed_form((k,), c)
-    if value is not None:
+    value, cert = _resolve(k, c, search_limit, use_cache)
+    if cert is None:
         what = f"the W({k},{_show(c)}) certificate has"
         _check_cells(what, value - 1, max_cells_limit())
         cert = (1,) * (k - 1) if c == 1 else tuple(range(1, c + 1))
-    else:
-        value, cert = _search(k, c, search_limit_default(search_limit), use_cache)
     return WNumberResult(k, c, value, FiniteColoring(c, Interval(1, value - 1), cert))
 
 
@@ -428,11 +426,7 @@ def vdw_value(k: int, c: int, search_limit: int | None = None) -> int:
 
     Materially cheaper than vdw_number for closed forms with huge palettes
     (W(2, c) = c + 1 would otherwise build a c-cell certificate)."""
-    _validate(k, c, search_limit)
-    value = _closed_form((k,), c)
-    if value is not None:
-        return value
-    return _search(k, c, search_limit_default(search_limit), True)[0]
+    return _resolve(k, c, search_limit, True)[0]
 
 
 def cube_number(ks: Sequence[int], c: int, cap: int) -> int:

@@ -12,6 +12,7 @@ from vdwitness import (
     tower_params,
     translate,
 )
+from vdwitness import tower
 from vdwitness.tower import tower_report
 
 
@@ -39,6 +40,15 @@ class TestParams:
         with pytest.raises(TowerUncomputableError) as exc:
             tower_params(2, 2, 4)
         assert exc.value.stage == 4
+
+    def test_palette_bit_budget_boundary(self, monkeypatch):
+        # stage 3 needs c^27 = 2^27, exactly 27 bits
+        monkeypatch.setattr(tower, "MAX_PALETTE_BITS", 27)
+        assert tower_params(2, 2, 3).sizes == (3, 27, 3623878683)
+        monkeypatch.setattr(tower, "MAX_PALETTE_BITS", 26)
+        with pytest.raises(TowerUncomputableError) as exc:
+            tower_params(2, 2, 3)
+        assert str(exc.value) == "tower uncomputable at stage 3: palette bound c^27 exceeds 26 bits"
 
     def test_size_law_twenty_stages(self):
         p = tower_params(2, 1, 20)

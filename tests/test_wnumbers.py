@@ -84,6 +84,19 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             vdw_number(3, 0)
 
+    def test_closed_forms_never_read_the_search_limit(self, monkeypatch):
+        monkeypatch.setenv("VDW_WNUMBER_LIMIT", "bogus")
+        assert vdw_number(2, 5).value == 6
+        assert vdw_number(5, 1).value == 5
+        assert vdw_value(2, 10**6) == 10**6 + 1
+        message = "VDW_WNUMBER_LIMIT is not an integer: 'bogus'"
+        for resolve in (vdw_number, vdw_value):
+            with pytest.raises(DomainError) as exc:
+                resolve(3, 2)
+            assert str(exc.value) == message
+        # an explicit limit wins over the environment
+        assert vdw_number(3, 2, 64).value == 9
+
 
 class TestSmallExactValues:
     def test_w32(self):
@@ -140,6 +153,22 @@ class TestSmallExactValues:
             vdw_number(3, 3, 20)
         # limit exactly one past the extremal length resolves
         assert vdw_number(3, 2, 9, use_cache=False).value == 9
+
+    def test_memoized_value_is_refused_like_a_fresh_search(self, monkeypatch):
+        monkeypatch.setattr(wnumbers, "_MEMO", {})
+        cert = vdw_number(3, 3, use_cache=False).certificate.colors
+        assert wnumbers._MEMO == {(3, 3): (27, cert)}
+        message = "W(3,3) not resolved within 26 positions: an AP-free coloring of that length exists"
+        for resolve in (
+            lambda: vdw_number(3, 3, 26),
+            lambda: vdw_value(3, 3, 26),
+            lambda: vdw_number(3, 3, 26, use_cache=False),
+        ):
+            with pytest.raises(SearchLimitError) as exc:
+                resolve()
+            assert exc.value.limit == 26
+            assert str(exc.value) == message
+        assert vdw_number(3, 3, 27).certificate.colors == cert
 
 
 class TestVerifyApFree:
