@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 from typing import Callable, ClassVar, Iterable, Sequence
 
 DEFAULT_MAX_CELLS = 1 << 26
@@ -370,25 +372,20 @@ class CubeWitness:
         return len(self.ds)
 
     def max_position(self) -> int:
-        return self.a + sum((k - 1) * d for d, k in zip(self.ds, self.ks))
+        return self.a + sum(map(mul, self.ds, self.ks)) - sum(self.ds)
 
 
 def cube_positions(w: CubeWitness, *, max_cells: int | None = None) -> tuple[int, ...]:
-    """Sorted, deduplicated expansion of the cube set.
-
-    Raises MaterializationLimitError, before building anything, when both
-    the number of index tuples and the span of the cube exceed
-    max_cells_limit(max_cells), since either one bounds the number of
-    positions.
-    """
-    limit = max_cells_limit(max_cells)
-    if w.max_position() - w.a >= limit:
-        count = 1
-        for k in w.ks:
-            count *= k
-            if count > limit:
-                break
-        _check_cells(f"a cube of {w.dim} dimensions may have", count, limit)
+    """Sorted, deduplicated expansion of the cube set: a dense cube (see
+    _cube_mask) read off its mask in one pass over its span, a sparse one
+    expanded directly. Raises MaterializationLimitError, before building
+    anything, when both the number of index tuples and the span of the cube
+    exceed max_cells_limit(max_cells), since either one bounds the number
+    of positions."""
+    mask = _cube_mask(w, max_cells_limit(max_cells))
+    if mask is not None:
+        bits = bin(mask)[:1:-1].encode().translate(_BITS)  # bit t is byte t
+        return tuple(compress(range(w.a, w.a + len(bits)), bits))
     dims = sorted(zip(w.ds, w.ks))
     reach = 0  # span of the dimensions before the current one
     for d, k in dims:
@@ -417,24 +414,61 @@ def cube_positions(w: CubeWitness, *, max_cells: int | None = None) -> tuple[int
     return tuple(sorted(grown))
 
 
-# Cube positions are coloured by one batch over their span when the span is
-# at most this many times the number of positions.
+# A cube is dense when its span is below this many times its number of index
+# tuples: its positions are then read off one bitmask over the span, and an
+# oracle colours the span in one batch.
 _DENSE_SPAN = 4
+_BITS = bytes.maketrans(b"01", b"\0\1")  # the digits of bin() to bytes 0 and 1
+# Translate tables sending byte gamma to b"1" and every other byte to b"0".
+_ONE_HOT = [b"0" * gamma + b"1" + b"0" * (255 - gamma) for gamma in range(256)]
+
+
+def _stride_mask(cells: bytes | Sequence[int], gamma: int, j: int, r: int) -> int:
+    """Bit t set iff cells[r + t*j] == gamma; cells are bytes when the
+    palette fits in a byte."""
+    if isinstance(cells, bytes):
+        return int(cells[r::j][::-1].translate(_ONE_HOT[gamma]) or b"0", 2)
+    return int("".join(["01"[x == gamma] for x in cells[r::j][::-1]]) or "0", 2)
+
+
+def _cube_mask(w: CubeWitness, limit: int) -> int | None:
+    """Bit t set iff w.a + t is a point of the cube w; None when w is sparse,
+    its span at least _DENSE_SPAN times its number of index tuples. Refuses
+    a cube whose index tuples and span both pass the cell cap limit."""
+    count = 1
+    for k in w.ks:
+        count *= k
+        if count > limit:  # refused below, or dense: span < limit < count
+            break
+    span = w.max_position() - w.a
+    if span >= limit:
+        _check_cells(f"a cube of {w.dim} dimensions may have", count, limit)
+    if span >= _DENSE_SPAN * count:
+        return None
+    mask = 1
+    for d, k in zip(w.ds, w.ks):
+        m = 1  # mask holds the copies j*d for 0 <= j < m; sums merge
+        while 2 * m <= k:
+            mask |= mask << m * d
+            m *= 2
+        if m < k:  # k/2 < m < k: the copies from k-m on cover the rest
+            mask |= mask << (k - m) * d
+    return mask
 
 
 def _first_violation(
     source: FiniteColoring | ColorOracle,
+    w: CubeWitness,
     pts: tuple[int, ...],
-    gamma: int,
     max_cells: int | None = None,
 ) -> tuple[int, int] | None:
-    """First of the sorted positions pts whose color under source is not gamma.
-
-    A finite coloring must contain every position. An oracle colours a
-    dense span of pts in one batch, if it stays within the cell limit, and
-    other positions one at a time.
-    """
-    lo, hi = pts[0], pts[-1]
+    """First of the positions pts = cube_positions(w, max_cells=max_cells)
+    whose color under source is not w.gamma, with that color. A finite
+    coloring must contain every position. A dense cube (see _cube_mask) is
+    read once over its span (a slice, or one oracle batch within the cell
+    limit) and checked by mask; others are read position by position."""
+    gamma, lo, hi = w.gamma, pts[0], pts[-1]
+    mask = _cube_mask(w, hi - lo + 1)  # a limit past the span refuses nothing
     if isinstance(source, FiniteColoring):
         dom = source.domain
         if lo < dom.lo or hi > dom.hi:
@@ -442,20 +476,24 @@ def _first_violation(
             raise DomainError(
                 f"cube position {_show(p)} outside domain [{dom.lo}, {dom.hi}]"
             )
-        colors, lo = source.colors, dom.lo
-    elif hi - lo < _DENSE_SPAN * len(pts) and hi - lo < max_cells_limit(max_cells):
-        colors = source._colors(lo, hi)
+        if mask is not None:
+            cells = source.colors[lo - dom.lo : hi - dom.lo + 1]
+    elif mask is not None and hi - lo < max_cells_limit(max_cells):
+        cells = source._colors(lo, hi)
     else:
-        for p in pts:
-            col = source.color_at(p)
+        mask = None
+    if mask is None:
+        for p, col in zip(pts, map(source.color_at, pts)):
             if col != gamma:
                 return (p, col)
         return None
-    for p in pts:
-        col = colors[p - lo]
-        if col != gamma:
-            return (p, col)
-    return None
+    try:  # colours fit in a byte unless the palette or an oracle passes it
+        cells = bytes(cells) if gamma < 256 else cells
+    except ValueError:
+        pass
+    bad = mask & ~_stride_mask(cells, gamma, 1, 0)  # points not coloured gamma
+    t = (bad & -bad).bit_length() - 1
+    return (lo + t, cells[t]) if bad else None
 
 
 def find_violation(
@@ -467,7 +505,7 @@ def find_violation(
     an out-of-domain position raises DomainError rather than counting as a
     mismatch.
     """
-    return _first_violation(source, cube_positions(w), w.gamma)
+    return _first_violation(source, w, cube_positions(w))
 
 
 def verify_witness(source: FiniteColoring | ColorOracle, w: CubeWitness) -> bool:

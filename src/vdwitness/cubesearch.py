@@ -44,6 +44,7 @@ from .core import (
     _Reader,
     _reader,
     _side_lengths,
+    _stride_mask,
 )
 
 
@@ -65,18 +66,6 @@ _MIN_STEP = 256
 # a window whose least cube lies near its start is read about reach +
 # _FIRST_STEP cells far.
 _FIRST_STEP = 32
-# Translate tables sending byte gamma to b"1" and every other byte to b"0".
-_ONE_HOT = [b"0" * gamma + b"1" + b"0" * (255 - gamma) for gamma in range(256)]
-
-
-def _stride_mask(cells: bytes | Sequence[int], gamma: int, j: int, r: int) -> int:
-    """Bit t set iff cells[r + t*j] == gamma; cells are bytes when the
-    palette fits in a byte."""
-    if isinstance(cells, bytes):
-        return int(cells[r::j][::-1].translate(_ONE_HOT[gamma]) or b"0", 2)
-    return int("".join(["01"[x == gamma] for x in cells[r::j][::-1]]) or "0", 2)
-
-
 def find_cube(
     coloring: FiniteColoring,
     ks: Sequence[int],

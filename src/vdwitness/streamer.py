@@ -315,7 +315,7 @@ def run_stream(
                 a=state.anchors[t - 1],
                 s=state.sources[t - 1],
                 positions=positions,
-                verified=_first_violation(oracle, positions, w.gamma, max_cells) is None,
+                verified=_first_violation(oracle, w, positions, max_cells) is None,
             )
         )
     return StreamOutcome(

@@ -1,7 +1,8 @@
 import random
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vdwitness import (
@@ -23,7 +24,7 @@ from vdwitness import (
     translate,
     verify_witness,
 )
-from vdwitness.core import _LANE_BATCH
+from vdwitness.core import _DENSE_SPAN, _LANE_BATCH
 from bruteforce import expand_cube
 
 
@@ -147,6 +148,39 @@ class TestCubePositions:
         assert cube_positions(CubeWitness(1, 1, (1, 1), (11, 11))) == tuple(range(1, 22))
         assert cube_positions(CubeWitness(1, 1, (1, 999), (2, 2))) == (1, 2, 1000, 1001)
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(a=st.integers(1, 50), data=st.data())
+    def test_matches_brute_force_across_the_density_boundary(self, a, data):
+        # dimensions whose differences collide (equal, or multiples of one
+        # base), long sides on d = 1 and far differences up to 10^6; a last
+        # side of 2 puts the span at _DENSE_SPAN * prod(ks) or one below,
+        # unless the others already span past it
+        base = data.draw(st.integers(1, 6))
+        dims = data.draw(
+            st.lists(
+                st.one_of(
+                    st.tuples(st.integers(1, 3).map(base.__mul__), st.integers(2, 5)),
+                    st.tuples(st.just(1), st.integers(2, 300)),
+                    st.tuples(st.integers(1, 10**6), st.integers(2, 3)),
+                ),
+                max_size=3,
+            )
+        )
+        count = 2 * prod(k for _, k in dims)
+        assume(count <= 20000)
+        span = _DENSE_SPAN * count - data.draw(st.integers(0, 1))
+        last = span - sum((k - 1) * d for d, k in dims)
+        if last < 1:
+            last = data.draw(st.integers(1, 10**6))
+        dims.insert(data.draw(st.integers(0, len(dims))), (last, 2))
+        ds, ks = zip(*dims)
+        assert cube_positions(CubeWitness(1, a, ds, ks)) == tuple(sorted(expand_cube(a, ds, ks)))
+
+    def test_long_sides_on_one_difference(self):
+        # 10^10 index tuples over 199,999 positions
+        w = CubeWitness(1, 1, (1, 1), (100000, 100000))
+        assert cube_positions(w) == tuple(range(1, 200000))
+
     def test_validation(self):
         with pytest.raises(DomainError):
             CubeWitness(1, 1, (), ())
@@ -204,6 +238,74 @@ class TestVerifyWitness:
         counting = _Counting()
         assert find_violation(counting, w) is None
         assert counting.colors_calls == 1
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        c=st.sampled_from((2, 255, 256, 300)),
+        a=st.integers(1, 20),
+        dims=st.lists(st.tuples(st.integers(1, 12), st.integers(2, 4)), min_size=1, max_size=3),
+        places=st.sets(st.sampled_from(("anchor", "middle", "top"))),
+        data=st.data(),
+    )
+    def test_first_violation_matches_a_scan(self, c, a, dims, places, data):
+        # dense and sparse cubes under finite colorings and oracles, on both
+        # sides of the byte palette, with violations at the anchor, in the
+        # middle and at the top, the other cells colored at random
+        ds, ks = zip(*dims)
+        w = CubeWitness(data.draw(st.integers(1, c)), a, ds, ks)
+        pts = cube_positions(w)
+        cube = set(pts)
+        other = st.integers(1, c).filter(lambda x: x != w.gamma)
+        colors = [w.gamma if p in cube else data.draw(st.integers(1, c)) for p in range(1, pts[-1] + 1)]
+        for place in places:
+            p = {"anchor": pts[0], "middle": pts[len(pts) // 2], "top": pts[-1]}[place]
+            colors[p - 1] = data.draw(other)
+        scan = next(((p, colors[p - 1]) for p in pts if colors[p - 1] != w.gamma), None)
+        col = FiniteColoring(c, Interval(1, len(colors)), colors)
+        assert find_violation(col, w) == scan
+        assert find_violation(EventuallyPeriodicOracle(tuple(colors), (w.gamma,), c), w) == scan
+
+    @settings(max_examples=100, derandomize=True)
+    @given(
+        a=st.integers(2, 30),
+        dims=st.lists(st.tuples(st.integers(1, 3), st.integers(2, 5)), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_dense_cube_past_the_domain(self, a, dims, data):
+        ds, ks = zip(*dims)
+        w = CubeWitness(1, a, ds, ks)
+        pts = cube_positions(w)
+        assume(pts[-1] - a < _DENSE_SPAN * prod(ks))
+        # cut the domain just after the anchor, or just before a point
+        lo = data.draw(st.integers(1, a))
+        if lo == a:
+            lo, hi, p = a + 1, pts[-1], a
+        else:
+            p = data.draw(st.sampled_from(pts[1:]))
+            hi = data.draw(st.integers(pts[pts.index(p) - 1], p - 1))
+        col = FiniteColoring(1, Interval(lo, hi), (1,) * (hi - lo + 1))
+        with pytest.raises(DomainError, match=rf"^cube position {p} outside domain \[{lo}, {hi}\]$"):
+            find_violation(col, w)
+
+    def test_colour_past_the_palette_is_reported(self):
+        # an oracle that breaks its palette is read as it is, in a batch too
+        class Wide(ColorOracle):
+            c = 2
+
+            def _color(self, p):
+                return 300 if p == 3 else 1
+
+        assert find_violation(Wide(), CubeWitness(1, 1, (1,), (4,))) == (3, 300)
+        assert find_violation(Wide(), CubeWitness(1, 1, (1,), (2,))) is None
+
+    def test_density_decides_the_reads(self):
+        # span 31, below 32 = _DENSE_SPAN * 8 index tuples: one batch of 32
+        # cells, though 6 positions alone would count as sparse; span 32:
+        # position by position up to the violation
+        for ds, reads in (((10, 10, 11), (1, 32)), ((10, 11, 11), (0, 3))):
+            counting = _Counting()
+            assert find_violation(counting, CubeWitness(2, 1, ds, (2, 2, 2))) == (12, 1)
+            assert (counting.colors_calls, counting.color_calls) == reads
 
     def test_permutation_invariance_uniform_k(self):
         rng = random.Random(11)

@@ -305,6 +305,35 @@ class TestRunStreamProof:
         assert out.state.achieved_depth == 2
         assert limits == {"extract": [10**5] * 4, "cube_positions": [10**5] * 2}
 
+    def test_each_dense_depth_is_verified_in_one_batch(self, monkeypatch):
+        # every depth of a one-colour proof stream is a dense cube (ds 1, 2,
+        # 4, ...), so its final check reads one batch and no single position
+        class Counting(ConstantOracle):
+            batches = singles = 0
+
+            def color_at(self, p):
+                Counting.singles += 1
+                return super().color_at(p)
+
+            def _colors(self, lo, hi):
+                Counting.batches += 1
+                return super()._colors(lo, hi)
+
+        reads = []
+        real = streamer._first_violation
+
+        def recording(*args):
+            before = (Counting.batches, Counting.singles)
+            result = real(*args)
+            reads.append((Counting.batches - before[0], Counting.singles - before[1]))
+            return result
+
+        monkeypatch.setattr(streamer, "_first_violation", recording)
+        out = run_stream(Counting(1), 2, 1, 10, 11, "proof")
+        assert [len(r.positions) for r in out.depths] == [2**t for t in range(1, 11)]
+        assert all(r.verified for r in out.depths)
+        assert reads == [(1, 0)] * 10
+
     def test_reads_only_the_scanned_blocks(self):
         # window 3 is a stage-2 tower of 6^7 + 1 blocks of 7 cells
         class Counting(PeriodicOracle):
