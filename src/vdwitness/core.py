@@ -12,7 +12,6 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import compress
-from operator import mul
 from typing import Callable, ClassVar, Iterable, Sequence
 
 DEFAULT_MAX_CELLS = 1 << 26
@@ -372,29 +371,38 @@ class CubeWitness:
         return len(self.ds)
 
     def max_position(self) -> int:
-        return self.a + sum(map(mul, self.ds, self.ks)) - sum(self.ds)
+        return self.a + sum((k - 1) * d for d, k in zip(self.ds, self.ks))
 
 
 def cube_positions(w: CubeWitness, *, max_cells: int | None = None) -> tuple[int, ...]:
-    """Sorted, deduplicated expansion of the cube set: a dense cube (see
-    _cube_mask) read off its mask in one pass over its span, a sparse one
-    expanded directly. Raises MaterializationLimitError, before building
-    anything, when both the number of index tuples and the span of the cube
-    exceed max_cells_limit(max_cells), since either one bounds the number
-    of positions."""
-    mask = _cube_mask(w, max_cells_limit(max_cells))
-    if mask is not None:
-        bits = bin(mask)[:1:-1].encode().translate(_BITS)  # bit t is byte t
-        return tuple(compress(range(w.a, w.a + len(bits)), bits))
+    """Sorted, deduplicated expansion of the cube set; a dense cube (see
+    _dense) is read off its mask in one pass. Raises
+    MaterializationLimitError, before building anything, when both the
+    number of index tuples and the span of the cube exceed
+    max_cells_limit(max_cells), since either one bounds the number of
+    positions."""
+    limit = max_cells_limit(max_cells)
+    span = w.max_position() - w.a
+    if span >= limit:
+        count = 1
+        for k in w.ks:
+            count *= k
+            if count > limit:
+                break
+        _check_cells(f"a cube of {w.dim} dimensions may have", count, limit)
     dims = sorted(zip(w.ds, w.ks))
-    reach = 0  # span of the dimensions before the current one
+    reach, count = 0, 1  # span and positions of the dimensions before d
     for d, k in dims:
-        if d <= reach:
+        if d <= reach:  # sums collide; |A + B| >= |A| + |B| - 1 bounds count
+            count = 1 + sum(w.ks) - w.dim
             break
         reach += (k - 1) * d
-    else:
-        # Each difference clears the span below it, so no two sums collide
-        # and each shifted copy lies wholly above the previous one.
+        count *= k
+    if _dense(span, count):
+        bits = bin(_cube_mask(w))[:1:-1].encode().translate(_BITS)  # bit t is byte t
+        return tuple(compress(range(w.a, w.a + len(bits)), bits))
+    if reach == span:
+        # No sums collide: each shifted copy lies wholly above the previous.
         pts = [w.a]
         for d, k in dims:
             lower = pts[:]
@@ -414,13 +422,16 @@ def cube_positions(w: CubeWitness, *, max_cells: int | None = None) -> tuple[int
     return tuple(sorted(grown))
 
 
-# A cube is dense when its span is below this many times its number of index
-# tuples: its positions are then read off one bitmask over the span, and an
-# oracle colours the span in one batch.
-_DENSE_SPAN = 4
+_DENSE_SPAN = 4  # see _dense
 _BITS = bytes.maketrans(b"01", b"\0\1")  # the digits of bin() to bytes 0 and 1
 # Translate tables sending byte gamma to b"1" and every other byte to b"0".
 _ONE_HOT = [b"0" * gamma + b"1" + b"0" * (255 - gamma) for gamma in range(256)]
+
+
+def _dense(span: int, positions: int) -> bool:
+    """Whether a cube of at least this many positions over this span is
+    dense, and so expanded and coloured in one pass over its span."""
+    return span < _DENSE_SPAN * positions
 
 
 def _stride_mask(cells: bytes | Sequence[int], gamma: int, j: int, r: int) -> int:
@@ -431,23 +442,12 @@ def _stride_mask(cells: bytes | Sequence[int], gamma: int, j: int, r: int) -> in
     return int("".join(["01"[x == gamma] for x in cells[r::j][::-1]]) or "0", 2)
 
 
-def _cube_mask(w: CubeWitness, limit: int) -> int | None:
-    """Bit t set iff w.a + t is a point of the cube w; None when w is sparse,
-    its span at least _DENSE_SPAN times its number of index tuples. Refuses
-    a cube whose index tuples and span both pass the cell cap limit."""
-    count = 1
-    for k in w.ks:
-        count *= k
-        if count > limit:  # refused below, or dense: span < limit < count
-            break
-    span = w.max_position() - w.a
-    if span >= limit:
-        _check_cells(f"a cube of {w.dim} dimensions may have", count, limit)
-    if span >= _DENSE_SPAN * count:
-        return None
+def _cube_mask(w: CubeWitness) -> int:
+    """Bit t set iff w.a + t is a point of the cube w, built by doubling the
+    run of copies j*d per dimension, so colliding sums merge."""
     mask = 1
     for d, k in zip(w.ds, w.ks):
-        m = 1  # mask holds the copies j*d for 0 <= j < m; sums merge
+        m = 1  # mask holds the copies j*d for 0 <= j < m
         while 2 * m <= k:
             mask |= mask << m * d
             m *= 2
@@ -462,13 +462,12 @@ def _first_violation(
     pts: tuple[int, ...],
     max_cells: int | None = None,
 ) -> tuple[int, int] | None:
-    """First of the positions pts = cube_positions(w, max_cells=max_cells)
-    whose color under source is not w.gamma, with that color. A finite
-    coloring must contain every position. A dense cube (see _cube_mask) is
-    read once over its span (a slice, or one oracle batch within the cell
-    limit) and checked by mask; others are read position by position."""
+    """First of the positions pts = cube_positions(w) whose color under
+    source is not w.gamma, with that color; a finite coloring must contain
+    them all. Dense pts (see _dense) are read once over their span (a slice,
+    or one oracle batch within the cell limit) and checked by mask."""
     gamma, lo, hi = w.gamma, pts[0], pts[-1]
-    mask = _cube_mask(w, hi - lo + 1)  # a limit past the span refuses nothing
+    dense = _dense(hi - lo, len(pts))
     if isinstance(source, FiniteColoring):
         dom = source.domain
         if lo < dom.lo or hi > dom.hi:
@@ -476,13 +475,13 @@ def _first_violation(
             raise DomainError(
                 f"cube position {_show(p)} outside domain [{dom.lo}, {dom.hi}]"
             )
-        if mask is not None:
+        if dense:
             cells = source.colors[lo - dom.lo : hi - dom.lo + 1]
-    elif mask is not None and hi - lo < max_cells_limit(max_cells):
+    elif dense and hi - lo < max_cells_limit(max_cells):
         cells = source._colors(lo, hi)
     else:
-        mask = None
-    if mask is None:
+        dense = False
+    if not dense:
         for p, col in zip(pts, map(source.color_at, pts)):
             if col != gamma:
                 return (p, col)
@@ -491,7 +490,7 @@ def _first_violation(
         cells = bytes(cells) if gamma < 256 else cells
     except ValueError:
         pass
-    bad = mask & ~_stride_mask(cells, gamma, 1, 0)  # points not coloured gamma
+    bad = _cube_mask(w) & ~_stride_mask(cells, gamma, 1, 0)  # points not coloured gamma
     t = (bad & -bad).bit_length() - 1
     return (lo + t, cells[t]) if bad else None
 

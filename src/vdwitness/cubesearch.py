@@ -66,6 +66,8 @@ _MIN_STEP = 256
 # a window whose least cube lies near its start is read about reach +
 # _FIRST_STEP cells far.
 _FIRST_STEP = 32
+
+
 def find_cube(
     coloring: FiniteColoring,
     ks: Sequence[int],

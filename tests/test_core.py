@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import prod
 
 import pytest
@@ -153,8 +154,10 @@ class TestCubePositions:
     def test_matches_brute_force_across_the_density_boundary(self, a, data):
         # dimensions whose differences collide (equal, or multiples of one
         # base), long sides on d = 1 and far differences up to 10^6; a last
-        # side of 2 puts the span at _DENSE_SPAN * prod(ks) or one below,
-        # unless the others already span past it
+        # side of 2 puts the span at _DENSE_SPAN times prod(ks) (the
+        # positions when no sums collide) or 1 + sum(k - 1) (a lower bound
+        # on them when some do), or one below, unless the others already
+        # span past it
         base = data.draw(st.integers(1, 6))
         dims = data.draw(
             st.lists(
@@ -166,7 +169,9 @@ class TestCubePositions:
                 max_size=3,
             )
         )
-        count = 2 * prod(k for _, k in dims)
+        count = data.draw(
+            st.sampled_from((2 * prod(k for _, k in dims), 2 + sum(k - 1 for _, k in dims)))
+        )
         assume(count <= 20000)
         span = _DENSE_SPAN * count - data.draw(st.integers(0, 1))
         last = span - sum((k - 1) * d for d, k in dims)
@@ -180,6 +185,23 @@ class TestCubePositions:
         # 10^10 index tuples over 199,999 positions
         w = CubeWitness(1, 1, (1, 1), (100000, 100000))
         assert cube_positions(w) == tuple(range(1, 200000))
+
+    def test_far_colliding_cube_stays_small(self):
+        # 4,000,000 index tuples, but 3,999 positions over a span of about
+        # 16,000,000: expanded as a set and checked position by position,
+        # with no mask or batch over the span
+        w = CubeWitness(2, 1, (3998, 3998), (2000, 2000))
+        tracemalloc.start()
+        try:
+            pts = cube_positions(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pts == tuple(range(1, 3998 * 3998 + 2, 3998))
+        assert peak < 4_000_000
+        counting = _Counting()
+        assert find_violation(counting, w) is None
+        assert (counting.colors_calls, counting.color_calls) == (0, 3999)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -275,7 +297,7 @@ class TestVerifyWitness:
         ds, ks = zip(*dims)
         w = CubeWitness(1, a, ds, ks)
         pts = cube_positions(w)
-        assume(pts[-1] - a < _DENSE_SPAN * prod(ks))
+        assume(pts[-1] - a < _DENSE_SPAN * len(pts))
         # cut the domain just after the anchor, or just before a point
         lo = data.draw(st.integers(1, a))
         if lo == a:
@@ -298,14 +320,24 @@ class TestVerifyWitness:
         assert find_violation(Wide(), CubeWitness(1, 1, (1,), (4,))) == (3, 300)
         assert find_violation(Wide(), CubeWitness(1, 1, (1,), (2,))) is None
 
-    def test_density_decides_the_reads(self):
-        # span 31, below 32 = _DENSE_SPAN * 8 index tuples: one batch of 32
-        # cells, though 6 positions alone would count as sparse; span 32:
-        # position by position up to the violation
-        for ds, reads in (((10, 10, 11), (1, 32)), ((10, 11, 11), (0, 3))):
-            counting = _Counting()
-            assert find_violation(counting, CubeWitness(2, 1, ds, (2, 2, 2))) == (12, 1)
-            assert (counting.colors_calls, counting.color_calls) == reads
+    @pytest.mark.parametrize(
+        "ds, ks, violation, reads",
+        [
+            # 4 positions over a span of 15, below _DENSE_SPAN * 4: one batch
+            # of 16 cells; over a span of 16, position by position up to the
+            # violation
+            ((1, 14), (2, 2), (2, 1), (1, 16)),
+            ((1, 15), (2, 2), (2, 1), (0, 2)),
+            # colliding sums: 6 positions of 8 index tuples, over a span of 7
+            # or of 31, so the positions decide, not the index tuples
+            ((2, 2, 3), (2, 2, 2), (4, 1), (1, 8)),
+            ((10, 10, 11), (2, 2, 2), (12, 1), (0, 3)),
+        ],
+    )
+    def test_density_decides_the_reads(self, ds, ks, violation, reads):
+        counting = _Counting()
+        assert find_violation(counting, CubeWitness(2, 1, ds, ks)) == violation
+        assert (counting.colors_calls, counting.color_calls) == reads
 
     def test_permutation_invariance_uniform_k(self):
         rng = random.Random(11)
