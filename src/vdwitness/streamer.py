@@ -145,6 +145,12 @@ class StreamOutcome:
         }
 
 
+def _check_mode(mode: str) -> None:
+    """Refuse any mode but PROOF and SEARCH."""
+    if mode not in (PROOF, SEARCH):
+        raise DomainError(f"unknown mode {mode!r}")
+
+
 def solve_window(
     oracle: ColorOracle,
     window: Interval,
@@ -167,19 +173,18 @@ def solve_window(
     as far as the search reaches. Raises WindowFailureError when search
     mode finds nothing.
     """
+    _check_mode(mode)
     if mode == PROOF:
         if params is None:
             raise DomainError("proof mode needs tower parameters")
         base = Interval(window.lo, window.lo + params.w(1) - 1)
         w = extract(oracle, base, min(max(1, m - 1), len(ks)), params, max_cells=max_cells)
-    elif mode == SEARCH:
+    else:
         _check_cells("the interval has", window.size(), max_cells_limit(max_cells))
         read = _reader(oracle, window.lo, max_cells)
         w = _least_cube(read, window, oracle.c, ks[:m], caps, False)
         if w is None:
             raise WindowFailureError(m, window)
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
     if w.a < window.lo or w.max_position() > window.hi:
         raise InvariantViolationError(
             f"window {m} witness escapes [{window.lo}, {window.hi}]"
@@ -263,8 +268,7 @@ def run_stream(
     if oracle.c != c:
         raise DomainError(f"oracle has {oracle.c} colors, expected {c}")
     caps = _check_caps(caps)
-    if mode not in (PROOF, SEARCH):
-        raise DomainError(f"unknown mode {mode!r}")
+    _check_mode(mode)
     if mode == SEARCH and (window_size is None or window_size < 1):
         raise DomainError("search mode needs a window size >= 1")
 

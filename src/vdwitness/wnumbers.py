@@ -61,9 +61,6 @@ from .core import (
 
 DEFAULT_SEARCH_LIMIT = 128
 
-# (k, c) -> (value, certificate colors); filled by searches in this process.
-_MEMO: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-
 
 class SearchLimitError(LimitError):
     """The search reached the position limit without resolving W(k, c)."""
@@ -378,11 +375,9 @@ def _closed_form(ks: tuple[int, ...], c: int) -> int | None:
     return None
 
 
-def _resolve(
-    k: int, c: int, search_limit: int | None, use_cache: bool
-) -> tuple[int, tuple[int, ...] | None]:
+def _resolve(k: int, c: int, search_limit: int | None) -> tuple[int, tuple[int, ...] | None]:
     """W(k, c) and its certificate colors: None for a closed form, answered
-    before VDW_WNUMBER_LIMIT is read, else from the memo or by search."""
+    before VDW_WNUMBER_LIMIT is read, else by search."""
     _side_lengths((k,))
     _check_palette(c)
     if search_limit is not None:
@@ -391,16 +386,10 @@ def _resolve(
     if value is not None:
         return value, None
     limit = search_limit_default(search_limit)
-    memo = _MEMO.get((k, c)) if use_cache else None
-    if memo is None:
-        reached, best_len, cert = _avoid((k,), c, limit)
-        if not reached:
-            memo = _MEMO[(k, c)] = (best_len + 1, cert)
-    # A search resolves W only when limit >= W; a memoized W past the limit
-    # is refused the same way, so it is indistinguishable from a fresh one.
-    if memo is None or memo[0] > limit:
+    reached, best_len, cert = _avoid((k,), c, limit)
+    if reached:
         raise SearchLimitError(k, c, limit)
-    return memo
+    return best_len + 1, cert
 
 
 def vdw_number(
@@ -410,10 +399,11 @@ def vdw_number(
 
     Raises SearchLimitError if the answer is not determined within
     search_limit positions, and MaterializationLimitError if a closed-form
-    certificate would have more cells than max_cells_limit(). use_cache=False
-    searches even when this process has already resolved W(k, c).
+    certificate would have more cells than max_cells_limit(). Every call
+    resolves afresh; use_cache is accepted for existing callers and changes
+    nothing.
     """
-    value, cert = _resolve(k, c, search_limit, use_cache)
+    value, cert = _resolve(k, c, search_limit)
     if cert is None:
         what = f"the W({k},{_show(c)}) certificate has"
         _check_cells(what, value - 1, max_cells_limit())
@@ -426,7 +416,7 @@ def vdw_value(k: int, c: int, search_limit: int | None = None) -> int:
 
     Materially cheaper than vdw_number for closed forms with huge palettes
     (W(2, c) = c + 1 would otherwise build a c-cell certificate)."""
-    return _resolve(k, c, search_limit, True)[0]
+    return _resolve(k, c, search_limit)[0]
 
 
 def cube_number(ks: Sequence[int], c: int, cap: int) -> int:

@@ -19,7 +19,7 @@ from vdwitness import (
     vdw_number,
     verify_witness,
 )
-from vdwitness import cubesearch, wnumbers
+from vdwitness import cubesearch
 from vdwitness.cubesearch import _FIRST_STEP, _MIN_STEP
 from bruteforce import (
     all_colorings,
@@ -407,14 +407,6 @@ class TestCubeNumber:
             cube_number((2,), 10**5000, 3)
         with pytest.raises(CapExceededError, match="exceeds cap <5000-digit number>$"):
             cube_number((2,), 10**5000, 10**4999)
-
-    def test_neither_consults_nor_fills_the_w_memo(self, monkeypatch):
-        # a one-dimensional cube number is W(k, c), but it always searches
-        monkeypatch.setattr(wnumbers, "_MEMO", {})
-        assert cube_number((3,), 3, 27) == 27
-        assert wnumbers._MEMO == {}
-        wnumbers._MEMO[(3, 3)] = (30, (1,) * 29)
-        assert cube_number((3,), 3, 27) == 27
 
     def test_huge_cap_sizes_nothing_up_front(self):
         start = time.perf_counter()

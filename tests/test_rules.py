@@ -29,6 +29,7 @@ from vdwitness import (
     find_cube,
     materialize,
     run_stream,
+    solve_window,
     tower_params,
     tower_report,
     vdw_number,
@@ -37,6 +38,7 @@ from vdwitness import (
 )
 from vdwitness.core import _check_cells, _check_digits, _check_palette, _side_lengths
 from vdwitness.formats import parse_color_list
+from vdwitness.streamer import _check_mode
 from vdwitness.tower import _stage_lengths
 
 ONES = FiniteColoring(1, Interval(1, 3), (1, 1, 1))
@@ -164,6 +166,18 @@ def test_stage_range(call, m):
         f"stage {m} outside [1, 2]",
         TowerParams._stage_index.__code__,
     )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_stream(ConstantOracle(1), 2, 1, 1, 1, "bogus"),
+        lambda: solve_window(ConstantOracle(1), Interval(1, 3), 1, "bogus", ks=(2,)),
+    ],
+    ids=["run_stream", "solve_window"],
+)
+def test_stream_mode(call):
+    assert refusal(call) == ("unknown mode 'bogus'", _check_mode.__code__)
 
 
 @pytest.mark.parametrize(

@@ -154,10 +154,7 @@ class TestSmallExactValues:
         # limit exactly one past the extremal length resolves
         assert vdw_number(3, 2, 9, use_cache=False).value == 9
 
-    def test_memoized_value_is_refused_like_a_fresh_search(self, monkeypatch):
-        monkeypatch.setattr(wnumbers, "_MEMO", {})
-        cert = vdw_number(3, 3, use_cache=False).certificate.colors
-        assert wnumbers._MEMO == {(3, 3): (27, cert)}
+    def test_a_value_past_the_limit_is_refused(self):
         message = "W(3,3) not resolved within 26 positions: an AP-free coloring of that length exists"
         for resolve in (
             lambda: vdw_number(3, 3, 26),
@@ -168,7 +165,27 @@ class TestSmallExactValues:
                 resolve()
             assert exc.value.limit == 26
             assert str(exc.value) == message
-        assert vdw_number(3, 3, 27).certificate.colors == cert
+        assert vdw_number(3, 3, 27).certificate == vdw_number(3, 3).certificate
+
+    def test_every_call_searches_afresh(self, monkeypatch):
+        searches = []
+        avoid = wnumbers._avoid
+
+        def counted(*args):
+            searches.append(args)
+            return avoid(*args)
+
+        monkeypatch.setattr(wnumbers, "_avoid", counted)
+        numbers = [vdw_number(3, 3) for _ in range(2)]
+        values = [vdw_value(3, 3) for _ in range(2)]
+        towers = [tower_params(3, 3, 1) for _ in range(2)]
+        assert len(searches) == 6
+        assert numbers[0] == numbers[1] and numbers[0].value == 27
+        assert values == [27, 27]
+        assert towers[0] == towers[1] and towers[0].W == (27,)
+        assert [vdw_number(3, 3, use_cache=False) for _ in range(2)] == numbers
+        assert len(searches) == 8
+        assert set(searches) == {((3,), 3, 128)}
 
 
 class TestVerifyApFree:
