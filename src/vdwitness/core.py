@@ -70,6 +70,32 @@ def _check_palette(c: int | None, colors: Sequence[int] = ()) -> int:
     return c
 
 
+# The palettes [1, c] that fit in a byte, c < 256, each as the bytes 1..c:
+# packed colours lie in [1, c] iff translate deletes every one of them.
+_PALETTE = {c: bytes(range(1, c + 1)) for c in range(1, 256)}
+
+
+def _packed(c: int, colors: Sequence[int]) -> bytes | Sequence[int]:
+    """colors as reads hand them out: packed into bytes when the palette
+    [1, c] fits in a byte and bytes() takes every colour, else colors
+    itself. The one owner of the byte rule; it checks no palette."""
+    try:
+        if c in _PALETTE:
+            return bytes(colors)
+    except (TypeError, ValueError):  # a colour that is no byte
+        pass
+    return colors
+
+
+def _checked(c: int, colors: Sequence[int]) -> bytes | Sequence[int]:
+    """_packed(c, colors), checked against the palette rule: one translate
+    when packed, else (or on a bad colour) through _check_palette."""
+    cells = _packed(c, colors)
+    if cells is colors or cells.translate(None, _PALETTE[c]):
+        _check_palette(c, colors)
+    return cells
+
+
 def _side_lengths(ks: Iterable[int]) -> tuple[int, ...]:
     """The side lengths ks as a tuple: at least one, each >= 2."""
     ks = tuple(ks)
@@ -142,7 +168,12 @@ def translate(iv: Interval, b: int) -> Interval:
 
 @dataclass(frozen=True)
 class FiniteColoring:
-    """A c-coloring of an interval, stored densely by domain position."""
+    """A c-coloring of an interval, stored densely by domain position.
+
+    Reads (_reader) slice a private copy of colors, checked against the
+    palette once here: packed bytes when the palette fits in a byte
+    (_packed), else colors itself. It is not a field, so eq, hash and repr
+    ignore it."""
 
     c: int
     domain: Interval
@@ -154,7 +185,7 @@ class FiniteColoring:
             raise DomainError(
                 f"{len(self.colors)} colors for a domain of {self.domain.size()} cells"
             )
-        _check_palette(self.c, self.colors)
+        object.__setattr__(self, "_cells", _checked(self.c, self.colors))
 
     def color_at(self, p: int) -> int:
         if p not in self.domain:
@@ -173,9 +204,10 @@ class ColorOracle:
     Windows are read in batches through _colors(lo, hi), the colors of
     positions lo..hi (1 <= lo <= hi) as one tuple: materialize reads a whole
     window at once, while extraction and search-mode windows read only the
-    runs of cells their scans reach (_reader). Overriding it is optional:
-    the default calls _color once per position. An override is a faster
-    batch rule and must equal _color position by position.
+    runs of cells their scans reach (_reader), which hands each batch on
+    packed into bytes when the palette fits in a byte. Overriding it is
+    optional: the default calls _color once per position. An override is a
+    faster batch rule and must equal _color position by position.
     """
 
     c: int
@@ -424,8 +456,10 @@ def cube_positions(w: CubeWitness, *, max_cells: int | None = None) -> tuple[int
 
 _DENSE_SPAN = 4  # see _dense
 _BITS = bytes.maketrans(b"01", b"\0\1")  # the digits of bin() to bytes 0 and 1
-# Translate tables sending byte gamma to b"1" and every other byte to b"0".
-_ONE_HOT = [b"0" * gamma + b"1" + b"0" * (255 - gamma) for gamma in range(256)]
+# Translate tables sending byte gamma to b"1" and every other byte to b"0";
+# a colour past the bytes matches none of them.
+_ONE_HOT = {g: b"0" * g + b"1" + b"0" * (255 - g) for g in range(256)}
+_NO_HOT = b"0" * 256
 
 
 def _dense(span: int, positions: int) -> bool:
@@ -435,10 +469,10 @@ def _dense(span: int, positions: int) -> bool:
 
 
 def _stride_mask(cells: bytes | Sequence[int], gamma: int, j: int, r: int) -> int:
-    """Bit t set iff cells[r + t*j] == gamma; cells are bytes when the
-    palette fits in a byte."""
-    if isinstance(cells, bytes):
-        return int(cells[r::j][::-1].translate(_ONE_HOT[gamma]) or b"0", 2)
+    """Bit t set iff cells[r + t*j] == gamma; cells are bytes (or a
+    bytearray) when the palette fits in a byte."""
+    if isinstance(cells, (bytes, bytearray)):
+        return int(cells[r::j][::-1].translate(_ONE_HOT.get(gamma, _NO_HOT)) or b"0", 2)
     return int("".join(["01"[x == gamma] for x in cells[r::j][::-1]]) or "0", 2)
 
 
@@ -476,9 +510,9 @@ def _first_violation(
                 f"cube position {_show(p)} outside domain [{dom.lo}, {dom.hi}]"
             )
         if dense:
-            cells = source.colors[lo - dom.lo : hi - dom.lo + 1]
+            cells = source._cells[lo - dom.lo : hi - dom.lo + 1]
     elif dense and hi - lo < max_cells_limit(max_cells):
-        cells = source._colors(lo, hi)
+        cells = _packed(source.c, source._colors(lo, hi))
     else:
         dense = False
     if not dense:
@@ -486,10 +520,6 @@ def _first_violation(
             if col != gamma:
                 return (p, col)
         return None
-    try:  # colours fit in a byte unless the palette or an oracle passes it
-        cells = bytes(cells) if gamma < 256 else cells
-    except ValueError:
-        pass
     bad = _cube_mask(w) & ~_stride_mask(cells, gamma, 1, 0)  # points not coloured gamma
     t = (bad & -bad).bit_length() - 1
     return (lo + t, cells[t]) if bad else None
@@ -520,32 +550,40 @@ def materialize(
     return FiniteColoring(oracle.c, interval, oracle._colors(interval.lo, interval.hi))
 
 
-# read(i, j): the colors of the cells at 0-based offsets i..j-1 of a window.
-_Reader = Callable[[int, int], tuple[int, ...]]
+# read(i, j): the colors of the cells at 0-based offsets i..j-1 of a window,
+# as bytes when the palette fits in a byte (_packed), else as a tuple.
+_Reader = Callable[[int, int], bytes | tuple[int, ...]]
 
 
-def _reader(source: FiniteColoring | ColorOracle, lo: int, max_cells: int | None) -> _Reader:
+def _reader(
+    source: FiniteColoring | ColorOracle,
+    lo: int,
+    max_cells: int | None,
+    *,
+    limit: int | None = None,
+) -> _Reader:
     """Reads of the cells from position lo on, for extraction and the cube
-    search. A finite coloring's reads slice its colors, checked when it
-    was built. Oracle reads count their cells, refusing once the total
-    would pass max_cells_limit(max_cells), and their colors are checked
-    against the palette. A search window is refused whole before its
-    first read, so only extraction reaches the count's refusal."""
+    search. A finite coloring's reads slice its cells, packed and checked
+    when it was built. Oracle reads count their cells, refusing once the
+    total would pass limit, by default max_cells_limit(max_cells), and
+    are packed and checked against the palette the same way. A search
+    window is refused whole before its first read, so only extraction
+    reaches the count's refusal."""
     if isinstance(source, FiniteColoring):
-        return _slicer(source.colors)
-    c, limit = source.c, max_cells_limit(max_cells)
+        return _slicer(source._cells)
+    c = source.c
+    if limit is None:
+        limit = max_cells_limit(max_cells)
     total = 0
 
-    def read(i: int, j: int) -> tuple[int, ...]:
+    def read(i: int, j: int) -> bytes | tuple[int, ...]:
         nonlocal total
         total += j - i
         _check_cells("extraction would read", total, limit)
-        cells = source._colors(lo + i, lo + j - 1)
-        _check_palette(c, cells)
-        return cells
+        return _checked(c, source._colors(lo + i, lo + j - 1))
 
     return read
 
 
-def _slicer(cells: tuple[int, ...]) -> _Reader:
+def _slicer(cells: bytes | tuple[int, ...]) -> _Reader:
     return lambda i, j: cells[i:j]

@@ -25,10 +25,11 @@ bit past it set, and the prefix doubles whenever the least cube it cannot
 rule out leaves it, so the work is bounded by how far the search reads.
 
 The search reads a window's cells through one reader (core._reader), in
-window order and only as the masks first reach them: find_cube reads a
-finite coloring's tuple, and a search-mode stream window
-(streamer.solve_window) is colored by the oracle, so only the cells up to
-the end of the last segment or prefix are ever read.
+window order and only as the masks first reach them, as bytes when the
+palette fits in a byte: find_cube reads a finite coloring's cells, and a
+search-mode stream window (streamer.solve_window) is colored by the
+oracle, so only the cells up to the end of the last segment or prefix are
+ever read.
 """
 
 from __future__ import annotations
@@ -83,21 +84,20 @@ def find_cube(
     within the domain and caps.
     """
     read = _reader(coloring, coloring.domain.lo, None)
-    return _least_cube(read, coloring.domain, coloring.c, ks, bounds, distinct)
+    return _least_cube(read, coloring.domain, ks, bounds, distinct)
 
 
 def _least_cube(
     read: _Reader,
     window: Interval,
-    c: int,
     ks: Sequence[int],
     bounds: Sequence[int] | None,
     distinct: bool,
 ) -> CubeWitness | None:
-    """find_cube over the cells of window, colors in [1, c]. read(i, j)
-    returns the colors of the window's cells i..j-1 (0-based); the buffer
-    cells is extended by them as the masks first reach them, so the window
-    is read only as far as the search reaches.
+    """find_cube over the cells of window. read(i, j) returns the colors
+    of the window's cells i..j-1 (0-based), as bytes for a byte palette;
+    the buffer cells is extended by them as the masks first reach them, so
+    the window is read only as far as the search reaches.
     """
     n, lo = window.size(), window.lo
     ks = _side_lengths(ks)
@@ -132,20 +132,22 @@ def _least_cube(
     step = _FIRST_STEP if reach < n else n
     cut = (2 << widest) - 1 if reach < n else -1
     base = known = 0
-    cells: list[int] = []  # the colors read so far, from cell 0 on
-    segment: bytes | Sequence[int] = ()
+    # The colors read so far, from cell 0 on: a list once a read is not bytes.
+    cells: bytearray | list[int] = bytearray()
+    segment: bytearray | Sequence[int] = ()
     strides: dict[tuple[int, int, int], int] = {}  # (gamma, j, r) -> stride mask
     rows: dict[int, dict[int, int]] = {}  # k -> {cell: row}
 
     def load(start: int, hi: int) -> None:
         """Mask the cells [start, hi) of the window from now on."""
-        nonlocal base, known, segment
+        nonlocal base, known, segment, cells
         hi = min(hi, n)
         if hi > len(cells):
-            cells.extend(read(len(cells), hi))
+            more = read(len(cells), hi)
+            if not isinstance(more, bytes) and isinstance(cells, bytearray):
+                cells = list(cells)
+            cells += more
         base, segment = start, cells[start:hi]
-        if c < 256:
-            segment = bytes(segment)
         known = hi if reach >= n else n
         strides.clear()
         rows.clear()

@@ -2,7 +2,9 @@
 
 Given a c-coloring of a stage-n tower, the top stage splits the tower into
 W_n blocks of size sizes[n-2] and interns each block's full color pattern:
-a block's id is its pattern tuple, one shared object per distinct pattern.
+a block's id is its pattern, as packed bytes when the palette fits in a
+byte (core._packed) and as a tuple otherwise, one shared object per
+distinct pattern.
 The id sequence is a coloring of the block indices with at most
 c^(block size) colors, and the block count W_n = W(k_n, c_{n-1}) guarantees
 it contains a monochromatic k_n-term progression of block indices. Equal ids
@@ -32,6 +34,7 @@ deep towers (single color, twenty stages) stay clear of call-stack limits.
 
 from __future__ import annotations
 
+import struct
 from itertools import tee
 from typing import Callable
 
@@ -61,12 +64,12 @@ def _least_ap(
     The scan runs a0 ascending, then d ascending. It jumps from one
     candidate d to the next with ids.index(gamma, start, stop), the least
     index in [start, stop) holding gamma, and reads the points j >= 2 only
-    for that d. ids is a tuple or a list; a list may be shorter than n if
-    fill(p) extends it through at least index p (_Stage.fill). The scan
-    calls fill only for an index p >= len(ids) that it is about to look at,
-    and continues a jump that finds nothing from len(ids), so a lazily
-    filled stage is read exactly as an element-by-element scan would read
-    it, and no further than the answer needs.
+    for that d. ids is a tuple, bytes or a list; a list may be shorter
+    than n if fill(p) extends it through at least index p (_Stage.fill).
+    The scan calls fill only for an index p >= len(ids) that it is about
+    to look at, and continues a jump that finds nothing from len(ids), so
+    a lazily filled stage is read exactly as an element-by-element scan
+    would read it, and no further than the answer needs.
     """
     for a0 in range(n - k + 1):
         if a0 >= len(ids):
@@ -97,17 +100,19 @@ def _least_ap(
 class _Stage:
     """Pattern ids of blocks 0..len(ids)-1 of one stage, read in order.
 
-    A block's id is its color pattern as a tuple, the first one read with
-    those colors: patterns maps each distinct pattern to that tuple, so
-    equal blocks have the very same id object, and len(patterns) counts the
-    patterns read. fill(b) reads and interns the blocks from len(ids)
+    A block's id is its color pattern as read, the first one read with
+    those colors: packed bytes when the palette fits in a byte, else a
+    tuple. patterns maps each distinct pattern to that id, so equal blocks
+    have the very same id object, and len(patterns) counts the patterns
+    read. fill(b) reads and interns the blocks from len(ids)
     through b, or as many blocks as are already read if that is more (at
     least one, at most about _BATCH_CELLS cells), in batches of at most
     about _BATCH_CELLS cells. So a scan that walks the blocks in order reads
     at most about twice what it looks at, in few batches, and no block is
     read twice. A batch of several blocks is cut and interned with no Python
-    loop per block; a batch of one block interns the read itself, since
-    cutting a long block cell by cell costs more than its read.
+    loop per block, bytes by one struct.unpack and tuples by zip; a batch
+    of one block interns the read itself, since cutting a long block cell
+    by cell costs more than its read.
     """
 
     __slots__ = ("read", "size", "count", "patterns", "ids")
@@ -116,8 +121,8 @@ class _Stage:
         self.read = read
         self.size = size
         self.count = count
-        self.patterns: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.ids: list[tuple[int, ...]] = []
+        self.patterns: dict[bytes | tuple[int, ...], bytes | tuple[int, ...]] = {}
+        self.ids: list[bytes | tuple[int, ...]] = []
 
     def fill(self, b: int) -> None:
         ids, size, intern = self.ids, self.size, self.patterns.setdefault
@@ -128,6 +133,9 @@ class _Stage:
             cells = self.read(lo * size, min(stop, lo + step) * size)
             if len(cells) == size:
                 ids.append(intern(cells, cells))
+            elif isinstance(cells, bytes):
+                blocks = struct.unpack(f"{size}s" * (len(cells) // size), cells)
+                ids += map(intern, blocks, blocks)
             else:
                 ids += map(intern, *tee(zip(*[iter(cells)] * size)))
 
@@ -219,7 +227,12 @@ def extract(
 
 
 def _check_block_shift(
-    read: _Reader, b1: int, dstar: int, block_size: int, k: int, pattern: tuple[int, ...]
+    read: _Reader,
+    b1: int,
+    dstar: int,
+    block_size: int,
+    k: int,
+    pattern: bytes | tuple[int, ...],
 ) -> None:
     """Selected blocks, re-read, must be literal copies of their id, the
     pattern first read: color(q + j*dstar*block_size) = pattern[q] for 0 <= j < k."""

@@ -180,9 +180,10 @@ def solve_window(
         base = Interval(window.lo, window.lo + params.w(1) - 1)
         w = extract(oracle, base, min(max(1, m - 1), len(ks)), params, max_cells=max_cells)
     else:
-        _check_cells("the interval has", window.size(), max_cells_limit(max_cells))
-        read = _reader(oracle, window.lo, max_cells)
-        w = _least_cube(read, window, oracle.c, ks[:m], caps, False)
+        limit = max_cells_limit(max_cells)
+        _check_cells("the interval has", window.size(), limit)
+        read = _reader(oracle, window.lo, max_cells, limit=limit)
+        w = _least_cube(read, window, ks[:m], caps, False)
         if w is None:
             raise WindowFailureError(m, window)
     if w.a < window.lo or w.max_position() > window.hi:

@@ -25,7 +25,7 @@ from vdwitness import (
     translate,
     verify_witness,
 )
-from vdwitness.core import _DENSE_SPAN, _LANE_BATCH
+from vdwitness.core import _DENSE_SPAN, _LANE_BATCH, _check_palette, _reader
 from bruteforce import expand_cube
 
 
@@ -319,6 +319,10 @@ class TestVerifyWitness:
 
         assert find_violation(Wide(), CubeWitness(1, 1, (1,), (4,))) == (3, 300)
         assert find_violation(Wide(), CubeWitness(1, 1, (1,), (2,))) is None
+        # a witness colour past the bytes matches no cell of a byte palette
+        far = CubeWitness(300, 1, (1,), (4,))
+        assert find_violation(ConstantOracle(1), far) == (1, 1)
+        assert find_violation(FiniteColoring(2, Interval(1, 4), (2, 1, 1, 1)), far) == (1, 2)
 
     @pytest.mark.parametrize(
         "ds, ks, violation, reads",
@@ -417,6 +421,41 @@ class TestColoringAndMaterialize:
             FiniteColoring(2, Interval(1, 3), (1, 2, 3))
         with pytest.raises(DomainError):
             FiniteColoring(2, Interval(1, 3), (0, 1, 2))
+
+    @pytest.mark.parametrize(
+        "c, colors",
+        [
+            (1, (True,)), (2, (1, 2)), (2, (True, 2)), (2, (1.0, 2)), (2, (1.5,)),
+            (255, (255, 1)), (256, (256, 1)), (300, (300, 7)), (2.0, (1, 2)),
+            (None, (1, 2)), (2, (0, 1)), (2, (3,)), (2, (-1,)), (2, (256,)),
+            (2, (2**70,)), (255, (256,)), (300, (301,)), (0, (1,)), (-1, (1,)),
+            (2, ("1",)),
+        ],
+    )
+    def test_palette_check_packed_or_not(self, c, colors):
+        # FiniteColoring accepts exactly the colourings that the palette
+        # rule accepts, packed into bytes or not, and refuses through it
+        # with its error; the cells it reads equal its colors
+        def outcome(call):
+            try:
+                call()
+            except Exception as exc:
+                tb = exc.__traceback__
+                while tb.tb_next is not None:
+                    tb = tb.tb_next
+                return type(exc), str(exc), tb.tb_frame.f_code
+            return None
+
+        domain = Interval(1, len(colors))
+        expected = outcome(lambda: _check_palette(c, colors))
+        assert outcome(lambda: FiniteColoring(c, domain, colors)) == expected
+        if expected is None:
+            col = FiniteColoring(c, domain, colors)
+            assert col.colors == colors and col == FiniteColoring(c, domain, colors)
+            cells = _reader(col, 1, None)(0, len(colors))
+            assert list(cells) == list(colors)
+            packed = c in (1, 2, 255) and all(isinstance(x, int) for x in colors)
+            assert isinstance(cells, bytes) == packed
 
     def test_color_at_and_restrict(self):
         col = FiniteColoring(3, Interval(5, 10), (1, 2, 3, 1, 2, 3))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -9,6 +10,7 @@ from vdwitness import (
     ColorOracle,
     ConstantOracle,
     DomainError,
+    EventuallyPeriodicOracle,
     FiniteColoring,
     Interval,
     InvariantViolationError,
@@ -19,11 +21,14 @@ from vdwitness import (
     TowerUncomputableError,
     cube_positions,
     extract,
+    find_cube,
     materialize,
+    run_stream,
     tower_params,
     verify_witness,
 )
 from vdwitness import extractor
+from vdwitness.core import _reader
 from vdwitness.extractor import _Stage, _check_block_shift, _least_ap
 from bruteforce import all_colorings, dense_extract, mono_aps, scan_least_ap
 
@@ -460,3 +465,65 @@ class TestCheckedMode:
         colors = coloring_of("111222", 2).colors
         with pytest.raises(InvariantViolationError):
             _check_block_shift(lambda i, j: colors[i:j], 0, 1, 3, 2, colors[:3])
+
+
+class TestBytePalette:
+    """A palette that fits in a byte is read as bytes, a wider one as
+    tuples; the same colours answer the same on both paths."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("ks", [(2,), (3,), (2, 2)])
+    def test_packed_and_wide_paths_agree(self, ks, seed):
+        # the same colours, declared with c = 3 and with c = 300: the
+        # extraction reads the same blocks as bytes or as tuples, and
+        # returns the same witness and trace records, checked or not
+        params = tower_params(ks, 3, len(ks))
+        size = params.size(len(ks))
+        rng = random.Random(seed)
+        pattern = [rng.randint(1, 3) for _ in range(rng.randint(1, 2 * size))]
+        colors = tuple(pattern[i % len(pattern)] for i in range(size))
+        base = Interval(1, params.w(1))
+        runs = []
+        for c in (3, 300):
+            p = replace(params, c=c)
+            col = FiniteColoring(c, Interval(1, size), colors)
+            oracle = EventuallyPeriodicOracle(colors, (1,), c)
+            for source in (col, oracle):
+                cells = _reader(source, 1, None)(0, size)
+                assert isinstance(cells, bytes) == (c == 3)
+                assert tuple(cells) == colors
+                for checked in (False, True):
+                    trace: list = []
+                    w = extract(source, base, len(ks), p, checked=checked, trace=trace)
+                    runs.append((w, trace))
+            bounds = (size // 3,) * 2
+            runs.append([find_cube(col, shape, caps) for shape in ((2, 2), (3,), (2, 3))
+                         for caps in (None, bounds)])
+        assert runs[:4] == runs[5:9] and runs[:4] == [runs[0]] * 4
+        assert runs[4] == runs[9]
+
+    def test_byte_blocks_are_interned_as_bytes(self):
+        # blocks 12 12 21 12: a one-block batch, then one batch of three
+        cells = bytes([1, 2, 1, 2, 2, 1, 1, 2])
+        stage = _Stage(lambda i, j: cells[i:j], 2, 4)
+        stage.fill(0)
+        stage.fill(3)
+        assert stage.ids == [b"\1\2", b"\1\2", b"\2\1", b"\1\2"]
+        assert stage.ids[0] is stage.ids[1] is stage.ids[3]
+        assert len(stage.patterns) == 2
+
+    def test_a_proof_stream_over_colour_300(self):
+        # stage-2 blocks hold colour 300, past the bytes: the blocks are
+        # interned as tuples
+        out = run_stream(PeriodicOracle((300, 1, 7), 300), 2, 300, 2, 3, "proof")
+        assert out.report() == {
+            "mode": "proof",
+            "gamma": 1,
+            "ds": [3],
+            "depths": [
+                {"n": 1, "a": 302, "s": 2, "positions": [302, 305], "verified": True}
+            ],
+            "survivor_sizes": [1, 1],
+            "windows": 3,
+            "conforming": True,
+        }

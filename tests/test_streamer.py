@@ -24,7 +24,7 @@ from vdwitness import (
     tower_params,
     verify_witness,
 )
-from vdwitness import streamer
+from vdwitness import core, streamer
 from vdwitness.cubesearch import _FIRST_STEP, _MIN_STEP
 
 
@@ -194,6 +194,27 @@ class TestSolveWindow:
             solve_window(
                 Stray((1, 2)), Interval(1, 10**4), 1, "search", ks=(2,), caps=(3,)
             )
+
+    def test_search_mode_resolves_the_cell_limit_once(self, monkeypatch):
+        # one core._limit call per window: the window check and the reader
+        # share one resolved cell limit
+        calls = []
+        limit = core._limit
+
+        def counting(*args):
+            calls.append(args)
+            return limit(*args)
+
+        monkeypatch.delenv("VDW_MAX_CELLS", raising=False)
+        monkeypatch.setattr(core, "_limit", counting)
+        oracle = SeededRandomOracle(5, 2)
+        for m, max_cells in enumerate((None, None, 10**6, None), start=1):
+            window = Interval(64 * m - 63, 64 * m)
+            solve_window(
+                oracle, window, m, "search", ks=(2, 2, 2), caps=(16,) * 3,
+                max_cells=max_cells,
+            )
+            assert len(calls) == m
 
     def test_bad_mode(self):
         with pytest.raises(DomainError):
