@@ -75,24 +75,25 @@ def _check_palette(c: int | None, colors: Sequence[int] = ()) -> int:
 _PALETTE = {c: bytes(range(1, c + 1)) for c in range(1, 256)}
 
 
-def _packed(c: int, colors: Sequence[int]) -> bytes | Sequence[int]:
+def _packed(c: int, colors: Sequence[int]) -> bytes | tuple[int, ...]:
     """colors as reads hand them out: packed into bytes when the palette
-    [1, c] fits in a byte and bytes() takes every colour, else colors
-    itself. The one owner of the byte rule; it checks no palette."""
+    [1, c] fits in a byte and bytes() takes every colour, else as a tuple
+    (colors itself when it is one). The one owner of the byte rule; it
+    checks no palette."""
     try:
         if c in _PALETTE:
             return bytes(colors)
     except (TypeError, ValueError):  # a colour that is no byte
         pass
-    return colors
+    return tuple(colors)
 
 
-def _checked(c: int, colors: Sequence[int]) -> bytes | Sequence[int]:
+def _checked(c: int, colors: Sequence[int]) -> bytes | tuple[int, ...]:
     """_packed(c, colors), checked against the palette rule: one translate
     when packed, else (or on a bad colour) through _check_palette."""
     cells = _packed(c, colors)
-    if cells is colors or cells.translate(None, _PALETTE[c]):
-        _check_palette(c, colors)
+    if type(cells) is not bytes or cells.translate(None, _PALETTE[c]):
+        _check_palette(c, cells)
     return cells
 
 
@@ -202,12 +203,13 @@ class ColorOracle:
     return the same value, so oracles are safe to query in any order.
 
     Windows are read in batches through _colors(lo, hi), the colors of
-    positions lo..hi (1 <= lo <= hi) as one tuple: materialize reads a whole
-    window at once, while extraction and search-mode windows read only the
-    runs of cells their scans reach (_reader), which hands each batch on
-    packed into bytes when the palette fits in a byte. Overriding it is
-    optional: the default calls _color once per position. An override is a
-    faster batch rule and must equal _color position by position.
+    positions lo..hi (1 <= lo <= hi) as bytes when the palette fits in a
+    byte (c < 256) and as a tuple otherwise, as _packed hands them out:
+    materialize reads a whole window at once, while extraction and
+    search-mode windows read only the runs of cells their scans reach
+    (_reader), which checks each batch against the palette. Overriding it
+    is optional: the default calls _color once per position. An override is
+    a faster batch rule and must equal _color position by position.
     """
 
     c: int
@@ -220,13 +222,16 @@ class ColorOracle:
     def _color(self, p: int) -> int:
         raise NotImplementedError
 
-    def _colors(self, lo: int, hi: int) -> tuple[int, ...]:
-        return tuple(self._color(p) for p in range(lo, hi + 1))
+    def _colors(self, lo: int, hi: int) -> bytes | tuple[int, ...]:
+        return _packed(self.c, [self._color(p) for p in range(lo, hi + 1)])
 
 
 @dataclass(frozen=True)
 class EventuallyPeriodicOracle(ColorOracle):
-    """The colors of prefix, then of pattern repeated forever."""
+    """The colors of prefix, then of pattern repeated forever.
+
+    Batches are cut from private copies of prefix and pattern, packed once
+    here (_packed); they are not fields, so eq, hash and repr ignore them."""
 
     prefix: tuple[int, ...]
     pattern: tuple[int, ...]
@@ -239,20 +244,24 @@ class EventuallyPeriodicOracle(ColorOracle):
         object.__setattr__(self, "pattern", pattern)
         if not pattern:
             raise DomainError("empty period pattern")
-        object.__setattr__(self, "c", _check_palette(self.c, prefix + pattern))
+        colors = prefix + pattern
+        object.__setattr__(self, "c", _check_palette(self.c, colors))
+        cells = _packed(self.c, colors)
+        object.__setattr__(self, "_pre", cells[: len(prefix)])
+        object.__setattr__(self, "_pat", cells[len(prefix) :])
 
     def _color(self, p: int) -> int:
         if p <= len(self.prefix):
             return self.prefix[p - 1]
         return self.pattern[(p - 1 - len(self.prefix)) % len(self.pattern)]
 
-    def _colors(self, lo: int, hi: int) -> tuple[int, ...]:
-        m, pattern = len(self.prefix), self.pattern
-        start = max(lo, m + 1)  # first position of the periodic part in [lo, hi]
-        r = (start - 1 - m) % len(pattern)
+    def _colors(self, lo: int, hi: int) -> bytes | tuple[int, ...]:
+        pre, pattern = self._pre, self._pat
+        start = max(lo, len(pre) + 1)  # first position of the periodic part in [lo, hi]
+        r = (start - 1 - len(pre)) % len(pattern)
         rotated = pattern[r:] + pattern[:r]
         q, rem = divmod(max(hi - start + 1, 0), len(pattern))
-        return self.prefix[lo - 1 : hi] + rotated * q + rotated[:rem]
+        return pre[lo - 1 : hi] + rotated * q + rotated[:rem]
 
 
 class PeriodicOracle(EventuallyPeriodicOracle):
@@ -265,6 +274,9 @@ class ConstantOracle(EventuallyPeriodicOracle):
         super().__init__((), (gamma,), c)
 
 
+_PARITY = bytes(1 + (n & 1) for n in range(256))  # a bit count to its Thue-Morse color
+
+
 @dataclass(frozen=True)
 class ThueMorseOracle(ColorOracle):
     """Color 1 + (popcount(p-1) mod 2): the Thue-Morse word over two colors."""
@@ -274,8 +286,10 @@ class ThueMorseOracle(ColorOracle):
     def _color(self, p: int) -> int:
         return 1 + ((p - 1).bit_count() & 1)
 
-    def _colors(self, lo: int, hi: int) -> tuple[int, ...]:
-        return tuple(1 + (q.bit_count() & 1) for q in range(lo - 1, hi))
+    def _colors(self, lo: int, hi: int) -> bytes:
+        if hi > 1 << 255:  # some bit count may not fit in a byte
+            return super()._colors(lo, hi)
+        return bytes(map(int.bit_count, range(lo - 1, hi))).translate(_PARITY)
 
 
 _MASK64 = (1 << 64) - 1
@@ -341,7 +355,7 @@ class SeededRandomOracle(ColorOracle):
                 break
         return 1 + x % self.c
 
-    def _colors(self, lo: int, hi: int) -> tuple[int, ...]:
+    def _colors(self, lo: int, hi: int) -> bytes | tuple[int, ...]:
         if hi > 1 << 64:  # some q = p - 1 needs more than one 64-bit word
             return super()._colors(lo, hi)
         key, c = self._key, self.c
@@ -349,7 +363,7 @@ class SeededRandomOracle(ColorOracle):
         for q0 in range(lo - 1, hi, _LANE_BATCH):
             words = _splitmix64_lanes(key, q0, min(_LANE_BATCH, hi - q0))
             out += [1 + v % c for v in words]
-        return tuple(out)
+        return _packed(c, out)
 
 
 @dataclass(frozen=True)
@@ -408,7 +422,8 @@ class CubeWitness:
 
 def cube_positions(w: CubeWitness, *, max_cells: int | None = None) -> tuple[int, ...]:
     """Sorted, deduplicated expansion of the cube set; a dense cube (see
-    _dense) is read off its mask in one pass. Raises
+    _dense) is read off its mask in one pass, or is the range of its span
+    when the mask fills it. Raises
     MaterializationLimitError, before building anything, when both the
     number of index tuples and the span of the cube exceed
     max_cells_limit(max_cells), since either one bounds the number of
@@ -431,7 +446,10 @@ def cube_positions(w: CubeWitness, *, max_cells: int | None = None) -> tuple[int
         reach += (k - 1) * d
         count *= k
     if _dense(span, count):
-        bits = bin(_cube_mask(w))[:1:-1].encode().translate(_BITS)  # bit t is byte t
+        mask = _cube_mask(w)
+        if mask == (2 << span) - 1:  # every position of the span
+            return tuple(range(w.a, w.a + span + 1))
+        bits = bin(mask)[:1:-1].encode().translate(_BITS)  # bit t is byte t
         return tuple(compress(range(w.a, w.a + len(bits)), bits))
     if reach == span:
         # No sums collide: each shifted copy lies wholly above the previous.
@@ -494,12 +512,13 @@ def _first_violation(
     source: FiniteColoring | ColorOracle,
     w: CubeWitness,
     pts: tuple[int, ...],
-    max_cells: int | None = None,
+    limit: int,
 ) -> tuple[int, int] | None:
     """First of the positions pts = cube_positions(w) whose color under
     source is not w.gamma, with that color; a finite coloring must contain
     them all. Dense pts (see _dense) are read once over their span (a slice,
-    or one oracle batch within the cell limit) and checked by mask."""
+    or one oracle batch of fewer than limit cells, the resolved cell limit)
+    and checked by mask."""
     gamma, lo, hi = w.gamma, pts[0], pts[-1]
     dense = _dense(hi - lo, len(pts))
     if isinstance(source, FiniteColoring):
@@ -511,7 +530,7 @@ def _first_violation(
             )
         if dense:
             cells = source._cells[lo - dom.lo : hi - dom.lo + 1]
-    elif dense and hi - lo < max_cells_limit(max_cells):
+    elif dense and hi - lo < limit:
         cells = _packed(source.c, source._colors(lo, hi))
     else:
         dense = False
@@ -534,7 +553,8 @@ def find_violation(
     an out-of-domain position raises DomainError rather than counting as a
     mismatch.
     """
-    return _first_violation(source, w, cube_positions(w))
+    limit = max_cells_limit()
+    return _first_violation(source, w, cube_positions(w, max_cells=limit), limit)
 
 
 def verify_witness(source: FiniteColoring | ColorOracle, w: CubeWitness) -> bool:
@@ -551,7 +571,8 @@ def materialize(
 
 
 # read(i, j): the colors of the cells at 0-based offsets i..j-1 of a window,
-# as bytes when the palette fits in a byte (_packed), else as a tuple.
+# as bytes when the palette fits in a byte (_packed), else as a tuple: the
+# form a coloring's _cells and every oracle batch already take.
 _Reader = Callable[[int, int], bytes | tuple[int, ...]]
 
 
@@ -565,8 +586,9 @@ def _reader(
     """Reads of the cells from position lo on, for extraction and the cube
     search. A finite coloring's reads slice its cells, packed and checked
     when it was built. Oracle reads count their cells, refusing once the
-    total would pass limit, by default max_cells_limit(max_cells), and
-    are packed and checked against the palette the same way. A search
+    total would pass limit, by default max_cells_limit(max_cells); each
+    batch comes packed from the oracle (_checked packs any other) and is
+    checked against the palette on every read. A search
     window is refused whole before its first read, so only extraction
     reaches the count's refusal."""
     if isinstance(source, FiniteColoring):

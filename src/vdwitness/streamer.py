@@ -310,17 +310,18 @@ def run_stream(
         raise WindowFailureError(windows, window)
 
     state = stabilize(witnesses, depth)
+    limit = max_cells_limit(max_cells)  # every depth expands and checks under it
     records = []
     for t in range(1, state.achieved_depth + 1):
         w = CubeWitness(state.gamma, state.anchors[t - 1], state.ds[:t], ks_seq[:t])
-        positions = cube_positions(w, max_cells=max_cells)
+        positions = cube_positions(w, max_cells=limit)
         records.append(
             DepthRecord(
                 n=t,
                 a=state.anchors[t - 1],
                 s=state.sources[t - 1],
                 positions=positions,
-                verified=_first_violation(oracle, w, positions, max_cells) is None,
+                verified=_first_violation(oracle, w, positions, limit) is None,
             )
         )
     return StreamOutcome(

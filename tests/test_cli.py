@@ -505,6 +505,31 @@ class TestStream:
         assert code == 0
         assert out == line + "\n"
 
+    # whole stdout lines that read batches of the Thue-Morse and seeded-random
+    # oracles, the same strings as the CI workflow's stdlib-only step
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                "random:3 --k 3 --c 3 --depth 3 --windows 20 --mode search --window-size 1024 --caps 64,64,64",
+                '{"mode":"search","gamma":3,"ds":[17,17,17],"depths":[{"n":1,"a":1,"s":1,"positions":[1,18,35],"verified":true},{"n":2,"a":7169,"s":8,"positions":[7169,7186,7203,7220,7237],"verified":true},{"n":3,"a":7169,"s":8,"positions":[7169,7186,7203,7220,7237,7254,7271],"verified":true}],"survivor_sizes":[8,2,1,1],"windows":20,"conforming":true}',
+            ),
+            (
+                "thue-morse --k 3 --c 2 --depth 3 --windows 20 --mode search --window-size 1024 --skip-failures",
+                '{"mode":"search","gamma":1,"ds":[3,3,3],"depths":[{"n":1,"a":1,"s":1,"positions":[1,4,7],"verified":true},{"n":2,"a":3073,"s":4,"positions":[3073,3076,3079,3082,3085],"verified":true},{"n":3,"a":3073,"s":4,"positions":[3073,3076,3079,3082,3085,3088,3091],"verified":true}],"survivor_sizes":[10,10,9,9],"windows":20,"conforming":true}',
+            ),
+            (
+                "random:1 --k 2 --c 6 --depth 2 --windows 3 --mode proof",
+                '{"mode":"proof","gamma":3,"ds":[1,1260672],"depths":[{"n":1,"a":22,"s":3,"positions":[22,23],"verified":true},{"n":2,"a":22,"s":3,"positions":[22,23,1260694,1260695],"verified":true}],"survivor_sizes":[1,1,1],"windows":3,"conforming":true}',
+            ),
+        ],
+        ids=["random-3d-search", "thue-morse-k3-search", "random-c6-proof"],
+    )
+    def test_report_bytes_of_oracle_batches(self, capsys, argv, line):
+        code, out, _ = run_cli(capsys, "stream", "--oracle", *argv.split())
+        assert code == 0
+        assert out == line + "\n"
+
     def test_depth_needs_windows(self, capsys):
         code, _, err = run_cli(
             capsys, "stream", "--oracle", "thue-morse", "--k", "2", "--c", "2",

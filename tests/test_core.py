@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from math import prod
@@ -25,7 +26,15 @@ from vdwitness import (
     translate,
     verify_witness,
 )
-from vdwitness.core import _DENSE_SPAN, _LANE_BATCH, _check_palette, _reader
+from vdwitness import core
+from vdwitness.core import (
+    _DENSE_SPAN,
+    _LANE_BATCH,
+    DEFAULT_MAX_CELLS,
+    _check_palette,
+    _first_violation,
+    _reader,
+)
 from bruteforce import expand_cube
 
 
@@ -202,6 +211,27 @@ class TestCubePositions:
         counting = _Counting()
         assert find_violation(counting, w) is None
         assert (counting.colors_calls, counting.color_calls) == (0, 3999)
+
+    @pytest.mark.parametrize(
+        "ds, ks, contiguous",
+        [
+            (tuple(2**i for i in range(10)), (2,) * 10, True),
+            (tuple(3**i for i in range(6)), (3,) * 6, True),
+            ((1, 1), (11, 11), True),
+            ((1, 3), (2, 2), False),  # a single gap: a, a + 1, a + 3, a + 4
+        ],
+        ids=["2^i-sides-2", "3^i-sides-3", "1,1-sides-11", "1,3-sides-2"],
+    )
+    def test_contiguous_cubes_expand_as_a_range(self, monkeypatch, ds, ks, contiguous):
+        # a dense cube that fills its span skips the bit-by-bit compress
+        calls = []
+        real = core.compress
+        monkeypatch.setattr(core, "compress", lambda *args: calls.append(args) or real(*args))
+        for a in (1, 7):
+            pts = cube_positions(CubeWitness(1, a, ds, ks))
+            assert pts == tuple(sorted(expand_cube(a, ds, ks)))
+            assert (pts == tuple(range(a, pts[-1] + 1))) == contiguous
+        assert len(calls) == (0 if contiguous else 2)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -610,6 +640,121 @@ class TestBatchEvaluation:
         twin = SeededRandomOracle(7 + (1 << 64), 3)
         assert materialize(twin, Interval(1, 50)) == materialize(o, Interval(1, 50))
         assert twin != o and hash(twin) == hash((7 + (1 << 64), 3))
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            ConstantOracle(1),
+            ConstantOracle(255),
+            ConstantOracle(1, 256),
+            PeriodicOracle((1, 2, 3)),
+            PeriodicOracle((300, 1, 7)),
+            EventuallyPeriodicOracle((3, 1), (1, 2)),
+            EventuallyPeriodicOracle((255,), (1, 2), 255),
+            EventuallyPeriodicOracle((256,), (1, 2)),
+            ThueMorseOracle(),
+            SeededRandomOracle(5, 1),
+            SeededRandomOracle(5, 255),
+            SeededRandomOracle(5, 256),
+            SeededRandomOracle(5, 1000),
+            PrefixOracle(FiniteColoring(3, Interval(5, 9), (1, 2, 3, 3, 2)), 2),
+            PrefixOracle(FiniteColoring(3, Interval(5, 9), (1, 2, 3, 3, 2)), 2, 300),
+            _OnlyColor(),
+        ],
+        ids=lambda o: "_OnlyColor" if isinstance(o, _OnlyColor) else repr(o),
+    )
+    def test_batches_are_bytes_exactly_for_byte_palettes(self, oracle):
+        # one batch rule for every built-in oracle: bytes when c < 256, else
+        # a tuple, equal to _color position by position
+        for lo, hi in ((1, 1), (1, 12), (3, 2 * _LANE_BATCH + 5)):
+            cells = oracle._colors(lo, hi)
+            assert type(cells) is (bytes if oracle.c < 256 else tuple)
+            assert tuple(cells) == _per_position(oracle, lo, hi)
+
+    @pytest.mark.parametrize(
+        "owner, oracle",
+        [
+            (ThueMorseOracle, ThueMorseOracle()),
+            (EventuallyPeriodicOracle, EventuallyPeriodicOracle((3,), (1, 2))),
+            (EventuallyPeriodicOracle, PeriodicOracle((300, 1, 7))),
+            (SeededRandomOracle, SeededRandomOracle(5, 3)),
+            (SeededRandomOracle, SeededRandomOracle(5, 1000)),
+        ],
+        ids=["thue-morse", "evperiodic", "periodic-c300", "random-c3", "random-c1000"],
+    )
+    def test_batches_skip_the_per_cell_rule(self, monkeypatch, owner, oracle):
+        def by_cell(self, p):
+            raise AssertionError(f"cell {p} read on its own")
+
+        monkeypatch.setattr(owner, "_color", by_cell)
+        assert len(oracle._colors(1, 3000)) == 3000
+
+    @pytest.mark.parametrize(
+        "oracle, lo, hi",
+        [
+            (ThueMorseOracle(), (1 << 256) - 4, 1 << 256),  # 2^256 - 1 has 256 set bits
+            (SeededRandomOracle(-3, 4), (1 << 64) - 3, (1 << 64) + 4),  # past one word
+            (SeededRandomOracle(-3, 300), (1 << 64) - 3, (1 << 64) + 4),
+        ],
+        ids=["thue-morse-2^256", "random-c4-2^64", "random-c300-2^64"],
+    )
+    def test_far_batches_keep_the_contract(self, oracle, lo, hi):
+        cells = oracle._colors(lo, hi)
+        assert type(cells) is (bytes if oracle.c < 256 else tuple)
+        assert tuple(cells) == _per_position(oracle, lo, hi)
+
+    @pytest.mark.parametrize(
+        "oracle, lo, hi",
+        [
+            (PeriodicOracle((300, 1, 7)), 2, 50),
+            (EventuallyPeriodicOracle((300, 2, 1), (7, 300, 1, 5), 300), 1, 40),
+            (EventuallyPeriodicOracle((300, 2, 1), (7, 300, 1, 5), 300), 3, 4),
+            (SeededRandomOracle(5, 1000), _LANE_BATCH - 20, _LANE_BATCH + 20),
+            (SeededRandomOracle(5, 1000), 1, 2 * _LANE_BATCH + 1),
+        ],
+    )
+    def test_wide_palettes_read_alike_on_every_path(self, oracle, lo, hi):
+        # materialize, the reader (whole and in two reads across the
+        # boundary) and the dense check read the same colours as _color
+        want = _per_position(oracle, lo, hi)
+        assert materialize(oracle, Interval(lo, hi)).colors == want
+        n, cut = hi - lo + 1, (hi - lo + 1) // 2
+        read = _reader(oracle, lo, None)
+        assert read(0, n) == want
+        assert read(0, cut) + read(cut, n) == want
+        for gamma in sorted(set(want))[:3] + [max(want)]:
+            w = CubeWitness(gamma, lo, (1,), (n,))
+            first = next(((p, x) for p, x in enumerate(want, lo) if x != gamma), None)
+            assert _first_violation(oracle, w, cube_positions(w), DEFAULT_MAX_CELLS) == first
+            assert find_violation(oracle, w) == first
+
+    def test_wide_byte_batches_are_read_as_colours(self):
+        # a c >= 256 subclass whose batches are bytes passes the palette
+        # check and reads like the same colours as a tuple
+        class Bytes(PeriodicOracle):
+            def _colors(self, lo, hi):
+                return bytes(super()._colors(lo, hi))
+
+        pattern = (1, 2, 2, 1, 2, 2, 2)
+        for lo, hi in ((1, 20), (5, 2 * _LANE_BATCH)):
+            want = _per_position(PeriodicOracle(pattern, 300), lo, hi)
+            assert _reader(Bytes(pattern, 300), lo, None)(0, hi - lo + 1) == want
+        w = CubeWitness(2, 1, (1, 3), (2, 2))  # positions 1, 2, 4, 5: colours 1, 2, 1, 2
+        assert find_violation(Bytes(pattern, 300), w) == (1, 1)
+        assert find_violation(Bytes(pattern, 300), CubeWitness(2, 2, (1, 3), (2, 2))) is None
+
+    def test_periodic_identity_ignores_the_packed_copies(self):
+        o = EventuallyPeriodicOracle([3, 1], [1, 2])
+        assert [f.name for f in dataclasses.fields(o)] == ["prefix", "pattern", "c"]
+        assert repr(o) == "EventuallyPeriodicOracle(prefix=(3, 1), pattern=(1, 2), c=3)"
+        assert o == EventuallyPeriodicOracle((3, 1), (1, 2), 3)
+        assert hash(o) == hash(((3, 1), (1, 2), 3))
+        wide = EventuallyPeriodicOracle((3, 1), (1, 2), 300)
+        assert repr(wide) == "EventuallyPeriodicOracle(prefix=(3, 1), pattern=(1, 2), c=300)"
+        assert wide != o and hash(wide) == hash(((3, 1), (1, 2), 300))
+        assert repr(ConstantOracle(2)) == "ConstantOracle(prefix=(), pattern=(2,), c=2)"
+        assert PeriodicOracle((1, 2)) == PeriodicOracle([1, 2], 2)
+        assert hash(PeriodicOracle((1, 2))) == hash(((), (1, 2), 2))
 
     def test_cap_refused_before_any_color(self):
         oracle = _Counting()

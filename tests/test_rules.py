@@ -210,3 +210,31 @@ def test_cell_cap(call, message, monkeypatch):
         f"{message}, over the materialization limit 10",
         _check_cells.__code__,
     )
+
+
+def stray_bytes(c: int, stray: int) -> PeriodicOracle:
+    """A c-colour oracle whose batches are bytes: stray in the first cell
+    of each batch, colour 1 in the others."""
+
+    class Stray(PeriodicOracle):
+        def _colors(self, lo, hi):
+            return bytes([stray]) + b"\1" * (hi - lo)
+
+    return Stray((1,), c)
+
+
+@pytest.mark.parametrize("c, stray", [(2, 0), (2, 3), (255, 0), (300, 0)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda o: extract(o, Interval(1, o.c + 1), 2, tower_params(2, o.c, 2)),
+        lambda o: run_stream(o, 2, o.c, 1, 1, "search", window_size=3),
+    ],
+    ids=["extract", "search"],
+)
+def test_palette_colors_of_byte_batches(call, c, stray):
+    # a bytes batch is checked like any other, past a byte palette too
+    assert refusal(lambda: call(stray_bytes(c, stray))) == (
+        f"colors must lie in [1, {c}]",
+        _check_palette.__code__,
+    )

@@ -326,6 +326,38 @@ class TestRunStreamProof:
         assert out.state.achieved_depth == 2
         assert limits == {"extract": [10**5] * 4, "cube_positions": [10**5] * 2}
 
+    @pytest.mark.parametrize(
+        "args, max_cells",
+        [
+            ((ConstantOracle(1), 2, 1, 5, 8, "proof"), None),
+            ((ConstantOracle(1), 2, 1, 5, 8, "proof"), 10**5),
+            ((ThueMorseOracle(), 2, 2, 3, 4, "proof"), None),
+        ],
+        ids=["constant", "constant-max-cells", "thue-morse"],
+    )
+    def test_depths_resolve_the_cell_limit_once(self, monkeypatch, args, max_cells):
+        # after the windows, one core._limit call resolves the cell limit;
+        # each depth's cube_positions gets the resolved value and its check
+        # needs no call of its own
+        calls, marks = [], []
+        limit, real_stabilize = core._limit, streamer.stabilize
+
+        def counting(*limit_args):
+            calls.append(limit_args[0])
+            return limit(*limit_args)
+
+        def marking(*stabilize_args):
+            marks.append(len(calls))
+            return real_stabilize(*stabilize_args)
+
+        monkeypatch.delenv("VDW_MAX_CELLS", raising=False)
+        monkeypatch.setattr(core, "_limit", counting)
+        monkeypatch.setattr(streamer, "stabilize", marking)
+        out = run_stream(*args, max_cells=max_cells)
+        resolved = max_cells or core.DEFAULT_MAX_CELLS
+        assert calls[marks[0] :] == [max_cells] + [resolved] * out.state.achieved_depth
+        assert out.state.achieved_depth == args[3]
+
     def test_each_dense_depth_is_verified_in_one_batch(self, monkeypatch):
         # every depth of a one-colour proof stream is a dense cube (ds 1, 2,
         # 4, ...), so its final check reads one batch and no single position
