@@ -173,20 +173,23 @@ class FiniteColoring:
 
     Reads (_reader) slice a private copy of colors, checked against the
     palette once here: packed bytes when the palette fits in a byte
-    (_packed), else colors itself. It is not a field, so eq, hash and repr
-    ignore it."""
+    (_packed), else colors itself; colors given as bytes, as materialize
+    passes an oracle batch, are checked and kept as given. It is not a
+    field, so eq, hash and repr ignore it."""
 
     c: int
     domain: Interval
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "colors", tuple(self.colors))
+        given = self.colors
+        object.__setattr__(self, "colors", tuple(given))
         if len(self.colors) != self.domain.size():
             raise DomainError(
                 f"{len(self.colors)} colors for a domain of {self.domain.size()} cells"
             )
-        object.__setattr__(self, "_cells", _checked(self.c, self.colors))
+        cells = given if type(given) is bytes else self.colors
+        object.__setattr__(self, "_cells", _checked(self.c, cells))
 
     def color_at(self, p: int) -> int:
         if p not in self.domain:

@@ -15,14 +15,16 @@ extend a cube by one dimension are the AND of its points' rows, cut to the
 cap and the order's lower bound, and are walked in ascending order; a row
 has no bits past the end of the domain, so the domain bound needs no check.
 The work is bounded by the caps, not by the window: rows keep only the
-differences up to the widest cap and live for one anchor, and the masks
-cover a segment of the window that holds every cell the cubes of the next
-anchors can reach, rebuilt when the anchors pass it. The first segment
-serves a few anchors and each later one twice as many, up to a fixed
-step. When the cubes of one anchor can reach the end of the window (no
-caps), the masks cover a prefix instead, _MIN_STEP cells first, with every
-bit past it set, and the prefix doubles whenever the least cube it cannot
-rule out leaves it, so the work is bounded by how far the search reads.
+differences up to the widest cap and live for one segment, each until the
+anchors pass its cell, and the masks cover a segment of the window that
+holds every cell the cubes of the next anchors can reach, rebuilt when the
+anchors pass it. The first segment serves a few anchors and each later one
+twice as many, up to a fixed step. When the cubes of one anchor can reach
+the end of the window (no caps), the masks cover a prefix instead,
+_MIN_STEP cells first, with every bit past it set, and the prefix doubles
+whenever the least cube it cannot rule out leaves it, so the work is
+bounded by how far the search reads; rows then span the prefix and live
+for one anchor.
 
 The search reads a window's cells through one reader (core._reader), in
 window order and only as the masks first reach them, as bytes when the
@@ -97,13 +99,20 @@ def _least_cube(
     """find_cube over the cells of window. read(i, j) returns the colors
     of the window's cells i..j-1 (0-based), as bytes for a byte palette;
     the buffer cells is extended by them as the masks first reach them, so
-    the window is read only as far as the search reaches.
+    the window is read only as far as the search reaches. With every
+    dimension capped a cell's row lives for one segment, as the masks it is
+    cut from do, until the anchors pass the cell; without, it spans the
+    prefix and lives for one anchor.
     """
     n, lo = window.size(), window.lo
     ks = _side_lengths(ks)
     bounds = _check_caps(bounds)
     last = len(ks) - 1
-    uniform = len(set(ks)) == 1
+    # The floor of the level after difference d: the differences above d
+    # when they must be distinct, from d on for uniform sides, else every
+    # d >= 1 (the floor -2), as at level 0.
+    strict = 1 if distinct else 0
+    free = not distinct and len(set(ks)) > 1
     # Bit d of limits[i] is set iff d is within dimension i's cap; widest is
     # the largest difference any dimension allows. No difference reaches n,
     # so a larger or absent cap is cut to n.
@@ -135,12 +144,19 @@ def _least_cube(
     # The colors read so far, from cell 0 on: a list once a read is not bytes.
     cells: bytearray | list[int] = bytearray()
     segment: bytearray | Sequence[int] = ()
-    strides: dict[tuple[int, int, int], int] = {}  # (gamma, j, r) -> stride mask
-    rows: dict[int, dict[int, int]] = {}  # k -> {cell: row}
+    # gamma -> {slot: stride mask}, the mask of stride j and residue r at the
+    # slot j(j - 1)/2 + r, as _avoid's stride rows place them.
+    strides: dict[int, dict[int, int]] = {}
+    # k -> {cell: row} for each side length k, and memos[i] is rows[ks[i]].
+    # A row depends only on its cell and the masks, so it is kept until the
+    # masks move (load) or the anchors pass its cell: every cube point lies
+    # at or after its anchor, so no later anchor reads an earlier row.
+    rows: dict[int, dict[int, int]] = {}
+    memos: list[dict[int, int]] = []
 
     def load(start: int, hi: int) -> None:
         """Mask the cells [start, hi) of the window from now on."""
-        nonlocal base, known, segment, cells
+        nonlocal base, known, segment, cells, rows, memos
         hi = min(hi, n)
         if hi > len(cells):
             more = read(len(cells), hi)
@@ -150,26 +166,21 @@ def _least_cube(
         base, segment = start, cells[start:hi]
         known = hi if reach >= n else n
         strides.clear()
-        rows.clear()
+        rows = {k: {} for k in ks}
+        memos = [rows[k] for k in ks]
 
-    def descend(level: int, pts: list[int], prev_d: int) -> tuple[int, ...] | None:
+    def descend(level: int, pts: list[int], floor: int) -> tuple[int, ...] | None:
         """Least (d_level, ..., d_last) extending the cube on the cell
-        indices pts (0-based, positions minus the domain start), or None."""
+        indices pts (0-based, positions minus the domain start), with the
+        differences d allowed by the order set in floor, or None."""
         k = ks[level]
-        if distinct:
-            d_lo = prev_d + 1
-        elif uniform:
-            d_lo = max(prev_d, 1)
-        else:
-            d_lo = 1
         # Bit d of valid: d is allowed here and every point starts a
         # monochromatic k-term progression with difference d.
-        valid = limits[level] & -(1 << d_lo)
-        memo = rows.get(k)
-        if memo is None:
-            memo = rows[k] = {}
+        valid = limits[level] & floor
+        memo = memos[level]
+        get = memo.get
         for p in pts:
-            row = memo.get(p)
+            row = get(p)
             if row is None:
                 # Bit d of row, for d up to widest: cells p, p+d, ...,
                 # p+(k-1)d all have p's colour or lie past a prefix.
@@ -177,16 +188,19 @@ def _least_cube(
                     gamma = cells[p]
                 except IndexError:  # p is past the cells read, so past a prefix
                     gamma = 0  # no cell has colour 0
+                masks = strides.get(gamma)
+                if masks is None:
+                    masks = strides[gamma] = {}
                 q = p - base
                 row = cut
                 for j in range(1, k):
-                    key = (gamma, j, q % j)
-                    mask = strides.get(key)
+                    r = q % j
+                    mask = masks.get(j * (j - 1) // 2 + r)
                     if mask is None:
-                        mask = _stride_mask(segment, *key)
+                        mask = _stride_mask(segment, gamma, j, r)
                         if known < n:
-                            mask |= -1 << len(range(key[2], len(segment), j))
-                        strides[key] = mask
+                            mask |= -1 << len(range(r, len(segment), j))
+                        masks[j * (j - 1) // 2 + r] = mask
                     row &= mask >> (q // j)
                 memo[p] = row
             valid &= row
@@ -198,10 +212,8 @@ def _least_cube(
             low = valid & -valid
             valid ^= low
             d = low.bit_length() - 1
-            grown = pts.copy()
-            for offset in range(d, k * d, d):
-                grown += map(offset.__add__, pts)
-            rest = descend(level + 1, grown, d)
+            grown = [p + o for o in range(0, k * d, d) for p in pts]
+            rest = descend(level + 1, grown, -2 if free else -low << strict)
             if rest is not None:
                 return (d, *rest)
         return None
@@ -211,13 +223,15 @@ def _least_cube(
         if a == base + step:  # the anchors left the segment: move it to a
             step = min(2 * step, top)
             load(a, a + step + reach)
-        # Rows are memoized within one anchor: every cube point lies at or
-        # after its anchor, so no later anchor reads an earlier row.
-        rows.clear()
-        ds = descend(0, [a], 0)
+        ds = descend(0, [a], -2)
         while ds is not None and a + sum(map(mul, ds, ks)) - sum(ds) >= known:
             load(0, 2 * known)  # the cube leaves the prefix: double it
-            ds = descend(0, [a], 0)
+            ds = descend(0, [a], -2)
         if ds is not None:
             return CubeWitness(cells[a], lo + a, ds, ks)
+        for memo in rows.values():
+            if reach < n:  # capped rows have at most widest bits: keep the rest
+                memo.pop(a, None)
+            else:  # uncapped rows span the prefix: keep one anchor's only
+                memo.clear()
     return None

@@ -169,6 +169,23 @@ class TestExtractSearchVerify:
         assert code == 0
         assert out_json(out)["ks"] == [3, 2]
 
+    def test_search_past_a_mask_segment_exact_bytes(self, capsys, tmp_path):
+        # colours 1..5 repeated hold no 3x3 cube with caps 3; the one planted
+        # at cell 476 lies past the first segment and _MIN_STEP, and reaches
+        # past the anchors of the segment that holds it
+        path = tmp_path / "seam.txt"
+        cube = {0, 2, 3, 4, 5, 6, 7, 8, 10}
+        colors = [1 if p - 475 in cube else 1 + p % 5 for p in range(2000)]
+        path.write_text("c=5 lo=1 hi=2000\n" + " ".join(map(str, colors)) + "\n")
+        code, out, _ = run_cli(
+            capsys, "search", "--ks", "3,3", "--bounds", "3,3", "--coloring", str(path)
+        )
+        assert code == 0
+        assert out == (
+            '{"gamma":1,"a":476,"ds":[2,2],"ks":[3,3],'
+            '"positions":[476,478,480,482,484]}\n'
+        )
+
     def test_search_absent(self, capsys, tmp_path):
         path = tmp_path / "two.txt"
         path.write_text("c=2 lo=1 hi=2\n1 2\n")

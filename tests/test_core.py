@@ -499,6 +499,32 @@ class TestColoringAndMaterialize:
         with pytest.raises(MaterializationLimitError):
             materialize(ConstantOracle(1), Interval(1, 100), max_cells=99)
 
+    def test_materialize_keeps_the_oracle_batch(self):
+        # the oracle's batch of bytes is checked as it is and becomes the
+        # coloring's cells, not packed a second time from its colors
+        batches = []
+
+        class Recording(PeriodicOracle):
+            def _colors(self, lo, hi):
+                batches.append(super()._colors(lo, hi))
+                return batches[-1]
+
+        n = 2**20
+        oracle = Recording((1, 2, 3))
+        col = materialize(oracle, Interval(1, n))
+        per_cell = tuple(oracle.color_at(p) for p in range(1, n + 1))
+        assert col == FiniteColoring(3, Interval(1, n), per_cell)
+        assert len(batches) == 1 and type(batches[0]) is bytes
+        assert col._cells is batches[0]
+
+    @pytest.mark.parametrize("c, colors", [(2, b"\1\2\2"), (255, b"\xff\1"), (300, b"\xff\1")])
+    def test_colors_given_as_bytes(self, c, colors):
+        col = FiniteColoring(c, Interval(1, len(colors)), colors)
+        assert col.colors == tuple(colors)
+        assert col == FiniteColoring(c, Interval(1, len(colors)), tuple(colors))
+        assert list(_reader(col, 1, None)(0, len(colors))) == list(colors)
+        assert (col._cells is colors) == (c < 256)
+
     def test_max_cells_env(self, monkeypatch):
         monkeypatch.setenv("VDW_MAX_CELLS", "10")
         with pytest.raises(MaterializationLimitError):

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -303,6 +304,23 @@ class TestFindCube:
         w = find_cube(col, (2, 2))
         assert (w.a, w.ds) == (1, (1, 1))
         assert 0 < max(lengths) < 1 << 16
+
+    def test_uncapped_rows_live_for_one_anchor(self):
+        # Without caps a row spans the prefix, so rows kept past their
+        # anchor would hold memory quadratic in the prefix read: 50 random
+        # colours over 20,000 cells, whose least (3,3)-cube lies at 2,322,
+        # peak near 0.4 MB traced (5 MB with the rows kept).
+        rng = random.Random(1)
+        n = 20000
+        col = FiniteColoring(50, Interval(1, n), tuple(rng.randint(1, 50) for _ in range(n)))
+        tracemalloc.start()
+        try:
+            w = find_cube(col, (3, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (w.a, w.ds) == (2322, (37, 37))
+        assert peak < 2 * 10**6
 
     @pytest.mark.parametrize("prefix", [1, 2, 3, 7])
     def test_prefix_doubling_matches_naive(self, monkeypatch, prefix):

@@ -238,3 +238,19 @@ def test_palette_colors_of_byte_batches(call, c, stray):
         f"colors must lie in [1, {c}]",
         _check_palette.__code__,
     )
+
+
+@pytest.mark.parametrize(
+    "c, colors, message",
+    [
+        (2, b"\0\1", "colors must lie in [1, 2]"),
+        (2, b"\1\3", "colors must lie in [1, 2]"),
+        (300, b"\1\0", "colors must lie in [1, 300]"),
+        (0, b"\1", "number of colors must be >= 1, got 0"),
+    ],
+    ids=["colour 0", "colour c + 1", "past a byte palette", "no palette"],
+)
+def test_palette_of_colors_given_as_bytes(c, colors, message):
+    # colours given as bytes are checked as given, through the same owner
+    call = lambda: FiniteColoring(c, Interval(1, len(colors)), colors)  # noqa: E731
+    assert refusal(call) == (message, _check_palette.__code__)

@@ -24,7 +24,7 @@ from vdwitness import (
     tower_params,
     verify_witness,
 )
-from vdwitness import core, streamer
+from vdwitness import core, cubesearch, streamer
 from vdwitness.cubesearch import _FIRST_STEP, _MIN_STEP
 
 
@@ -461,6 +461,34 @@ class TestRunStreamSearch:
                 )
                 assert out.state.achieved_depth == n
                 assert out.state.ds == (1,) * n
+
+    @pytest.mark.parametrize(
+        "oracle, k, c, depth, windows, size, caps, ds, work",
+        [
+            (SeededRandomOracle(3, 3), 3, 3, 3, 20, 1024, [64] * 3, (17, 17, 17), (142, 38880)),
+            (ThueMorseOracle(), 2, 2, 3, 64, 64, [16] * 3, (3, 3, 3), (64, 4080)),
+            (SeededRandomOracle(7, 2), 3, 2, 2, 20, 256, None, (3, 3), (56, 9728)),
+        ],
+        ids=["random:3 caps 64", "thue-morse caps 16", "random:7 uncapped"],
+    )
+    def test_search_streams_mask_a_pinned_number_of_cells(
+        self, monkeypatch, oracle, k, c, depth, windows, size, caps, ds, work
+    ):
+        # the stride masks that the CI search streams build, and the cells
+        # they cover: a mask built twice in one segment, or over more cells
+        # than its segment or prefix holds, moves these counts
+        made = [0, 0]
+        stride_mask = cubesearch._stride_mask
+
+        def counting(cells, gamma, j, r):
+            made[0] += 1
+            made[1] += len(range(r, len(cells), j))
+            return stride_mask(cells, gamma, j, r)
+
+        monkeypatch.setattr(cubesearch, "_stride_mask", counting)
+        out = run_stream(oracle, k, c, depth, windows, "search", window_size=size, caps=caps)
+        assert out.state.ds == ds
+        assert tuple(made) == work
 
     def test_window_failure_aborts(self):
         with pytest.raises(WindowFailureError):
