@@ -9,7 +9,7 @@ and every operation is a pure function.
 from __future__ import annotations
 
 import os
-import sys
+import struct
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, ClassVar, Iterable, Sequence
@@ -308,6 +308,8 @@ def _splitmix64(x: int) -> int:
 # SplitMix64 over a batch of cells at once: cell i of a batch lives in bits
 # [128i, 128i + 128) of one int, its 64-bit value in the low half. A 64x64-bit
 # product fits in the 128-bit lane, so no carry crosses into the next cell.
+# A byte palette's colours are then reduced in the same lanes (_lane_colors);
+# a wider one reads the values out as little-endian words.
 _LANE_BATCH = 1024
 _LANE_ONES = ((1 << (128 * _LANE_BATCH)) - 1) // ((1 << 128) - 1)  # 1 in every lane
 _LANE_RAMP = int.from_bytes(  # i in lane i
@@ -315,25 +317,40 @@ _LANE_RAMP = int.from_bytes(  # i in lane i
 )
 _LANE_LOW64 = _LANE_ONES * _MASK64
 _LANE_GAMMA = _LANE_ONES * 0x9E3779B97F4A7C15
-# Written in native byte order and read as native 64-bit words, a batch
-# holds lane i's low half at word 2i on a little-endian machine and at word
-# -(2i + 1) on a big-endian one.
-_LANE_STEP = 2 if sys.byteorder == "little" else -2
+_LANE_LOW32 = _LANE_ONES * 0xFFFFFFFF
+_LANE_LOW58 = _LANE_ONES * ((1 << 58) - 1)
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"  # byte r to byte 1 + r, for r < 255
 
 
-def _splitmix64_lanes(key: int, q0: int, n: int) -> memoryview:
-    """_splitmix64(key ^ q) for q = q0, ..., q0 + n - 1, with n <= _LANE_BATCH
-    and q0 + n <= 2^64."""
+def _splitmix64_lanes(keys: int, q0: int, n: int) -> int:
+    """_splitmix64(key ^ q) for q = q0, ..., q0 + n - 1 in lanes 0..n-1, with
+    keys the key in every lane, n <= _LANE_BATCH and q0 + n <= 2^64."""
     cut = (1 << (128 * n)) - 1
-    ones = _LANE_ONES & cut
-    x = (q0 * ones + (_LANE_RAMP & cut)) ^ (key * ones)
+    x = (q0 * (_LANE_ONES & cut) + (_LANE_RAMP & cut)) ^ (keys & cut)
     x = (x + (_LANE_GAMMA & cut)) & _LANE_LOW64
     z = (x ^ (x >> 30)) & _LANE_LOW64
     z = z * 0xBF58476D1CE4E5B9 & _LANE_LOW64
     z = (z ^ (z >> 27)) & _LANE_LOW64
     z = z * 0x94D049BB133111EB & _LANE_LOW64
-    z ^= z >> 31
-    return memoryview(z.to_bytes(16 * n, sys.byteorder)).cast("Q")[::_LANE_STEP]
+    return z ^ z >> 31
+
+
+def _lane_colors(z: int, n: int, c: int) -> bytes:
+    """1 + v % c for the 64-bit value v in each of lanes 0..n-1 of z, one
+    byte per lane, for c < 256, with no loop over cells.
+
+    With v = 2^32 h + l, t = h (2^32 % c) + l is congruent to v mod c and
+    below c 2^32. Write t = qc + r and M = ceil(2^58 / c) = (2^58 + e) / c
+    with 0 <= e < c (Granlund and Montgomery's invariant divisor). The low
+    58 bits of t M are then f = r 2^58 / c + d with d = qe + re / c < 2^41,
+    so f c >> 58 is exactly r, as d c < 2^49 never reaches 2^58 (Lemire,
+    Kaser and Kurz's direct remainder). t M < 2^91 and f c 2^6 < 2^72 stay
+    in their lanes, so r is byte 8 of each lane of f (c << 6). The 32-bit
+    masks drop what a shift brings down from the next lane, the 58-bit one
+    the quotient q above f."""
+    t = (z >> 32 & _LANE_LOW32) * ((1 << 32) % c) + (z & _LANE_LOW32)
+    f = t * -(-(1 << 58) // c) & _LANE_LOW58
+    return (f * (c << 6)).to_bytes(16 * n, "little")[8::16].translate(_PLUS_ONE)
 
 
 @dataclass(frozen=True)
@@ -345,8 +362,10 @@ class SeededRandomOracle(ColorOracle):
 
     def __post_init__(self) -> None:
         _check_palette(self.c)
-        # The seed's key, hashed once; not a field, so eq, hash and repr ignore it.
+        # The seed's key, hashed once, and that key in every lane of a batch;
+        # not fields, so eq, hash and repr ignore them.
         object.__setattr__(self, "_key", _splitmix64(self.seed & _MASK64))
+        object.__setattr__(self, "_keys", self._key * _LANE_ONES)
 
     def _color(self, p: int) -> int:
         x = self._key
@@ -361,11 +380,17 @@ class SeededRandomOracle(ColorOracle):
     def _colors(self, lo: int, hi: int) -> bytes | tuple[int, ...]:
         if hi > 1 << 64:  # some q = p - 1 needs more than one 64-bit word
             return super()._colors(lo, hi)
-        key, c = self._key, self.c
+        keys, c = self._keys, self.c
+        runs = [(q0, min(_LANE_BATCH, hi - q0)) for q0 in range(lo - 1, hi, _LANE_BATCH)]
+        if c in _PALETTE:
+            return b"".join(
+                [_lane_colors(_splitmix64_lanes(keys, q0, n), n, c) for q0, n in runs]
+            )
         out: list[int] = []
-        for q0 in range(lo - 1, hi, _LANE_BATCH):
-            words = _splitmix64_lanes(key, q0, min(_LANE_BATCH, hi - q0))
-            out += [1 + v % c for v in words]
+        for q0, n in runs:
+            z = _splitmix64_lanes(keys, q0, n)
+            words = struct.unpack(f"<{2 * n}Q", z.to_bytes(16 * n, "little"))
+            out += [1 + v % c for v in words[::2]]
         return _packed(c, out)
 
 

@@ -281,6 +281,8 @@ def run_stream(
         stages = max(windows - 1, depth)
         padded = ks_seq + (ks_seq[-1],) * (stages - depth)
         params = tower_params(padded, c, stages, search_limit=search_limit)
+    # every window and every depth reads and expands under this one limit
+    limit = max_cells_limit(max_cells)
 
     witnesses: list[WindowWitness] = []
     skipped: list[int] = []
@@ -299,7 +301,7 @@ def run_stream(
                     ks=ks_seq,
                     params=params,
                     caps=caps,
-                    max_cells=max_cells,
+                    max_cells=limit,
                 )
             )
         except WindowFailureError:
@@ -310,7 +312,6 @@ def run_stream(
         raise WindowFailureError(windows, window)
 
     state = stabilize(witnesses, depth)
-    limit = max_cells_limit(max_cells)  # every depth expands and checks under it
     records = []
     for t in range(1, state.achieved_depth + 1):
         w = CubeWitness(state.gamma, state.anchors[t - 1], state.ds[:t], ks_seq[:t])

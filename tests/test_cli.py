@@ -523,7 +523,8 @@ class TestStream:
         assert out == line + "\n"
 
     # whole stdout lines that read batches of the Thue-Morse and seeded-random
-    # oracles, the same strings as the CI workflow's stdlib-only step
+    # oracles, the same strings as the CI workflow's stdlib-only step; c = 255
+    # is the last palette coloured in lanes, c = 256 the first read by words
     @pytest.mark.parametrize(
         "argv, line",
         [
@@ -539,8 +540,19 @@ class TestStream:
                 "random:1 --k 2 --c 6 --depth 2 --windows 3 --mode proof",
                 '{"mode":"proof","gamma":3,"ds":[1,1260672],"depths":[{"n":1,"a":22,"s":3,"positions":[22,23],"verified":true},{"n":2,"a":22,"s":3,"positions":[22,23,1260694,1260695],"verified":true}],"survivor_sizes":[1,1,1],"windows":3,"conforming":true}',
             ),
+            (
+                "random:5 --k 2 --c 255 --depth 2 --windows 6 --mode search --window-size 1024",
+                '{"mode":"search","gamma":9,"ds":[422,422],"depths":[{"n":1,"a":3078,"s":4,"positions":[3078,3500],"verified":true},{"n":2,"a":3078,"s":4,"positions":[3078,3500,3922],"verified":true}],"survivor_sizes":[1,1,1],"windows":6,"conforming":true}',
+            ),
+            (
+                "random:5 --k 2 --c 256 --depth 2 --windows 6 --mode search --window-size 1024",
+                '{"mode":"search","gamma":54,"ds":[284],"depths":[{"n":1,"a":1,"s":1,"positions":[1,285],"verified":true}],"survivor_sizes":[1,1],"windows":6,"conforming":true}',
+            ),
         ],
-        ids=["random-3d-search", "thue-morse-k3-search", "random-c6-proof"],
+        ids=[
+            "random-3d-search", "thue-morse-k3-search", "random-c6-proof",
+            "random-c255-search", "random-c256-search",
+        ],
     )
     def test_report_bytes_of_oracle_batches(self, capsys, argv, line):
         code, out, _ = run_cli(capsys, "stream", "--oracle", *argv.split())

@@ -639,6 +639,14 @@ class TestBatchEvaluation:
             (SeededRandomOracle(-3, 4), (1 << 64) - _LANE_BATCH, 1 << 64),
             (SeededRandomOracle(-3, 4), (1 << 64) - _LANE_BATCH - 1, 1 << 64),
             (SeededRandomOracle(-3, 4), 1 << 64, 1 << 64),
+            # c = 255 is the last palette reduced in lanes, c = 256 the first
+            # reduced word by word; q = p - 1 runs up to 2^64 - 1
+            (SeededRandomOracle(5, 255), _LANE_BATCH - 1, _LANE_BATCH + 2),
+            (SeededRandomOracle(5, 256), _LANE_BATCH - 1, _LANE_BATCH + 2),
+            (SeededRandomOracle(5, 255), _LANE_BATCH, 3 * _LANE_BATCH + 1),
+            (SeededRandomOracle(5, 256), _LANE_BATCH, 3 * _LANE_BATCH + 1),
+            (SeededRandomOracle(-3, 255), (1 << 64) - 2 * _LANE_BATCH, 1 << 64),
+            (SeededRandomOracle(-3, 256), (1 << 64) - 2 * _LANE_BATCH, 1 << 64),
             (EventuallyPeriodicOracle((3, 1, 2, 1), (1, 2)), 2, 3),
             (EventuallyPeriodicOracle((3, 1), (1, 2, 3)), 3, 8),
             (EventuallyPeriodicOracle((3,), (1, 2, 3, 1)), 4, 10),
@@ -790,3 +798,25 @@ class TestBatchEvaluation:
         col = materialize(oracle, Interval(1, 10), max_cells=10)
         assert (oracle.colors_calls, oracle.color_calls) == (1, 10)
         assert col.colors == (2, 1) * 5
+
+
+def _lane_words(c):
+    """64-bit words where a reduction mod c is most easily off by one: the
+    ends of each 32-bit half and multiples of c, give or take one, near
+    2^32 and 2^64."""
+    words = {0, 1, c - 1, c, (1 << 32) - 1, 1 << 32, (1 << 64) - 1}
+    for top in (1 << 32, 1 << 64):
+        m = top // c * c
+        words |= {m - c - 1, m - c, m - c + 1, m - 1, m, m + 1, m + c - 1, m + c}
+    return sorted(w for w in words if 0 <= w < 1 << 64)
+
+
+class TestLaneReduction:
+    def test_lanes_reduce_as_one_plus_v_mod_c(self):
+        # every byte palette; all the words of one palette share a batch, so
+        # a lane that leaks into its neighbour changes the neighbour's colour
+        for c in range(1, 256):
+            words = _lane_words(c)
+            z = sum(v << 128 * i for i, v in enumerate(words))
+            want = bytes(1 + v % c for v in words)
+            assert core._lane_colors(z, len(words), c) == want, f"c = {c}"

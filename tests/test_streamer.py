@@ -14,6 +14,7 @@ from vdwitness import (
     PeriodicOracle,
     SeededRandomOracle,
     ThueMorseOracle,
+    TowerUncomputableError,
     WindowFailureError,
     WindowWitness,
     find_cube,
@@ -327,16 +328,23 @@ class TestRunStreamProof:
         assert limits == {"extract": [10**5] * 4, "cube_positions": [10**5] * 2}
 
     @pytest.mark.parametrize(
-        "args, max_cells",
+        "args, kwargs, max_cells",
         [
-            ((ConstantOracle(1), 2, 1, 5, 8, "proof"), None),
-            ((ConstantOracle(1), 2, 1, 5, 8, "proof"), 10**5),
-            ((ThueMorseOracle(), 2, 2, 3, 4, "proof"), None),
+            ((ConstantOracle(1), 2, 1, 5, 8, "proof"), {}, None),
+            ((ConstantOracle(1), 2, 1, 5, 8, "proof"), {}, 10**5),
+            ((ThueMorseOracle(), 2, 2, 3, 4, "proof"), {}, None),
+            (
+                (SeededRandomOracle(3, 3), 3, 3, 3, 6, "search"),
+                {"window_size": 1024, "caps": [64] * 3},
+                None,
+            ),
         ],
-        ids=["constant", "constant-max-cells", "thue-morse"],
+        ids=["constant", "constant-max-cells", "thue-morse", "random-search"],
     )
-    def test_depths_resolve_the_cell_limit_once(self, monkeypatch, args, max_cells):
-        # after the windows, one core._limit call resolves the cell limit;
+    def test_depths_resolve_the_cell_limit_once(
+        self, monkeypatch, args, kwargs, max_cells
+    ):
+        # the stream resolves the cell limit once, before its first window;
         # each depth's cube_positions gets the resolved value and its check
         # needs no call of its own
         calls, marks = [], []
@@ -353,9 +361,11 @@ class TestRunStreamProof:
         monkeypatch.delenv("VDW_MAX_CELLS", raising=False)
         monkeypatch.setattr(core, "_limit", counting)
         monkeypatch.setattr(streamer, "stabilize", marking)
-        out = run_stream(*args, max_cells=max_cells)
+        out = run_stream(*args, **kwargs, max_cells=max_cells)
         resolved = max_cells or core.DEFAULT_MAX_CELLS
-        assert calls[marks[0] :] == [max_cells] + [resolved] * out.state.achieved_depth
+        assert calls[0] == max_cells
+        assert calls[1:] == [resolved] * (len(calls) - 1)
+        assert calls[marks[0] :] == [resolved] * out.state.achieved_depth
         assert out.state.achieved_depth == args[3]
 
     def test_each_dense_depth_is_verified_in_one_batch(self, monkeypatch):
@@ -461,6 +471,16 @@ class TestRunStreamSearch:
                 )
                 assert out.state.achieved_depth == n
                 assert out.state.ds == (1,) * n
+
+    def test_a_bad_cell_limit_is_read_after_the_tower(self, monkeypatch):
+        # an uncomputable tower is reported before the cell limit is read
+        monkeypatch.setenv("VDW_MAX_CELLS", "bogus")
+        with pytest.raises(TowerUncomputableError):
+            run_stream(ThueMorseOracle(), 3, 2, 2, 3, "proof")
+        with pytest.raises(DomainError, match="^VDW_MAX_CELLS is not an integer"):
+            run_stream(ThueMorseOracle(), 2, 2, 2, 3, "proof")
+        with pytest.raises(DomainError, match="^VDW_MAX_CELLS is not an integer"):
+            run_stream(ThueMorseOracle(), 2, 2, 2, 3, "search", window_size=8)
 
     @pytest.mark.parametrize(
         "oracle, k, c, depth, windows, size, caps, ds, work",
