@@ -639,6 +639,10 @@ class TestBatchEvaluation:
             (SeededRandomOracle(-3, 4), (1 << 64) - _LANE_BATCH, 1 << 64),
             (SeededRandomOracle(-3, 4), (1 << 64) - _LANE_BATCH - 1, 1 << 64),
             (SeededRandomOracle(-3, 4), 1 << 64, 1 << 64),
+            (EventuallyPeriodicOracle((3, 1, 2, 1), (1, 2)), 2, 3),
+            (EventuallyPeriodicOracle((3, 1), (1, 2, 3)), 3, 8),
+            (EventuallyPeriodicOracle((3,), (1, 2, 3, 1)), 4, 10),
+            (PeriodicOracle((1, 2, 3)), 5, 12),
             # c = 255 is the last palette reduced in lanes, c = 256 the first
             # reduced word by word; q = p - 1 runs up to 2^64 - 1
             (SeededRandomOracle(5, 255), _LANE_BATCH - 1, _LANE_BATCH + 2),
@@ -647,10 +651,6 @@ class TestBatchEvaluation:
             (SeededRandomOracle(5, 256), _LANE_BATCH, 3 * _LANE_BATCH + 1),
             (SeededRandomOracle(-3, 255), (1 << 64) - 2 * _LANE_BATCH, 1 << 64),
             (SeededRandomOracle(-3, 256), (1 << 64) - 2 * _LANE_BATCH, 1 << 64),
-            (EventuallyPeriodicOracle((3, 1, 2, 1), (1, 2)), 2, 3),
-            (EventuallyPeriodicOracle((3, 1), (1, 2, 3)), 3, 8),
-            (EventuallyPeriodicOracle((3,), (1, 2, 3, 1)), 4, 10),
-            (PeriodicOracle((1, 2, 3)), 5, 12),
         ],
     )
     def test_straddling_ranges(self, oracle, lo, hi):
