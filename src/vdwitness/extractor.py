@@ -1,10 +1,9 @@
-"""Monochromatic cube extraction from tower colorings by block interning.
+"""Monochromatic cube extraction from tower colorings by block patterns.
 
 Given a c-coloring of a stage-n tower, the top stage splits the tower into
-W_n blocks of size sizes[n-2] and interns each block's full color pattern:
-a block's id is its pattern, as packed bytes when the palette fits in a
-byte (core._packed) and as a tuple otherwise, one shared object per
-distinct pattern.
+W_n blocks of size sizes[n-2] and colors each block by its full color
+pattern: a block's id is its pattern, as packed bytes when the palette fits
+in a byte (core._packed) and as a tuple otherwise, compared by value.
 The id sequence is a coloring of the block indices with at most
 c^(block size) colors, and the block count W_n = W(k_n, c_{n-1}) guarantees
 it contains a monochromatic k_n-term progression of block indices. Equal ids
@@ -14,8 +13,8 @@ top difference and the construction recurses into the first selected block.
 The stage-1 base case is a plain monochromatic progression search. Both
 scans run _least_ap, defined here because extraction is its only caller.
 
-Each stage's blocks are read and interned in order from block 0, as far as
-the progression scan (least block first, then least step) has looked plus a
+Each stage's blocks are read in order from block 0, as far as the
+progression scan (least block first, then least step) has looked plus a
 read-ahead of at most as many blocks as are already read, so a stage whose
 least progression of equal blocks starts near its first block is read only
 about that far. The scan jumps from a block to the next block with the same
@@ -25,8 +24,8 @@ colors of the selected block that the scan has already read: one unchecked
 extraction reads each cell at most once. The source is a finite coloring or
 an oracle; oracle reads, read-ahead and checked re-reads included, count
 against the cell limit.
-A trace reports how many patterns the whole stage has, so with a trace
-every block of a stage is interned before its scan.
+A trace reports how many patterns the whole stage has, so a traced stage
+reads every block before its scan.
 
 The recursion runs iteratively from the top stage down so that degenerate
 deep towers (single color, twenty stages) stay clear of call-stack limits.
@@ -35,7 +34,6 @@ deep towers (single color, twenty stages) stay clear of call-stack limits.
 from __future__ import annotations
 
 import struct
-from itertools import tee
 from typing import Callable
 
 from .core import (
@@ -100,44 +98,39 @@ def _least_ap(
 class _Stage:
     """Pattern ids of blocks 0..len(ids)-1 of one stage, read in order.
 
-    A block's id is its color pattern as read, the first one read with
-    those colors: packed bytes when the palette fits in a byte, else a
-    tuple. patterns maps each distinct pattern to that id, so equal blocks
-    have the very same id object, and len(patterns) counts the patterns
-    read. fill(b) reads and interns the blocks from len(ids)
-    through b, or as many blocks as are already read if that is more (at
-    least one, at most about _BATCH_CELLS cells), in batches of at most
-    about _BATCH_CELLS cells. So a scan that walks the blocks in order reads
-    at most about twice what it looks at, in few batches, and no block is
-    read twice. A batch of several blocks is cut and interned with no Python
-    loop per block, bytes by one struct.unpack and tuples by zip; a batch
-    of one block interns the read itself, since cutting a long block cell
-    by cell costs more than its read.
+    A block's id is its color pattern as read: packed bytes when the
+    palette fits in a byte, else a tuple; equal blocks have equal ids.
+    fill(b) reads the blocks from len(ids) through b, or as many blocks as
+    are already read if that is more (at least one, at most about
+    _BATCH_CELLS cells), in batches of at most about _BATCH_CELLS cells.
+    So a scan that walks the blocks in order reads at most about twice what
+    it looks at, in few batches, and no block is read twice. A batch of
+    several blocks is cut with no Python loop per block, bytes by one
+    struct.unpack and tuples by zip; a batch of one block is kept as read,
+    since cutting a long block cell by cell costs more than its read.
     """
 
-    __slots__ = ("read", "size", "count", "patterns", "ids")
+    __slots__ = ("read", "size", "count", "ids")
 
     def __init__(self, read: _Reader, size: int, count: int) -> None:
         self.read = read
         self.size = size
         self.count = count
-        self.patterns: dict[bytes | tuple[int, ...], bytes | tuple[int, ...]] = {}
         self.ids: list[bytes | tuple[int, ...]] = []
 
     def fill(self, b: int) -> None:
-        ids, size, intern = self.ids, self.size, self.patterns.setdefault
+        ids, size = self.ids, self.size
         front = len(ids)
         step = max(1, _BATCH_CELLS // size)
         stop = min(self.count, max(b + 1, front + max(1, min(front, step))))
         for lo in range(front, stop, step):
             cells = self.read(lo * size, min(stop, lo + step) * size)
             if len(cells) == size:
-                ids.append(intern(cells, cells))
+                ids.append(cells)
             elif isinstance(cells, bytes):
-                blocks = struct.unpack(f"{size}s" * (len(cells) // size), cells)
-                ids += map(intern, blocks, blocks)
+                ids += struct.unpack(f"{size}s" * (len(cells) // size), cells)
             else:
-                ids += map(intern, *tee(zip(*[iter(cells)] * size)))
+                ids += zip(*[iter(cells)] * size)
 
 
 def extract(
@@ -162,7 +155,8 @@ def extract(
     against the cell limit) and compared color by color with their id, the
     pattern read first. If trace is a list, one record {stage, b1, dstar,
     block_size, palette_size} is appended per stage above the base, top
-    stage first; palette_size counts the patterns of all the stage's blocks.
+    stage first; palette_size counts the distinct patterns of all the
+    stage's blocks, so a traced stage reads every block before its scan.
     """
     params._stage_index(n)  # refuses a stage outside the tower
     W, sizes, ks = params.W[:n], params.sizes[:n], params.ks[:n]
@@ -189,7 +183,7 @@ def extract(
         if hit is None:
             raise InvariantViolationError(
                 f"no length-{k} progression among {count} blocks with "
-                f"{len(stage.patterns)} patterns at stage {m}"
+                f"{len(set(stage.ids))} patterns at stage {m}"
             )
         b1, dstar = hit
         if dstar > count:  # the step moves whole stage-(m-1) towers
@@ -203,7 +197,7 @@ def extract(
                     "b1": b1,
                     "dstar": dstar,
                     "block_size": size,
-                    "palette_size": len(stage.patterns),
+                    "palette_size": len(set(stage.ids)),
                 }
             )
         block = stage.ids[b1]

@@ -164,7 +164,7 @@ def solve_window(
 ) -> WindowWitness:
     """Solve one window at dimension min(available, len(ks)).
 
-    Proof mode (params required) runs the block-interning extraction over
+    Proof mode (params required) runs the block-pattern extraction over
     the dimension-deep prefix of the tower over the window's base, its first
     W_1 cells, reading from the oracle only the blocks its scan looks at;
     max_cells caps the cells read. Search mode refuses a window of more

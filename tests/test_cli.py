@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import os
+import random
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -107,6 +108,22 @@ class TestExtractSearchVerify:
         assert out_json(out)["trace"] == [
             {"stage": 2, "b1": 0, "dstar": 1, "block_size": 3, "palette_size": 1}
         ]
+
+    def test_extract_trace_counts_distinct_patterns_exact_bytes(self, capsys, tmp_path):
+        # a seeded 3-colour stage-2 tower: 82 blocks of 4 cells, 52 patterns
+        path = tmp_path / "random.txt"
+        rng = random.Random(35)
+        colors = [rng.randint(1, 3) for _ in range(328)]
+        path.write_text("c=3 lo=1 hi=328\n" + " ".join(map(str, colors)) + "\n")
+        code, out, _ = run_cli(
+            capsys, "extract", "--k", "2", "--c", "3", "--n", "2",
+            "--coloring", str(path), "--trace",
+        )
+        assert code == 0
+        assert out == (
+            '{"gamma":3,"a":1,"ds":[3,208],"ks":[2,2],"positions":[1,4,209,212],'
+            '"trace":[{"stage":2,"b1":0,"dstar":52,"block_size":4,"palette_size":52}]}\n'
+        )
 
     def test_extract_nonuniform_sides(self, capsys, tmp_path):
         path = tmp_path / "six.txt"

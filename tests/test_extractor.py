@@ -209,13 +209,11 @@ class TestLazyScan:
             stage = _Stage(read, size, count)
             with mock.patch.object(extractor, "_BATCH_CELLS", batch):
                 hit = scan(stage)
-            # a block's id is its pattern, one shared object per pattern,
-            # across batches and in one-block batches alike
-            shared: dict = {}
+            # a block's id is its pattern, across batches and in one-block
+            # batches alike, and equal patterns are equal ids
             for b, pattern in enumerate(stage.ids):
                 assert pattern == (ids[b],) * size
-                assert pattern is shared.setdefault(ids[b], pattern)
-            assert len(stage.patterns) == len(shared)
+            assert len(set(stage.ids)) == len(set(ids[: len(stage.ids)]))
             return hit, reads, stage.ids
 
         got = run(lambda stage: _least_ap(stage.ids, count, k, stage.fill))
@@ -502,15 +500,15 @@ class TestBytePalette:
         assert runs[:4] == runs[5:9] and runs[:4] == [runs[0]] * 4
         assert runs[4] == runs[9]
 
-    def test_byte_blocks_are_interned_as_bytes(self):
+    def test_byte_blocks_are_read_as_bytes(self):
         # blocks 12 12 21 12: a one-block batch, then one batch of three
         cells = bytes([1, 2, 1, 2, 2, 1, 1, 2])
         stage = _Stage(lambda i, j: cells[i:j], 2, 4)
         stage.fill(0)
         stage.fill(3)
         assert stage.ids == [b"\1\2", b"\1\2", b"\2\1", b"\1\2"]
-        assert stage.ids[0] is stage.ids[1] is stage.ids[3]
-        assert len(stage.patterns) == 2
+        assert all(type(pattern) is bytes for pattern in stage.ids)
+        assert len(set(stage.ids)) == 2
 
     def test_a_proof_stream_over_colour_300(self):
         # stage-2 blocks hold colour 300, past the bytes: the blocks are

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -414,6 +415,19 @@ class TestRunStreamProof:
         assert out.state.witnesses[-1].window.size() == 7 * (6**7 + 1)
         assert all(r.verified for r in out.depths)
         assert Counting.cells < 1000
+
+    def test_a_refused_random_proof_stream_stays_small(self):
+        # the stage-3 extraction of window 4 reads about 2^20 cells of
+        # mostly distinct blocks before the cell limit refuses it; the
+        # blocks it holds are its only large allocation
+        tracemalloc.start()
+        try:
+            with pytest.raises(MaterializationLimitError):
+                run_stream(SeededRandomOracle(7, 2), 2, 2, 3, 4, "proof", max_cells=2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_200_000
 
     def test_nested_survivors(self):
         out = run_stream(ConstantOracle(1), 2, 1, 4, 8, "proof")
