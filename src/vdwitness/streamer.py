@@ -11,7 +11,7 @@ witness and must verify against the oracle directly.
 
 Windows are consecutive in both modes, from position 1 on, and differ only
 in size: a search window has window_size cells, and proof window m is the
-tower of stage j = max(1, m-1), with W_1 * ... * W_j cells. Search mode
+tower of stage j = _proof_stage(m), with W_1 * ... * W_j cells. Search mode
 solves each window by direct cube search under per-dimension caps. Proof
 mode extracts over the tower whose base is the window's first W_1 cells.
 In both modes window m is solved at dimension min(available, depth), so
@@ -151,6 +151,13 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"unknown mode {mode!r}")
 
 
+def _proof_stage(m: int) -> int:
+    """The stage of proof window m, max(1, m - 1): window m is that stage's
+    tower, it is solved at no more than that many dimensions, and a stream's
+    tower reaches the stage of its last window, or the depth if deeper."""
+    return max(1, m - 1)
+
+
 def solve_window(
     oracle: ColorOracle,
     window: Interval,
@@ -162,7 +169,8 @@ def solve_window(
     caps: Sequence[int] | None = None,
     max_cells: int | None = None,
 ) -> WindowWitness:
-    """Solve one window at dimension min(available, len(ks)).
+    """Solve one window at dimension min(available, len(ks)), where a search
+    window has m dimensions available and a proof window _proof_stage(m).
 
     Proof mode (params required) runs the block-pattern extraction over
     the dimension-deep prefix of the tower over the window's base, its first
@@ -174,16 +182,17 @@ def solve_window(
     mode finds nothing.
     """
     _check_mode(mode)
+    dim = min(m if mode == SEARCH else _proof_stage(m), len(ks))
     if mode == PROOF:
         if params is None:
             raise DomainError("proof mode needs tower parameters")
         base = Interval(window.lo, window.lo + params.w(1) - 1)
-        w = extract(oracle, base, min(max(1, m - 1), len(ks)), params, max_cells=max_cells)
+        w = extract(oracle, base, dim, params, max_cells=max_cells)
     else:
         limit = max_cells_limit(max_cells)
         _check_cells("the interval has", window.size(), limit)
         read = _reader(oracle, window.lo, max_cells, limit=limit)
-        w = _least_cube(read, window, ks[:m], caps, False)
+        w = _least_cube(read, window, ks[:dim], caps, False)
         if w is None:
             raise WindowFailureError(m, window)
     if w.a < window.lo or w.max_position() > window.hi:
@@ -275,10 +284,9 @@ def run_stream(
 
     params: TowerParams | None = None
     if mode == PROOF:
-        # Geometry needs stages up to windows-1; extraction never goes past
-        # the requested depth. Pad per-stage lengths with the last one, which
-        # keeps them nondecreasing.
-        stages = max(windows - 1, depth)
+        # Stages past the depth only size windows; pad their lengths with
+        # the last one, which keeps them nondecreasing.
+        stages = max(_proof_stage(windows), depth)
         padded = ks_seq + (ks_seq[-1],) * (stages - depth)
         params = tower_params(padded, c, stages, search_limit=search_limit)
     # every window and every depth reads and expands under this one limit
@@ -288,7 +296,7 @@ def run_stream(
     skipped: list[int] = []
     hi = 0
     for m in range(1, windows + 1):
-        size = window_size if mode == SEARCH else params.size(max(1, m - 1))
+        size = window_size if mode == SEARCH else params.size(_proof_stage(m))
         window = Interval(hi + 1, hi + size)
         hi = window.hi
         try:

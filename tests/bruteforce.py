@@ -12,11 +12,10 @@ from itertools import product
 
 
 def expand_cube(a: int, ds, ks) -> set[int]:
-    """{a + sum j_i * d_i} over all index tuples 0 <= j_i <= k_i - 1."""
-    pts = set()
-    for js in product(*(range(k) for k in ks)):
-        pts.add(a + sum(j * d for j, d in zip(js, ds)))
-    return pts
+    """{a + sum j_i * d_i} over all index tuples 0 <= j_i <= k_i - 1; the
+    product walks the tuples of terms j_i * d_i, so map and sum run in C."""
+    terms = (tuple(j * d for j in range(k)) for d, k in zip(ds, ks))
+    return {a + s for s in map(sum, product(*terms))}
 
 
 def all_colorings(n: int, c: int):

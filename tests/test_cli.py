@@ -532,12 +532,37 @@ class TestStream:
                 "random:7 --k 3 --c 2 --depth 2 --windows 12 --mode search --window-size 8 --skip-failures",
                 '{"mode":"search","gamma":2,"ds":[1,1],"depths":[{"n":1,"a":1,"s":1,"positions":[1,2,3],"verified":true},{"n":2,"a":89,"s":12,"positions":[89,90,91,92,93],"verified":true}],"survivor_sizes":[2,2,1],"windows":12,"conforming":false}',
             ),
+            # a known fault: the tower builds stage 3, which no window reads,
+            # so the stream reaches only depth 2
+            (
+                "constant:1 --k 2 --c 1 --depth 3 --windows 3 --mode proof",
+                '{"mode":"proof","gamma":1,"ds":[1,2],"depths":[{"n":1,"a":1,"s":1,"positions":[1,2],"verified":true},{"n":2,"a":5,"s":3,"positions":[5,6,7,8],"verified":true}],"survivor_sizes":[3,3,1],"windows":3,"conforming":true}',
+            ),
+            (
+                "constant:1 --k 3 --c 1 --depth 3 --windows 4 --mode proof",
+                '{"mode":"proof","gamma":1,"ds":[1,3,9],"depths":[{"n":1,"a":1,"s":1,"positions":[1,2,3],"verified":true},{"n":2,"a":7,"s":3,"positions":[7,8,9,10,11,12,13,14,15],"verified":true},{"n":3,"a":16,"s":4,"positions":[16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39,40,41,42],"verified":true}],"survivor_sizes":[4,4,2,1],"windows":4,"conforming":true}',
+            ),
+            (
+                "periodic:300,1,7 --k 2 --c 300 --depth 2 --windows 3 --mode proof",
+                '{"mode":"proof","gamma":1,"ds":[3],"depths":[{"n":1,"a":302,"s":2,"positions":[302,305],"verified":true}],"survivor_sizes":[1,1],"windows":3,"conforming":true}',
+            ),
         ],
     )
     def test_report_bytes(self, capsys, argv, line):
         code, out, _ = run_cli(capsys, "stream", "--oracle", *argv.split())
         assert code == 0
         assert out == line + "\n"
+
+    def test_proof_tower_built_past_the_depth(self, capsys):
+        # a known fault: two windows at depth 2 read stage 1 only, but the
+        # tower still builds stage 2, whose W(3, 2^9) is past the search limit
+        code, out, err = run_cli(
+            capsys, "stream", "--oracle", "thue-morse", "--k", "3", "--c", "2",
+            "--depth", "2", "--windows", "2", "--mode", "proof",
+        )
+        assert code == 3
+        assert out == '{"error":"tower uncomputable","stage":2}\n'
+        assert err == "tower uncomputable at stage 2: W(3,512) exceeds the search limit 128\n"
 
     # whole stdout lines that read batches of the Thue-Morse and seeded-random
     # oracles, the same strings as the CI workflow's stdlib-only step; c = 255

@@ -121,7 +121,7 @@ class TestLazyScan:
         # block b < 1024 of the c=4 stage-2 tower spells b in base 4, so block
         # 0 first recurs at block 1024 and the scan reads all 1025 blocks in
         # order: once each, in 12 batches rather than 1025 reads. A trace
-        # interns them all in one read before the scan, which reads no more.
+        # reads them all in one batch before the scan, which reads no more.
         colors = tuple(1 + (b >> 2 * i) % 4 for b in range(1025) for i in range(5))
         col = FiniteColoring(4, Interval(1, len(colors)), colors)
 
@@ -276,8 +276,8 @@ class TestLazyScan:
 
 
 class TestCompress:
-    """Block compression, the interning step of extract, through the dense
-    reference comparison."""
+    """Block compression, extract's reduction of each block to its pattern,
+    through the dense reference comparison."""
 
     def test_identical_blocks(self):
         trace = _agrees_with_dense(2, (2, 2), tuple(int(x) for x in "122" * 9))
@@ -288,8 +288,9 @@ class TestCompress:
         trace = _agrees_with_dense(3, (2, 2), (1, 2, 3, 3) * 82)
         assert trace[0]["palette_size"] == 1
 
-    def test_first_occurrence_interning(self):
-        # blocks 112, 221, 112, ...: ids 1, 2, 1 give the least step 2
+    def test_first_recurring_pattern(self):
+        # blocks 112, 221, 112, ...: block 0's pattern recurs first at block 2,
+        # which gives the least step 2
         colors = tuple(int(x) for x in "112221" * 4 + "112")
         trace = _agrees_with_dense(2, (2, 2), colors)
         assert trace == [{"stage": 2, "b1": 0, "dstar": 2, "block_size": 3, "palette_size": 2}]
@@ -512,7 +513,7 @@ class TestBytePalette:
 
     def test_a_proof_stream_over_colour_300(self):
         # stage-2 blocks hold colour 300, past the bytes: the blocks are
-        # interned as tuples
+        # compared as tuples
         out = run_stream(PeriodicOracle((300, 1, 7), 300), 2, 300, 2, 3, "proof")
         assert out.report() == {
             "mode": "proof",

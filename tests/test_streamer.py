@@ -328,6 +328,21 @@ class TestRunStreamProof:
         assert out.state.achieved_depth == 2
         assert limits == {"extract": [10**5] * 4, "cube_positions": [10**5] * 2}
 
+    def test_the_proof_schedule_has_one_owner(self, monkeypatch):
+        # window sizes, dimensions and the tower's depth all follow
+        # _proof_stage, so a site with its own copy of the rule fails here
+        def schedule():
+            out = run_stream(ConstantOracle(1), 2, 1, 2, 3, "proof")
+            return [(w.window, w.dim) for w in out.state.witnesses]
+
+        assert schedule() == [
+            (Interval(1, 2), 1), (Interval(3, 4), 1), (Interval(5, 8), 2),
+        ]
+        monkeypatch.setattr(streamer, "_proof_stage", lambda m: m)
+        assert schedule() == [
+            (Interval(1, 2), 1), (Interval(3, 6), 2), (Interval(7, 14), 2),
+        ]
+
     @pytest.mark.parametrize(
         "args, kwargs, max_cells",
         [

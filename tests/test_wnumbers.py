@@ -236,7 +236,8 @@ class TestFindAp:
     )
     def test_least_ap_agrees_with_naive(self, n, k, palette, distinct_but_one, seed):
         # palettes from 1 to n colours; all-distinct-but-one sequences look
-        # like interned random stages, where the only repeat may lie anywhere
+        # like the block patterns of random stages, where the only repeat
+        # may lie anywhere
         rng = random.Random(seed)
         if distinct_but_one:
             colors = rng.sample(range(1, 10 * n + 1), n)
