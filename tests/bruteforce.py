@@ -51,10 +51,13 @@ def mono_cubes(colors, ks, *, nondecreasing: bool):
     n = len(colors)
     hits = []
     dims = len(ks)
-    ranges = [range(1, n + 1)] * dims
     for a in range(1, n + 1):
+        # a difference past (n - a) // (k - 1) alone puts the cube's top past n
+        ranges = [range(1, (n - a) // (k - 1) + 1 if k > 1 else n + 1) for k in ks]
         for ds in product(*ranges):
             if nondecreasing and any(ds[i] > ds[i + 1] for i in range(dims - 1)):
+                continue
+            if a + sum((k - 1) * d for d, k in zip(ds, ks)) > n:
                 continue
             pts = expand_cube(a, ds, ks)
             if max(pts) > n:

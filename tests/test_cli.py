@@ -2,17 +2,21 @@ import errno
 import io
 import json
 import os
-import random
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_contract import RECORDS, run
 from vdwitness import Interval, ThueMorseOracle, run_stream
 from vdwitness.cli import main
+
+BY_ID = {record.id: record for record in RECORDS}
+_NAMED = set()  # the records that a named test below runs
 
 
 def run_cli(capsys, *argv):
@@ -25,58 +29,47 @@ def out_json(out: str) -> dict:
     return json.loads(out)
 
 
-class TestWnumber:
-    def test_w32_exact_bytes(self, capsys):
-        code, out, _ = run_cli(capsys, "wnumber", "--k", "3", "--c", "2")
-        assert code == 0
-        assert out == '{"k":3,"c":2,"value":9,"certificate":"11221122"}\n'
+# A test whose whole check is fixed invocations runs the contract records
+# that hold them, under its own name, so that test ids stay stable.
+def records(*ids):
+    _NAMED.update(ids)
 
-    def test_closed_form(self, capsys):
-        code, out, _ = run_cli(capsys, "wnumber", "--k", "2", "--c", "5")
-        assert code == 0
-        assert out_json(out)["value"] == 6
+    def test(self):
+        failures = {record_id: m for record_id in ids if (m := run(BY_ID[record_id]))}
+        assert not failures
+
+    return test
+
+
+def cases(table):
+    """A test over the records table's values, with its keys as case ids."""
+    _NAMED.update(table.values())
+
+    @pytest.mark.parametrize("record_id", list(table.values()), ids=list(table))
+    def test(self, record_id):
+        assert run(BY_ID[record_id]) == []
+
+    return test
+
+
+class TestWnumber:
+    test_w32_exact_bytes = records("wnumber-k3-c2")
+    test_closed_form = records("wnumber-closed-form")
+    test_limit_exceeded = records("wnumber-limit-5")
 
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "wnumber", "--k", "3", "--c", "2")
         _, second, _ = run_cli(capsys, "wnumber", "--k", "3", "--c", "2")
         assert first == second
 
-    def test_limit_exceeded(self, capsys):
-        code, out, _ = run_cli(capsys, "wnumber", "--k", "3", "--c", "2", "--limit", "5")
-        assert code == 3
-        data = out_json(out)
-        assert data["error"] == "search limit exceeded"
-        assert data["limit"] == 5
-
 
 class TestTower:
-    def test_report(self, capsys):
-        code, out, _ = run_cli(capsys, "tower", "--k", "2", "--c", "2", "--n", "2")
-        assert code == 0
-        assert out == '{"k":2,"c":2,"n":2,"W":["3","9"],"C":["8"],"sizes":["3","27"]}\n'
-
-    def test_start_adds_interval(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "tower", "--k", "2", "--c", "2", "--n", "2", "--start", "6"
-        )
-        assert code == 0
-        assert out_json(out)["interval"] == ["6", "32"]
-
-    def test_uncomputable(self, capsys):
-        code, out, _ = run_cli(capsys, "tower", "--k", "3", "--c", "2", "--n", "2")
-        assert code == 3
-        assert out_json(out) == {"error": "tower uncomputable", "stage": 2}
-
-    @pytest.mark.parametrize(
-        "c, n, name",
-        [
-            pytest.param("5", "3", "W_3", id="c5-n3"),
-            pytest.param("1", "16000", "the stage-14285 size", id="c1-n16000"),
-        ],
+    test_report = records("tower-k2-c2")
+    test_start_adds_interval = records("tower-start")
+    test_uncomputable = records("tower-uncomputable")
+    test_too_many_digits = cases(
+        {"c5-n3": "tower-w3-too-many-digits", "c1-n16000": "tower-size-too-many-digits"}
     )
-    def test_too_many_digits(self, capsys, c, n, name):
-        code, out, err = run_cli(capsys, "tower", "--k", "2", "--c", c, "--n", n)
-        assert (code, out, err) == (3, "", f"{name} has more than 4300 decimal digits\n")
 
 
 @pytest.fixture
@@ -88,71 +81,19 @@ def coloring_122(tmp_path):
 
 
 class TestExtractSearchVerify:
-    def test_extract(self, capsys, coloring_122):
-        code, out, _ = run_cli(
-            capsys, "extract", "--k", "2", "--c", "2", "--n", "2",
-            "--coloring", coloring_122,
-        )
-        assert code == 0
-        data = out_json(out)
-        assert data["gamma"] == 2 and data["a"] == 2
-        assert data["ds"] == [1, 3] and data["positions"] == [2, 3, 5, 6]
-        assert "trace" not in data
-
-    def test_extract_trace(self, capsys, coloring_122):
-        code, out, _ = run_cli(
-            capsys, "extract", "--k", "2", "--c", "2", "--n", "2",
-            "--coloring", coloring_122, "--trace",
-        )
-        assert code == 0
-        assert out_json(out)["trace"] == [
-            {"stage": 2, "b1": 0, "dstar": 1, "block_size": 3, "palette_size": 1}
-        ]
-
-    def test_extract_trace_counts_distinct_patterns_exact_bytes(self, capsys, tmp_path):
-        # a seeded 3-colour stage-2 tower: 82 blocks of 4 cells, 52 patterns
-        path = tmp_path / "random.txt"
-        rng = random.Random(35)
-        colors = [rng.randint(1, 3) for _ in range(328)]
-        path.write_text("c=3 lo=1 hi=328\n" + " ".join(map(str, colors)) + "\n")
-        code, out, _ = run_cli(
-            capsys, "extract", "--k", "2", "--c", "3", "--n", "2",
-            "--coloring", str(path), "--trace",
-        )
-        assert code == 0
-        assert out == (
-            '{"gamma":3,"a":1,"ds":[3,208],"ks":[2,2],"positions":[1,4,209,212],'
-            '"trace":[{"stage":2,"b1":0,"dstar":52,"block_size":4,"palette_size":52}]}\n'
-        )
-
-    def test_extract_nonuniform_sides(self, capsys, tmp_path):
-        path = tmp_path / "six.txt"
-        path.write_text("c=1 lo=1 hi=6\n1 1 1 1 1 1\n")
-        code, out, _ = run_cli(
-            capsys, "extract", "--ks", "2,3", "--c", "1", "--n", "2",
-            "--coloring", str(path),
-        )
-        assert code == 0
-        data = out_json(out)
-        assert data["ks"] == [2, 3]
-        assert data["gamma"] == 1
-
-    def test_extract_ks_length_mismatch(self, capsys, tmp_path):
-        path = tmp_path / "six.txt"
-        path.write_text("c=1 lo=1 hi=6\n1 1 1 1 1 1\n")
-        code, _, _ = run_cli(
-            capsys, "extract", "--ks", "2,3,3", "--c", "1", "--n", "2",
-            "--coloring", str(path),
-        )
-        assert code == 2
-
-    def test_extract_palette_mismatch(self, capsys, coloring_122):
-        code, _, err = run_cli(
-            capsys, "extract", "--k", "2", "--c", "3", "--n", "2",
-            "--coloring", coloring_122,
-        )
-        assert code == 2
-        assert err.strip()
+    test_extract = records("extract")
+    test_extract_trace = records("extract-trace-last")
+    test_extract_trace_counts_distinct_patterns_exact_bytes = records("extract-trace-patterns")
+    test_extract_nonuniform_sides = records("extract-sides-23")
+    test_extract_ks_length_mismatch = records("extract-sides-for-too-many-stages")
+    test_extract_palette_mismatch = records("extract-palette-mismatch")
+    test_search_takes_side_lengths_in_any_order = records("search-sides-in-any-order")
+    test_search_past_a_mask_segment_exact_bytes = records("search-past-a-mask-segment")
+    test_search_absent = records("search-absent")
+    test_search_bounds_and_distinct = records("search-distinct", "search-bounds-too-few")
+    test_verify_false_reports_violation = records("verify-violation-on-a-coloring")
+    test_verify_out_of_domain_is_input_error = records("verify-outside-the-domain")
+    test_verify_huge_position_outside_the_domain = records("verify-huge-position-compact")
 
     def test_extract_verify_roundtrip(self, capsys, tmp_path, coloring_122):
         _, out, _ = run_cli(
@@ -181,100 +122,24 @@ class TestExtractSearchVerify:
         )
         assert code == 0
 
-    def test_search_takes_side_lengths_in_any_order(self, capsys, coloring_122):
-        code, out, _ = run_cli(capsys, "search", "--ks", "3,2", "--coloring", coloring_122)
-        assert code == 0
-        assert out_json(out)["ks"] == [3, 2]
-
-    def test_search_past_a_mask_segment_exact_bytes(self, capsys, tmp_path):
-        # colours 1..5 repeated hold no 3x3 cube with caps 3; the one planted
-        # at cell 476 lies past the first segment and _MIN_STEP, and reaches
-        # past the anchors of the segment that holds it
-        path = tmp_path / "seam.txt"
-        cube = {0, 2, 3, 4, 5, 6, 7, 8, 10}
-        colors = [1 if p - 475 in cube else 1 + p % 5 for p in range(2000)]
-        path.write_text("c=5 lo=1 hi=2000\n" + " ".join(map(str, colors)) + "\n")
-        code, out, _ = run_cli(
-            capsys, "search", "--ks", "3,3", "--bounds", "3,3", "--coloring", str(path)
-        )
-        assert code == 0
-        assert out == (
-            '{"gamma":1,"a":476,"ds":[2,2],"ks":[3,3],'
-            '"positions":[476,478,480,482,484]}\n'
-        )
-
-    def test_search_absent(self, capsys, tmp_path):
-        path = tmp_path / "two.txt"
-        path.write_text("c=2 lo=1 hi=2\n1 2\n")
-        code, out, _ = run_cli(capsys, "search", "--ks", "2", "--coloring", str(path))
-        assert code == 1
-        assert out_json(out) == {"found": False}
-
-    def test_search_bounds_and_distinct(self, capsys, tmp_path):
-        path = tmp_path / "c.txt"
-        path.write_text("c=1 lo=1 hi=8\n1 1 1 1 1 1 1 1\n")
-        code, out, _ = run_cli(
-            capsys, "search", "--ks", "2,2", "--coloring", str(path), "--distinct"
-        )
-        assert code == 0
-        assert out_json(out)["ds"] == [1, 2]
-        code, _, _ = run_cli(
-            capsys, "search", "--ks", "2,2", "--coloring", str(path), "--bounds", "1"
-        )
-        assert code == 2
-
-    def test_verify_false_reports_violation(self, capsys, tmp_path, coloring_122):
-        witness_path = tmp_path / "w.json"
-        witness_path.write_text('{"gamma":1,"a":1,"ds":[1],"ks":[2]}')
-        code, out, _ = run_cli(
-            capsys, "verify", "--witness", str(witness_path),
-            "--coloring", coloring_122,
-        )
-        assert code == 1
-        assert out_json(out) == {
-            "verified": False,
-            "first_violation": {"position": 2, "color": 2},
-        }
-
-    def test_verify_out_of_domain_is_input_error(self, capsys, tmp_path):
-        witness_path = tmp_path / "w.json"
-        witness_path.write_text('{"gamma":1,"a":1,"ds":[5],"ks":[2]}')
-        coloring_path = tmp_path / "c.txt"
-        coloring_path.write_text("c=2 lo=1 hi=3\n1 2 1\n")
-        code, out, _ = run_cli(
-            capsys, "verify", "--witness", str(witness_path),
-            "--coloring", str(coloring_path),
-        )
-        assert code == 2
-        assert out == ""
-
-    def test_verify_huge_position_outside_the_domain(self, capsys, tmp_path):
-        witness_path = tmp_path / "w.json"
-        witness_path.write_text('{"gamma":1,"a":1,"ds":[%d],"ks":[2]}' % (10**4300 - 1))
-        coloring_path = tmp_path / "c.txt"
-        coloring_path.write_text("c=1 lo=1 hi=4\n1 1 1 1\n")
-        code, out, err = run_cli(
-            capsys, "verify", "--witness", str(witness_path),
-            "--coloring", str(coloring_path),
-        )
-        assert (code, out, err) == (
-            2, "", "cube position <4301-digit number> outside domain [1, 4]\n"
-        )
-
 
 class TestCubeNumber:
-    def test_value(self, capsys):
-        code, out, _ = run_cli(capsys, "cube-number", "--ks", "2,2", "--c", "2", "--cap", "16")
-        assert code == 0
-        assert out == '{"ks":[2,2],"c":2,"value":8}\n'
-
-    def test_exceeds_cap(self, capsys):
-        code, out, _ = run_cli(capsys, "cube-number", "--ks", "3", "--c", "2", "--cap", "5")
-        assert code == 3
-        assert out_json(out) == {"exceeds_cap": 5}
+    test_value = records("cube-number-22-c2")
+    test_exceeds_cap = records("cube-number-3-c2-cap-5")
 
 
 class TestLimits:
+    test_env_search_limit = records("wnumber-env-limit", "wnumber-flag-beats-env-limit")
+    test_closed_form_certificate_over_the_cell_limit = records(
+        "wnumber-certificate-over-cell-limit", "wnumber-certificate-at-cell-limit"
+    )
+    test_huge_palette_past_the_search_limit = records("stream-huge-palette")
+    test_stream_max_cells = records("stream-max-cells")
+    test_proof_window_read_up_to_the_cap = records("stream-proof-read-up-to-the-cap")
+    test_stream_max_cells_wins_over_the_environment = records("stream-max-cells-beats-env")
+    test_verify_refuses_to_print_a_huge_violation = records("verify-huge-violation-compact")
+    test_verify_degenerate_cube = records("verify-degenerate-cube")
+
     def test_out_of_memory(self, capsys, monkeypatch):
         # like a bare limit refusal: exit 3, one stderr line, nothing on stdout
         def exhaust(*args):
@@ -306,71 +171,6 @@ class TestLimits:
         monkeypatch.setattr("vdwitness.cli.json", Exhausted)
         assert run_cli(capsys, *argv) == (3, "", "out of memory\n")
 
-    def test_env_search_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("VDW_WNUMBER_LIMIT", "5")
-        code, out, _ = run_cli(capsys, "wnumber", "--k", "3", "--c", "2")
-        assert code == 3
-        assert out_json(out)["limit"] == 5
-        # explicit flag wins over the environment
-        code, out, _ = run_cli(capsys, "wnumber", "--k", "3", "--c", "2", "--limit", "64")
-        assert code == 0
-        assert out_json(out)["value"] == 9
-
-    def test_closed_form_certificate_over_the_cell_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("VDW_MAX_CELLS", "1000")
-        code, out, err = run_cli(capsys, "wnumber", "--k", "2", "--c", "1001")
-        assert code == 3
-        assert out_json(out) == {"error": "materialization limit exceeded"}
-        assert err == (
-            "the W(2,1001) certificate has 1001 cells, over the materialization limit 1000\n"
-        )
-        code, out, _ = run_cli(capsys, "wnumber", "--k", "2", "--c", "1000")
-        assert code == 0 and out_json(out)["value"] == 1001
-
-    def test_huge_palette_past_the_search_limit(self, capsys):
-        # the stage-3 palette is 5^93756, a 65533-digit number
-        code, out, err = run_cli(
-            capsys, "stream", "--oracle", "constant:1", "--ks", "2,2,3", "--c", "5",
-            "--depth", "3", "--windows", "4", "--mode", "proof",
-        )
-        assert code == 3
-        assert out_json(out) == {"error": "tower uncomputable", "stage": 3}
-        assert err == (
-            "tower uncomputable at stage 3: W(3,<65533-digit number>) "
-            "exceeds the search limit 128\n"
-        )
-
-    def test_stream_max_cells(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "stream", "--oracle", "constant:1", "--k", "2", "--c", "1",
-            "--depth", "5", "--windows", "8", "--mode", "proof", "--max-cells", "4",
-        )
-        assert code == 3
-        assert out_json(out)["error"] == "materialization limit exceeded"
-
-    def test_proof_window_read_up_to_the_cap(self, capsys):
-        # window 4's blocks do not repeat early, so its stage is read in
-        # order until the next read would pass the cap
-        code, out, err = run_cli(
-            capsys, "stream", "--oracle", "random:7", "--k", "2", "--c", "2",
-            "--depth", "3", "--windows", "4", "--mode", "proof", "--max-cells", "65536",
-        )
-        assert (code, out) == (3, '{"error":"materialization limit exceeded"}\n')
-        assert err == (
-            "extraction would read 110592 cells, over the materialization limit 65536\n"
-        )
-
-    def test_stream_max_cells_wins_over_the_environment(self, capsys, monkeypatch):
-        # depth records expand cubes of up to 32 positions under the flag's
-        # limit, not the environment's
-        monkeypatch.setenv("VDW_MAX_CELLS", "4")
-        code, out, _ = run_cli(
-            capsys, "stream", "--oracle", "constant:1", "--k", "2", "--c", "1",
-            "--depth", "5", "--windows", "8", "--mode", "proof", "--max-cells", "1000",
-        )
-        assert code == 0
-        assert [d["verified"] for d in out_json(out)["depths"]] == [True] * 5
-
     def test_verify_refuses_a_huge_expansion(self, capsys, tmp_path):
         witness_path = tmp_path / "w.json"
         witness_path.write_text(
@@ -384,28 +184,6 @@ class TestLimits:
         assert code == 3
         assert out_json(out) == {"error": "materialization limit exceeded"}
         assert err.count("\n") == 1 and err.endswith("\n")
-
-    def test_verify_refuses_to_print_a_huge_violation(self, capsys, tmp_path):
-        # every number has 4,300 digits; the first violation, 10^4300 + 2, has more
-        witness_path = tmp_path / "w.json"
-        witness_path.write_text(
-            '{"gamma":1,"a":%d,"ds":[%d],"ks":[2]}' % (10**4299 + 1, 9 * 10**4299 + 1)
-        )
-        code, out, err = run_cli(
-            capsys, "verify", "--witness", str(witness_path), "--oracle", "periodic:12"
-        )
-        assert (code, out, err) == (
-            3, "", "the first violating position has more than 4300 decimal digits\n"
-        )
-
-    def test_verify_degenerate_cube(self, capsys, tmp_path):
-        # 1000^4 index tuples collapse onto 3,997 positions
-        witness_path = tmp_path / "w.json"
-        witness_path.write_text(json.dumps({"gamma": 1, "a": 1, "ds": [1] * 4, "ks": [1000] * 4}))
-        code, out, _ = run_cli(
-            capsys, "verify", "--witness", str(witness_path), "--oracle", "constant:1"
-        )
-        assert code == 0 and out_json(out) == {"verified": True}
 
     def test_verify_collapsing_cube_quickly(self, capsys, tmp_path):
         # 10^10 index tuples collapse onto 199,999 positions, a span far
@@ -423,6 +201,30 @@ class TestLimits:
 
 
 class TestStream:
+    test_thue_morse_search = records("stream-thue-morse-search")
+    test_proof_mode_constant = records("stream-constant-proof")
+    test_nonuniform_sides = records("stream-periodic-sides-223-search")
+    test_window_failure_exit = records("stream-first-window-failure")
+    test_every_window_skipped = records("stream-every-window-skipped")
+    test_search_mode_side_lengths_nondecreasing = records("stream-sides-decreasing")
+    # case ids: the argv after "stream --oracle ", a dash, and the stdout line
+    test_report_bytes = cases({
+        f"{BY_ID[i].argv[16:]}-{BY_ID[i].out[:-1]}": i for i in (
+            "stream-thue-morse-proof", "stream-constant-proof", "stream-evperiodic-proof",
+            "stream-skip-failures", "stream-proof-tower-past-the-windows",
+            "stream-constant-k3-proof", "stream-periodic-c300-proof",
+        )
+    })
+    test_proof_tower_built_past_the_depth = records("stream-proof-tower-past-the-depth")
+    test_report_bytes_of_oracle_batches = cases({
+        "random-3d-search": "stream-random-3d-search",
+        "thue-morse-k3-search": "stream-thue-morse-k3-search",
+        "random-c6-proof": "stream-random-c6-proof",
+        "random-c255-search": "stream-random-c255-search",
+        "random-c256-search": "stream-random-c256-search",
+    })
+    test_depth_needs_windows = records("stream-depth-past-windows")
+
     def test_determinism(self, capsys):
         args = (
             "stream", "--oracle", "random:3", "--k", "2", "--c", "2",
@@ -434,76 +236,9 @@ class TestStream:
         assert first == second
         assert json.loads(first)["windows"] == 8
 
-    def test_thue_morse_search(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "stream", "--oracle", "thue-morse", "--k", "2", "--c", "2",
-            "--depth", "3", "--windows", "64", "--mode", "search",
-            "--window-size", "64", "--caps", "16,16,16",
-        )
-        assert code == 0
-        data = out_json(out)
-        assert data["gamma"] == 1 and data["ds"] == [3, 3, 3]
-        assert len(data["depths"]) == 3
-        assert all(d["verified"] for d in data["depths"])
-        assert data["conforming"] is True
-
-    def test_proof_mode_constant(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "stream", "--oracle", "constant:1", "--k", "2", "--c", "1",
-            "--depth", "5", "--windows", "8", "--mode", "proof",
-        )
-        assert code == 0
-        data = out_json(out)
-        assert data["ds"] == [1, 2, 4, 8, 16]
-        assert len(data["depths"]) == 5
-
-    def test_nonuniform_sides(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "stream", "--oracle", "periodic:122", "--ks", "2,2,3",
-            "--c", "2", "--depth", "3", "--windows", "16", "--mode", "search",
-            "--window-size", "64", "--caps", "12,12,12",
-        )
-        assert code == 0
-        data = out_json(out)
-        assert data["gamma"] == 2 and data["ds"] == [1, 3, 3]
-        assert all(d["verified"] for d in data["depths"])
-
-    def test_window_failure_exit(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "stream", "--oracle", "periodic:12", "--k", "2", "--c", "2",
-            "--depth", "1", "--windows", "2", "--mode", "search",
-            "--window-size", "2",
-        )
-        assert code == 1
-        assert out_json(out)["error"] == "window failure"
-
-    def test_every_window_skipped(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "stream", "--oracle", "random:1", "--k", "3", "--c", "2",
-            "--depth", "1", "--windows", "2", "--mode", "search",
-            "--window-size", "2", "--skip-failures",
-        )
-        assert (code, out) == (1, '{"error":"window failure","window":2,"lo":3,"hi":4}\n')
-
-    def test_search_mode_side_lengths_nondecreasing(self, capsys):
-        code, out, err = run_cli(
-            capsys, "stream", "--oracle", "random:1", "--ks", "3,2", "--c", "2",
-            "--depth", "2", "--windows", "4", "--mode", "search",
-            "--window-size", "64",
-        )
-        assert (code, out, err) == (2, "", "progression lengths must be nondecreasing\n")
-
-    def test_thue_morse_proof_past_the_cell_limit(self, capsys):
+    def test_thue_morse_proof_past_the_cell_limit(self):
         # window 4 is a stage-3 tower of 3,623,878,683 cells; its extraction
-        # reads 33 blocks of 27 cells
-        code, out, _ = run_cli(
-            capsys, "stream", "--oracle", "thue-morse", "--k", "2", "--c", "2",
-            "--depth", "3", "--windows", "4", "--mode", "proof",
-        )
-        assert code == 0
-        report = out_json(out)
-        assert report["ds"] == [1, 6, 864]
-        assert [d["verified"] for d in report["depths"]] == [True, True, True]
+        # reads 33 blocks of 27 cells (the CLI's bytes: stream-thue-morse-proof)
         witnesses = run_stream(ThueMorseOracle(), 2, 2, 3, 4, "proof").state.witnesses
         assert [(w.e, w.ls, w.gamma) for w in witnesses] == [
             (2, (1,), 2), (4, (2,), 1), (8, (1, 6), 2), (34, (1, 6, 864), 1),
@@ -512,146 +247,28 @@ class TestStream:
             Interval(1, 3), Interval(4, 6), Interval(7, 33), Interval(34, 3623878716),
         ]
 
-    # whole stdout lines of proof and search streams, byte for byte
-    @pytest.mark.parametrize(
-        "argv, line",
-        [
-            (
-                "thue-morse --k 2 --c 2 --depth 3 --windows 4 --mode proof",
-                '{"mode":"proof","gamma":1,"ds":[1,6,864],"depths":[{"n":1,"a":34,"s":4,"positions":[34,35],"verified":true},{"n":2,"a":34,"s":4,"positions":[34,35,40,41],"verified":true},{"n":3,"a":34,"s":4,"positions":[34,35,40,41,898,899,904,905],"verified":true}],"survivor_sizes":[2,1,1,1],"windows":4,"conforming":true}',
-            ),
-            (
-                "constant:1 --k 2 --c 1 --depth 5 --windows 8 --mode proof",
-                '{"mode":"proof","gamma":1,"ds":[1,2,4,8,16],"depths":[{"n":1,"a":1,"s":1,"positions":[1,2],"verified":true},{"n":2,"a":5,"s":3,"positions":[5,6,7,8],"verified":true},{"n":3,"a":9,"s":4,"positions":[9,10,11,12,13,14,15,16],"verified":true},{"n":4,"a":17,"s":5,"positions":[17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32],"verified":true},{"n":5,"a":33,"s":6,"positions":[33,34,35,36,37,38,39,40,41,42,43,44,45,46,47,48,49,50,51,52,53,54,55,56,57,58,59,60,61,62,63,64],"verified":true}],"survivor_sizes":[8,8,6,5,4,3],"windows":8,"conforming":true}',
-            ),
-            (
-                "evperiodic:31/1122 --k 2 --c 3 --depth 2 --windows 3 --mode proof",
-                '{"mode":"proof","gamma":2,"ds":[1,4],"depths":[{"n":1,"a":5,"s":2,"positions":[5,6],"verified":true},{"n":2,"a":9,"s":3,"positions":[9,10,13,14],"verified":true}],"survivor_sizes":[2,2,1],"windows":3,"conforming":true}',
-            ),
-            (
-                "random:7 --k 3 --c 2 --depth 2 --windows 12 --mode search --window-size 8 --skip-failures",
-                '{"mode":"search","gamma":2,"ds":[1,1],"depths":[{"n":1,"a":1,"s":1,"positions":[1,2,3],"verified":true},{"n":2,"a":89,"s":12,"positions":[89,90,91,92,93],"verified":true}],"survivor_sizes":[2,2,1],"windows":12,"conforming":false}',
-            ),
-            # a known fault: the tower builds stage 3, which no window reads,
-            # so the stream reaches only depth 2
-            (
-                "constant:1 --k 2 --c 1 --depth 3 --windows 3 --mode proof",
-                '{"mode":"proof","gamma":1,"ds":[1,2],"depths":[{"n":1,"a":1,"s":1,"positions":[1,2],"verified":true},{"n":2,"a":5,"s":3,"positions":[5,6,7,8],"verified":true}],"survivor_sizes":[3,3,1],"windows":3,"conforming":true}',
-            ),
-            (
-                "constant:1 --k 3 --c 1 --depth 3 --windows 4 --mode proof",
-                '{"mode":"proof","gamma":1,"ds":[1,3,9],"depths":[{"n":1,"a":1,"s":1,"positions":[1,2,3],"verified":true},{"n":2,"a":7,"s":3,"positions":[7,8,9,10,11,12,13,14,15],"verified":true},{"n":3,"a":16,"s":4,"positions":[16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39,40,41,42],"verified":true}],"survivor_sizes":[4,4,2,1],"windows":4,"conforming":true}',
-            ),
-            (
-                "periodic:300,1,7 --k 2 --c 300 --depth 2 --windows 3 --mode proof",
-                '{"mode":"proof","gamma":1,"ds":[3],"depths":[{"n":1,"a":302,"s":2,"positions":[302,305],"verified":true}],"survivor_sizes":[1,1],"windows":3,"conforming":true}',
-            ),
-        ],
-    )
-    def test_report_bytes(self, capsys, argv, line):
-        code, out, _ = run_cli(capsys, "stream", "--oracle", *argv.split())
-        assert code == 0
-        assert out == line + "\n"
-
-    def test_proof_tower_built_past_the_depth(self, capsys):
-        # a known fault: two windows at depth 2 read stage 1 only, but the
-        # tower still builds stage 2, whose W(3, 2^9) is past the search limit
-        code, out, err = run_cli(
-            capsys, "stream", "--oracle", "thue-morse", "--k", "3", "--c", "2",
-            "--depth", "2", "--windows", "2", "--mode", "proof",
-        )
-        assert code == 3
-        assert out == '{"error":"tower uncomputable","stage":2}\n'
-        assert err == "tower uncomputable at stage 2: W(3,512) exceeds the search limit 128\n"
-
-    # whole stdout lines that read batches of the Thue-Morse and seeded-random
-    # oracles, the same strings as the CI workflow's stdlib-only step; c = 255
-    # is the last palette coloured in lanes, c = 256 the first read by words
-    @pytest.mark.parametrize(
-        "argv, line",
-        [
-            (
-                "random:3 --k 3 --c 3 --depth 3 --windows 20 --mode search --window-size 1024 --caps 64,64,64",
-                '{"mode":"search","gamma":3,"ds":[17,17,17],"depths":[{"n":1,"a":1,"s":1,"positions":[1,18,35],"verified":true},{"n":2,"a":7169,"s":8,"positions":[7169,7186,7203,7220,7237],"verified":true},{"n":3,"a":7169,"s":8,"positions":[7169,7186,7203,7220,7237,7254,7271],"verified":true}],"survivor_sizes":[8,2,1,1],"windows":20,"conforming":true}',
-            ),
-            (
-                "thue-morse --k 3 --c 2 --depth 3 --windows 20 --mode search --window-size 1024 --skip-failures",
-                '{"mode":"search","gamma":1,"ds":[3,3,3],"depths":[{"n":1,"a":1,"s":1,"positions":[1,4,7],"verified":true},{"n":2,"a":3073,"s":4,"positions":[3073,3076,3079,3082,3085],"verified":true},{"n":3,"a":3073,"s":4,"positions":[3073,3076,3079,3082,3085,3088,3091],"verified":true}],"survivor_sizes":[10,10,9,9],"windows":20,"conforming":true}',
-            ),
-            (
-                "random:1 --k 2 --c 6 --depth 2 --windows 3 --mode proof",
-                '{"mode":"proof","gamma":3,"ds":[1,1260672],"depths":[{"n":1,"a":22,"s":3,"positions":[22,23],"verified":true},{"n":2,"a":22,"s":3,"positions":[22,23,1260694,1260695],"verified":true}],"survivor_sizes":[1,1,1],"windows":3,"conforming":true}',
-            ),
-            (
-                "random:5 --k 2 --c 255 --depth 2 --windows 6 --mode search --window-size 1024",
-                '{"mode":"search","gamma":9,"ds":[422,422],"depths":[{"n":1,"a":3078,"s":4,"positions":[3078,3500],"verified":true},{"n":2,"a":3078,"s":4,"positions":[3078,3500,3922],"verified":true}],"survivor_sizes":[1,1,1],"windows":6,"conforming":true}',
-            ),
-            (
-                "random:5 --k 2 --c 256 --depth 2 --windows 6 --mode search --window-size 1024",
-                '{"mode":"search","gamma":54,"ds":[284],"depths":[{"n":1,"a":1,"s":1,"positions":[1,285],"verified":true}],"survivor_sizes":[1,1],"windows":6,"conforming":true}',
-            ),
-        ],
-        ids=[
-            "random-3d-search", "thue-morse-k3-search", "random-c6-proof",
-            "random-c255-search", "random-c256-search",
-        ],
-    )
-    def test_report_bytes_of_oracle_batches(self, capsys, argv, line):
-        code, out, _ = run_cli(capsys, "stream", "--oracle", *argv.split())
-        assert code == 0
-        assert out == line + "\n"
-
-    def test_depth_needs_windows(self, capsys):
-        code, _, err = run_cli(
-            capsys, "stream", "--oracle", "thue-morse", "--k", "2", "--c", "2",
-            "--depth", "5", "--windows", "2", "--mode", "search",
-            "--window-size", "16",
-        )
-        assert code == 2
-        assert err.strip()
-
 
 class TestInputErrors:
-    def test_unknown_command(self, capsys):
-        assert run_cli(capsys, "frobnicate")[0] == 2
-
-    def test_help_exits_0(self, capsys):
-        code, out, _ = run_cli(capsys, "--help")
-        assert code == 0
-        assert out.startswith("usage:")
-
-    def test_missing_required(self, capsys):
-        assert run_cli(capsys, "wnumber", "--k", "3")[0] == 2
-
-    def test_bad_oracle(self, capsys, tmp_path, coloring_122):
-        code, _, _ = run_cli(
-            capsys, "stream", "--oracle", "bogus:1", "--k", "2", "--c", "2",
-            "--depth", "1", "--windows", "1", "--mode", "search",
-            "--window-size", "8",
-        )
-        assert code == 2
-        witness = tmp_path / "w.json"
-        witness.write_text('{"gamma":1,"a":1,"ds":[1],"ks":[2]}')
-        code, out, err = run_cli(
-            capsys, "verify", "--witness", str(witness), "--oracle", f"file:{coloring_122}:0"
-        )
-        assert (code, out, err) == (2, "", "default color must be >= 1, got 0\n")
-
-    def test_missing_file(self, capsys):
-        assert run_cli(capsys, "search", "--ks", "2", "--coloring", "/nope")[0] == 2
-
-    def test_witness_with_bad_positions(self, capsys, tmp_path, coloring_122):
-        for positions in ('["x"]', "5"):
-            witness_path = tmp_path / "w.json"
-            witness_path.write_text(
-                '{"gamma":1,"a":1,"ds":[1],"ks":[2],"positions":%s}' % positions
-            )
-            code, out, err = run_cli(
-                capsys, "verify", "--witness", str(witness_path),
-                "--coloring", coloring_122,
-            )
-            assert (code, out) == (2, "")
-            assert err.startswith("bad witness object") and err.count("\n") == 1
+    test_unknown_command = records("unknown-command")
+    test_help_exits_0 = records("help")
+    test_missing_required = records("missing-flag")
+    test_bad_oracle = records("stream-bad-oracle", "verify-file-oracle-default-0")
+    test_missing_file = records("search-missing-file")
+    test_witness_with_bad_positions = records(
+        "verify-positions-not-integers", "verify-positions-not-a-list"
+    )
+    test_path_with_a_newline_is_quoted = records("search-path-with-a-newline")
+    test_non_utf8_file = cases({"coloring": "search-non-utf8", "witness": "verify-non-utf8"})
+    test_non_finite_number_in_witness = records("verify-non-finite-number")
+    test_non_positive_caps = cases({
+        "argv0": "search-bounds-0", "argv1": "stream-search-caps-0", "argv2": "stream-proof-caps-0",
+    })
+    test_non_positive_limit_on_closed_forms = cases({
+        "argv0": "wnumber-closed-form-limit-0", "argv1": "wnumber-closed-form-limit-negative",
+        "argv2": "tower-limit-0", "argv3": "stream-proof-limit-0",
+    })
+    test_bad_threads = records("wnumber-closed-form-threads-0")
+    test_ks_and_k_exclusive = records("k-and-ks")
 
     def test_directory_as_coloring(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "search", "--ks", "2", "--coloring", str(tmp_path))
@@ -662,10 +279,6 @@ class TestInputErrors:
             capsys, "verify", "--witness", str(tmp_path), "--coloring", coloring_122
         )
         assert (code, out, err) == (2, "", f"not a file: {tmp_path}\n")
-
-    def test_path_with_a_newline_is_quoted(self, capsys):
-        code, out, err = run_cli(capsys, "search", "--ks", "2", "--coloring", "/nope\nsecond")
-        assert (code, out, err) == (2, "", "missing file: '/nope\\nsecond'\n")
 
     @pytest.mark.parametrize("error", ["ENOTDIR", "ENAMETOOLONG", "ELOOP"])
     @pytest.mark.parametrize("reader", ["coloring", "witness", "oracle"])
@@ -713,66 +326,6 @@ class TestInputErrors:
         )
         assert (code, out) == (2, "")
         assert err.startswith("bad witness JSON:") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("reader", ["coloring", "witness"])
-    def test_non_utf8_file(self, capsys, tmp_path, coloring_122, reader):
-        bad = tmp_path / "bad"
-        bad.write_bytes(b"c=2 lo=1 hi=1\n\xff\n")
-        argv = {
-            "coloring": ["search", "--ks", "2", "--coloring", str(bad)],
-            "witness": ["verify", "--witness", str(bad), "--coloring", coloring_122],
-        }[reader]
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (2, "", f"{bad}: not UTF-8 text\n")
-
-    def test_non_finite_number_in_witness(self, capsys, tmp_path):
-        witness_path = tmp_path / "w.json"
-        witness_path.write_text('{"gamma":1,"a":1,"ds":[1e400],"ks":[2]}')
-        code, out, err = run_cli(
-            capsys, "verify", "--witness", str(witness_path),
-            "--oracle", "constant:1", "--c", "1",
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("bad witness object") and err.count("\n") == 1
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["search", "--ks", "2", "--coloring", "COLORING", "--bounds", "0"],
-            ["stream", "--oracle", "constant:1", "--k", "2", "--c", "1", "--depth", "2",
-             "--windows", "4", "--mode", "search", "--window-size", "16", "--caps", "0,4"],
-            ["stream", "--oracle", "constant:1", "--k", "2", "--c", "1", "--depth", "2",
-             "--windows", "4", "--mode", "proof", "--caps", "0,4"],
-        ],
-    )
-    def test_non_positive_caps(self, capsys, coloring_122, argv):
-        argv = [coloring_122 if a == "COLORING" else a for a in argv]
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (2, "", "difference caps must be >= 1\n")
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["wnumber", "--k", "2", "--c", "3", "--limit", "0"],
-            ["wnumber", "--k", "4", "--c", "1", "--limit", "-7"],
-            ["tower", "--k", "2", "--c", "1", "--n", "3", "--limit", "0"],
-            ["stream", "--oracle", "constant:1", "--k", "2", "--c", "1", "--depth", "1",
-             "--windows", "1", "--mode", "proof", "--limit", "0"],
-        ],
-    )
-    def test_non_positive_limit_on_closed_forms(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (2, "", f"search limit must be >= 1, got {argv[-1]}\n")
-
-    def test_bad_threads(self, capsys):
-        assert run_cli(capsys, "wnumber", "--k", "2", "--c", "2", "--threads", "0")[0] == 2
-
-    def test_ks_and_k_exclusive(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "extract", "--k", "2", "--ks", "2,2", "--c", "2", "--n", "2",
-            "--coloring", "x",
-        )
-        assert code == 2
 
 
 # Malformed tokens stay small: a huge --c, --n, --depth or --window-size is
@@ -882,3 +435,23 @@ class TestFuzz:
             assert isinstance(json.loads(text), dict)
         assert "Traceback" not in err.getvalue()
 
+
+
+class TestContract:
+    @pytest.mark.parametrize(
+        "record", [r for r in RECORDS if r.id not in _NAMED], ids=lambda r: r.id
+    )
+    def test_record(self, record):
+        assert run(record) == []
+
+    def test_ids_are_unique(self):
+        # a repeated id would hide its first record from every test
+        assert len(BY_ID) == len(RECORDS)
+
+    # a runner that passed everything, or left a field unchecked, fails these
+    @pytest.mark.parametrize("record_id", ["wnumber-limit-0", "cube-number-2-c3000"])
+    def test_a_one_byte_change_fails(self, record_id):
+        record = BY_ID[record_id]
+        err = record.err + 1 if isinstance(record.err, int) else record.err + "x"
+        for name, value in [("code", record.code + 1), ("out", record.out + "x"), ("err", err)]:
+            assert [m[0] for m in run(replace(record, **{name: value}))] == [name]

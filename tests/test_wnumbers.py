@@ -28,6 +28,7 @@ from bruteforce import (
     expand_cube,
     greedy_avoiding,
     has_mono_ap,
+    has_mono_cube,
     least_mono_ap,
     longest_avoiding,
 )
@@ -435,9 +436,11 @@ def test_search_is_independent_of_the_first_horizon(monkeypatch, horizon):
 
 def test_long_rows_keep_the_search_path():
     # the cube_number((2,2,2), 3, 48) refusal: the whole triple, colouring
-    # included, of a path whose forward lists take several lane widths
+    # included, of a path whose forward lists take several lane widths; the
+    # reference confirms that the colouring holds no monochromatic cube
     want = tuple(map(int, "111211212221122313313332212133211332232311332231"))
     assert _avoid((2, 2, 2), 3, 48) == (True, 48, want)
+    assert not has_mono_cube(want, (2, 2, 2))
 
 
 @pytest.mark.parametrize(
