@@ -16,7 +16,6 @@ from vdwitness import Interval, ThueMorseOracle, run_stream
 from vdwitness.cli import main
 
 BY_ID = {record.id: record for record in RECORDS}
-_NAMED = set()  # the records that a named test below runs
 
 
 def run_cli(capsys, *argv):
@@ -29,21 +28,17 @@ def out_json(out: str) -> dict:
     return json.loads(out)
 
 
-# A test whose whole check is fixed invocations runs the contract records
-# that hold them, under its own name, so that test ids stay stable.
+# The tests whose whole check was fixed invocations now run the contract
+# records that hold those invocations, under their old names and case ids.
 def records(*ids):
-    _NAMED.update(ids)
-
     def test(self):
-        failures = {record_id: m for record_id in ids if (m := run(BY_ID[record_id]))}
-        assert not failures
+        assert {record_id: run(BY_ID[record_id]) for record_id in ids} == dict.fromkeys(ids, [])
 
     return test
 
 
 def cases(table):
     """A test over the records table's values, with its keys as case ids."""
-    _NAMED.update(table.values())
 
     @pytest.mark.parametrize("record_id", list(table.values()), ids=list(table))
     def test(self, record_id):
@@ -207,7 +202,8 @@ class TestStream:
     test_window_failure_exit = records("stream-first-window-failure")
     test_every_window_skipped = records("stream-every-window-skipped")
     test_search_mode_side_lengths_nondecreasing = records("stream-sides-decreasing")
-    # case ids: the argv after "stream --oracle ", a dash, and the stdout line
+    # the case ids this test had: the argv after "stream --oracle ", a dash,
+    # and the stdout line
     test_report_bytes = cases({
         f"{BY_ID[i].argv[16:]}-{BY_ID[i].out[:-1]}": i for i in (
             "stream-thue-morse-proof", "stream-constant-proof", "stream-evperiodic-proof",
@@ -436,11 +432,8 @@ class TestFuzz:
         assert "Traceback" not in err.getvalue()
 
 
-
 class TestContract:
-    @pytest.mark.parametrize(
-        "record", [r for r in RECORDS if r.id not in _NAMED], ids=lambda r: r.id
-    )
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.id)
     def test_record(self, record):
         assert run(record) == []
 
@@ -449,7 +442,9 @@ class TestContract:
         assert len(BY_ID) == len(RECORDS)
 
     # a runner that passed everything, or left a field unchecked, fails these
-    @pytest.mark.parametrize("record_id", ["wnumber-limit-0", "cube-number-2-c3000"])
+    @pytest.mark.parametrize(
+        "record_id", ["wnumber-limit-0", "cube-number-2-c3000", "verify-deep-witness"]
+    )
     def test_a_one_byte_change_fails(self, record_id):
         record = BY_ID[record_id]
         err = record.err + 1 if isinstance(record.err, int) else record.err + "x"
